@@ -39,13 +39,20 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vscale(c, v: Vec) -> Vec:
     f = _as_fraction(c)
     return tuple(f * a for a in v)
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """1-based basis pairs i < j in lexicographic order."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def _triples(n: int) -> list[tuple[int, int, int]]:
+    """1-based basis triples i < j < k in lexicographic order."""
+    return [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for k in range(j + 1, n + 1)]
 
 
 class SkewAlgebra:
@@ -171,13 +178,8 @@ def is_lie(a: SkewAlgebra) -> bool:
     """True iff the Jacobiator vanishes on all basis triples i < j < k."""
     n = a.dim
     zero = zero_vec(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                if jacobiator(a, basis_vec(n, i), basis_vec(n, j),
-                              basis_vec(n, k)) != zero:
-                    return False
-    return True
+    return all(jacobiator(a, basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)) == zero
+               for (i, j, k) in _triples(n))
 
 
 def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
@@ -214,11 +216,8 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
         pinv = inverse(p)
     except SingularMapError:
         raise SingularMapError("basis-change matrix is singular") from None
-    table = {}
-    for i in range(1, a.dim + 1):
-        for j in range(i + 1, a.dim + 1):
-            prod = multiply(a, p.column(i - 1), p.column(j - 1))
-            table[(i, j)] = pinv.apply(prod)
+    table = {(i, j): pinv.apply(multiply(a, p.column(i - 1), p.column(j - 1)))
+             for (i, j) in _pairs(a.dim)}
     return SkewAlgebra(a.dim, table)
 
 

@@ -267,14 +267,19 @@ class LieTypeSolution:
     admissible: bool
 
 
+def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:
+    """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2."""
+    if a.dim != 3:
+        raise UnsupportedDimError("the Lie-type relation lives in dimension 3")
+    e1, e2, e3 = (basis_vec(3, i) for i in (1, 2, 3))
+    return (multiply(a, multiply(a, e1, e2), e3),
+            multiply(a, multiply(a, e2, e3), e1),
+            multiply(a, multiply(a, e3, e1), e2))
+
+
 def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:
     """Directly evaluate the constant-coefficient relation on (e1, e2, e3)."""
-    if a.dim != 3:
-        raise UnsupportedDimError("the relation is evaluated in dimension 3")
-    e1, e2, e3 = (basis_vec(3, i) for i in (1, 2, 3))
-    t1 = multiply(a, multiply(a, e1, e2), e3)
-    t2 = multiply(a, multiply(a, e2, e3), e1)
-    t3 = multiply(a, multiply(a, e3, e1), e2)
+    t1, t2, t3 = _cyclic_terms(a)
     total = tuple(p + Fraction(coeff_a) * q + Fraction(coeff_b) * r
                   for p, q, r in zip(t1, t2, t3))
     return total == zero_vec(3)
@@ -283,16 +288,10 @@ def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:
 def lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:
     """Solve for constant coefficients (a, b) of the Lie-type relation on the
     basis triple, with coefficient 1 on the first cyclic term."""
-    if a.dim != 3:
-        raise UnsupportedDimError("the relation is solved in dimension 3")
-    e1, e2, e3 = (basis_vec(3, i) for i in (1, 2, 3))
-    t1 = multiply(a, multiply(a, e1, e2), e3)
-    t2 = multiply(a, multiply(a, e2, e3), e1)
-    t3 = multiply(a, multiply(a, e3, e1), e2)
-    coeffs = ExactMatrix.from_columns([t2, t3])
-    homogeneous = tuple((v[0], v[1]) for v in kernel_basis(coeffs))
+    t1, t2, t3 = _cyclic_terms(a)
+    ech_a = echelonize(ExactMatrix.from_columns([t2, t3]))
+    homogeneous = tuple((v[0], v[1]) for v in ech_a.kernel())
     aug = ExactMatrix([[t2[m], t3[m], -t1[m]] for m in range(3)], cols=3)
-    ech_a = echelonize(coeffs)
     ech_aug = echelonize(aug)
     if ech_aug.rank > ech_a.rank:
         return LieTypeSolution(None, homogeneous, False)

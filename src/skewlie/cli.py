@@ -21,8 +21,7 @@ from . import structmats as sm
 from .classify import classify as classify_algebra
 from .classify import lie_type_constants
 from .errors import InvariantError, ParseError, SkewlieError
-from .qlinalg import (ExactMatrix, determinant, format_rational,
-                      parse_rational, rank)
+from .qlinalg import ExactMatrix, determinant, format_rational, parse_rational
 from .sampler import SampleConfig, run_experiment
 
 
@@ -32,6 +31,8 @@ def parse_algebra(text: str) -> alg.SkewAlgebra:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     dim = doc.get("dim")
@@ -89,33 +90,35 @@ def _matrix_rows(m: ExactMatrix) -> list[list[str]]:
 
 
 def _derivations_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
+    n = a.dim
     ders = sm.derivation_space(a)
+    orbit_dim = n * n - ders.dim
     return {
-        "matrix_shape": [a.dim * (a.dim * (a.dim - 1) // 2), a.dim * a.dim],
-        "rank": sm.orbit_dimension(a),
+        "matrix_shape": [n * (n * (n - 1) // 2), n * n],
+        "rank": orbit_dim,
         "derivation_dim": ders.dim,
-        "aut_dim": sm.aut_dimension(a),
-        "orbit_dim": sm.orbit_dimension(a),
+        "aut_dim": ders.dim,
+        "orbit_dim": orbit_dim,
         "basis": [_matrix_rows(f) for f in ders.basis],
     }
 
 
 def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
+    n = a.dim
     space = sm.homlie_space(a)
+    rows = n * (n * (n - 1) * (n - 2) // 6)
     payload: dict[str, Any] = {
-        "is_homlie": sm.is_homlie(a),
+        "is_homlie": space.dim >= 1,
         "kernel_dim": space.dim,
         "basis": [_matrix_rows(f) for f in space.basis],
+        "matrix_shape": [rows, n * n] if n >= 3 else None,
+        "rank": n * n - space.dim,
     }
-    if a.dim >= 3:
-        hl = sm.build_HL(a)
-        payload["matrix_shape"] = [hl.rows, hl.cols]
-        payload["rank"] = rank(hl)
-        if hl.is_square:
-            payload["determinant"] = format_rational(determinant(hl))
-    else:
-        payload["matrix_shape"] = None
-        payload["rank"] = 0
+    if rows == n * n:
+        # a nonzero kernel means a singular square HL; only a trivial kernel
+        # needs the determinant's value
+        det = determinant(sm.build_HL(a)) if space.dim == 0 else Fraction(0)
+        payload["determinant"] = format_rational(det)
     return payload
 
 
@@ -145,12 +148,14 @@ def _lietype_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
 
 
 def _analyze_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
+    central = alg.central_series(a).dims
+    derived = alg.derived_series(a).dims
     payload = {
         "lie": alg.is_lie(a),
-        "nilpotent": alg.is_nilpotent(a),
-        "solvable": alg.is_solvable(a),
-        "central_series": list(alg.central_series(a).dims),
-        "derived_series": list(alg.derived_series(a).dims),
+        "nilpotent": central[-1] == 0,
+        "solvable": derived[-1] == 0,
+        "central_series": list(central),
+        "derived_series": list(derived),
         "derivations": _derivations_payload(a),
         "homlie": _homlie_payload(a),
         "killing": _killing_payload(a),

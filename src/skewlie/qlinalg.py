@@ -168,6 +168,25 @@ class EchelonResult:
     rank: int
     pivot_columns: tuple[int, ...]
 
+    def kernel(self) -> list[tuple[Fraction, ...]]:
+        """Canonical kernel basis read off the RREF.
+
+        One basis vector per free column, in increasing column order, with the
+        free variable set to 1 and pivot variables solved from the reduced rows.
+        """
+        cols = self.reduced.cols
+        pivot_set = set(self.pivot_columns)
+        basis = []
+        for free in range(cols):
+            if free in pivot_set:
+                continue
+            v = [Fraction(0)] * cols
+            v[free] = Fraction(1)
+            for r, pc in enumerate(self.pivot_columns):
+                v[pc] = -self.reduced[r, free]
+            basis.append(tuple(v))
+        return basis
+
 
 def echelonize(m: ExactMatrix) -> EchelonResult:
     """Reduce to RREF by rational Gauss-Jordan elimination."""
@@ -198,24 +217,8 @@ def rank(m: ExactMatrix) -> int:
 
 
 def kernel_basis(m: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """Canonical kernel basis read off the RREF.
-
-    One basis vector per free column, in increasing column order, with the
-    free variable set to 1 and pivot variables solved from the reduced rows.
-    """
-    ech = echelonize(m)
-    red = ech.reduced
-    pivot_set = set(ech.pivot_columns)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(ech.pivot_columns):
-            v[pc] = -red[r, free]
-        basis.append(tuple(v))
-    return basis
+    """Canonical kernel basis of ``m``; see ``EchelonResult.kernel``."""
+    return echelonize(m).kernel()
 
 
 def determinant(m: ExactMatrix) -> Fraction:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import SkewAlgebra, is_lie
+from .algebra import SkewAlgebra, _pairs, is_lie
 from .structmats import is_homlie, orbit_dimension
 
 _MASK = (1 << 64) - 1
@@ -69,10 +69,8 @@ def random_algebra(cfg: SampleConfig, index: int) -> SkewAlgebra:
         raise ValueError(f"index {index} outside 0..{cfg.trials - 1}")
     rng = SplitMix64(cfg.seed ^ index)
     n, h = cfg.dim, cfg.height
-    table = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            table[(i, j)] = [Fraction(rng.randint(-h, h)) for _ in range(n)]
+    table = {pair: [Fraction(rng.randint(-h, h)) for _ in range(n)]
+             for pair in _pairs(n)}
     return SkewAlgebra(n, table)
 
 

@@ -9,6 +9,11 @@ matrix do the same over basis triples i < j < k. Both builders assemble
 coefficients straight from the structure constants; the ``*_defect``
 functions evaluate the same bilinear expressions directly on vectors and
 serve as an independent route for cross-checking the assembly.
+
+By rank-nullity on the n^2 columns, one kernel settles every derived number:
+the orbit dimension is rank M = n^2 - (derivation dimension), the
+automorphism dimension equals the derivation dimension, and the algebra is
+Hom-Lie iff ker HL is nonzero, with rank HL = n^2 - dim ker HL.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, basis_vec, multiply, vadd,
-                      zero_vec)
+from .algebra import (Endo, SkewAlgebra, Vec, _pairs, _triples, basis_vec,
+                      multiply, vadd, zero_vec)
 from .errors import DimensionMismatchError, UnsupportedDimError
 from .qlinalg import ExactMatrix, echelonize, kernel_basis
 
@@ -58,15 +63,6 @@ def hom_jacobi_defect(a: SkewAlgebra, f: Endo,
     return vadd(vadd(multiply(a, multiply(a, x, y), f.apply(z)),
                      multiply(a, multiply(a, y, z), f.apply(x))),
                 multiply(a, multiply(a, z, x), f.apply(y)))
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def _triples(n: int) -> list[tuple[int, int, int]]:
-    return [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            for k in range(j + 1, n + 1)]
 
 
 def build_M(a: SkewAlgebra) -> ExactMatrix:
@@ -168,18 +164,12 @@ def orbit_dimension(a: SkewAlgebra) -> int:
 def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     """All endomorphisms satisfying the Hom-Jacobi identity with the product.
 
-    For n = 2 the condition is vacuous, so the space is all of gl(2): the
-    basis lists the four unit endomorphisms in flattening order.
+    For n = 2 the condition is vacuous: the operator has no rows, so the
+    space is all of gl(2), listed as the four unit endomorphisms in
+    flattening order.
     """
     n = a.dim
-    if n == 2:
-        units = []
-        for col in range(4):
-            v = [Fraction(0)] * 4
-            v[col] = Fraction(1)
-            units.append(endo_of_vec(2, v))
-        return HomLieSpace(tuple(units), 4)
-    vecs = kernel_basis(build_HL(a))
+    vecs = kernel_basis(build_HL(a) if n > 2 else ExactMatrix.zeros(0, 4))
     return HomLieSpace(tuple(endo_of_vec(n, v) for v in vecs), len(vecs))
 
 
@@ -189,7 +179,7 @@ def is_homlie(a: SkewAlgebra) -> bool:
     The zero map always satisfies it vacuously, so the test is that the
     solution space has dimension at least 1.
     """
-    return a.dim == 2 or homlie_space(a).dim >= 1
+    return homlie_space(a).dim >= 1
 
 
 def hom_check(a: SkewAlgebra, f: Endo) -> bool:

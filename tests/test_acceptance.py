@@ -16,9 +16,9 @@ from skewlie import (ExactMatrix, SampleConfig, SkewAlgebra, abelian, algebra3,
                      rank, run_experiment, transport, vec_of_endo)
 from skewlie.classify import (HEISENBERG, TAGS, ns1_family, ns2_family,
                               sol_family)
+from skewlie.algebra import _pairs, _triples
 from skewlie.errors import UnsupportedDimError
-from skewlie.structmats import (_pairs, _triples, derivation_defect,
-                                hom_jacobi_defect)
+from skewlie.structmats import derivation_defect, hom_jacobi_defect
 
 from helpers import (COUNTEREXAMPLE4_HL_DET, counterexample4, gamma2_family,
                      normal_form_of,

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
-from skewlie import SkewAlgebra, heisenberg
+from skewlie import (SkewAlgebra, abelian, aut_dimension, build_HL, build_M,
+                     determinant, filiform5, format_rational, heisenberg,
+                     is_homlie, is_nilpotent, is_solvable, orbit_dimension,
+                     rank)
 from skewlie.cli import main, parse_algebra, serialize_algebra
 from skewlie.errors import InvariantError, ParseError
 
-from helpers import rand_algebra
+from helpers import counterexample4, rand_algebra
 
 HEIS_DOC = '{"dim": 3, "products": [{"i": 1, "j": 2, "c": ["0", "0", "1"]}]}'
 
@@ -39,6 +42,7 @@ def test_parse_fractions_and_bare_integers():
     ('{"dim": "three", "products": []}', ParseError),
     ('not json', ParseError),
     ('[1, 2]', ParseError),
+    pytest.param('[' * 100000, ParseError, id="deeply-nested-ParseError"),
 ])
 def test_parse_rejects_malformed_documents(doc, exc):
     with pytest.raises(exc):
@@ -105,6 +109,62 @@ def test_sample_command(capsys):
     assert sum(report["result"]["rank_histogram"].values()) == 25
 
 
+def _sparse_dim6():
+    return SkewAlgebra(6, {(1, 2): (0, 0, 1, 0, 0, 0), (1, 3): (0, 0, 0, 1, 0, 0),
+                           (2, 5): (0, 0, 0, 0, 0, 1), (4, 6): (1, 0, 0, 0, 2, 0)})
+
+
+def _seeded(dim, seed):
+    return rand_algebra(random.Random(seed), dim=dim)
+
+
+# counterexample4's square HL is nonsingular and abelian(4)'s is singular, so
+# both determinant routes of the homlie payload are covered
+PAYLOAD_ALGEBRAS = {
+    "counterexample4": counterexample4,
+    "abelian4": lambda: abelian(4),
+    "heisenberg": heisenberg,
+    "filiform5": lambda: filiform5(1, 0, 0, 1),
+    "sparse6": _sparse_dim6,
+    **{f"random{dim}-{seed}": (lambda dim=dim, seed=seed: _seeded(dim, seed))
+       for dim in (2, 3, 4) for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAYLOAD_ALGEBRAS))
+def test_payload_fields_match_library(name, tmp_path, capsys):
+    a = PAYLOAD_ALGEBRAS[name]()
+    path = write_doc(tmp_path, "a.json", json.dumps(serialize_algebra(a)))
+    results = {}
+    for cmd in ("derivations", "homlie", "analyze"):
+        assert main([cmd, path, "--json"]) == 0
+        results[cmd] = json.loads(capsys.readouterr().out)["result"]
+    ders, hom, full = results["derivations"], results["homlie"], results["analyze"]
+    assert full["derivations"] == ders and full["homlie"] == hom
+
+    m = build_M(a)
+    assert ders["matrix_shape"] == [m.rows, m.cols]
+    assert ders["rank"] == ders["orbit_dim"] == orbit_dimension(a)
+    assert ders["aut_dim"] == ders["derivation_dim"] == aut_dimension(a)
+
+    assert hom["is_homlie"] == is_homlie(a)
+    assert hom["kernel_dim"] == len(hom["basis"])
+    if a.dim >= 3:
+        hl = build_HL(a)
+        assert hom["matrix_shape"] == [hl.rows, hl.cols]
+        assert hom["rank"] == rank(hl)
+        if hl.is_square:
+            assert hom["determinant"] == format_rational(determinant(hl))
+        else:
+            assert "determinant" not in hom
+    else:
+        assert hom["matrix_shape"] is None and hom["rank"] == 0
+        assert "determinant" not in hom
+
+    assert full["nilpotent"] == is_nilpotent(a)
+    assert full["solvable"] == is_solvable(a)
+
+
 def test_json_reports_are_byte_stable(tmp_path, capsys):
     path = write_doc(tmp_path, "h.json", HEIS_DOC)
     main(["analyze", path, "--json"])
@@ -119,6 +179,12 @@ def test_json_reports_are_byte_stable(tmp_path, capsys):
 def test_exit_2_on_bad_document(tmp_path, capsys):
     path = write_doc(tmp_path, "bad.json",
                      '{"dim": 3, "products": [{"i": 2, "j": 2, "c": ["1", "0", "0"]}]}')
+    assert main(["analyze", path]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_exit_2_on_deeply_nested_document(tmp_path, capsys):
+    path = write_doc(tmp_path, "deep.json", '[' * 100000)
     assert main(["analyze", path]) == 2
     assert "error" in capsys.readouterr().err
 

@@ -10,9 +10,9 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, aut_dimension,
                      is_lie, left_mult, orbit_dimension, rank,
                      transport, vec_of_endo)
 from skewlie.classify import ns1_family, ns2_family, sol_family
+from skewlie.algebra import _pairs, _triples
 from skewlie.errors import UnsupportedDimError
-from skewlie.structmats import (derivation_defect, endo_of_vec,
-                                hom_jacobi_defect, _pairs, _triples)
+from skewlie.structmats import derivation_defect, endo_of_vec, hom_jacobi_defect
 
 from helpers import (COUNTEREXAMPLE4_HL_DET, cofactor_determinant,
                      counterexample4, gamma2_family, rand_algebra, rand_endo,
