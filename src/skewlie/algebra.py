@@ -253,8 +253,6 @@ def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
             raise DimensionMismatchError("spanning vectors of unequal length")
     elif dim is None:
         raise ValueError("empty span needs an explicit ambient dimension")
-    if not vecs:
-        return Subspace(ExactMatrix.zeros(0, dim), 0)
     ech = echelonize(ExactMatrix(vecs, cols=dim))
     rows = [ech.reduced.row(i) for i in range(ech.rank)]
     return Subspace(ExactMatrix(rows, cols=dim), ech.rank)

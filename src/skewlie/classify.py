@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra import (Endo, SkewAlgebra, Vec, basis_vec, is_lie, multiply,
                       full_space, subspace_product, transport, vscale,
                       zero_vec)
-from .errors import RegularPairNotFoundError, UnsupportedDimError
+from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
 from .qlinalg import ExactMatrix, determinant, echelonize, kernel_basis
 
 ABELIAN = "Abelian"
@@ -175,7 +175,8 @@ def _classify_dim2_derived(a: SkewAlgebra, plane) -> ClassificationResult:
         witness = ExactMatrix.from_columns([f1, f2, f3])
         b = transport(a, witness)
         p12, p13 = b.product(1, 2), b.product(1, 3)
-        assert p12[0] == 0 and p13[0] == 0 and b.product(2, 3) == zero_vec(3)
+        if not (p12[0] == p13[0] == 0 and b.product(2, 3) == zero_vec(3)):
+            raise InvariantError("SolvableLiePlane witness misses the normal form")
         params = {"beta1": p12[1], "gamma1": p12[2],
                   "beta2": p13[1], "gamma2": p13[2]}
         return ClassificationResult(SOLVABLE_LIE_PLANE, params, witness, True)
@@ -190,8 +191,9 @@ def _classify_dim2_derived(a: SkewAlgebra, plane) -> ClassificationResult:
     witness = ExactMatrix.from_columns([f1, f2, f3])
     b = transport(a, witness)
     p12, p13 = b.product(1, 2), b.product(1, 3)
-    assert b.product(2, 3) == (0, 0, 1) and p12[0] == 0 and p13[0] == 0
-    assert p12[1] != 0 or p13[1] != 0
+    if not (b.product(2, 3) == (0, 0, 1) and p12[0] == p13[0] == 0
+            and (p12[1] != 0 or p13[1] != 0)):
+        raise InvariantError("SolvableNonLie witness misses the normal form")
     params = {"beta1": p12[1], "gamma1": p12[2],
               "beta2": p13[1], "gamma2": p13[2]}
     return ClassificationResult(SOLVABLE_NON_LIE, params, witness, is_lie(a))
@@ -209,7 +211,8 @@ def _classify_nonsolvable(a: SkewAlgebra) -> ClassificationResult:
         x, y = pair
         base = ExactMatrix.from_columns([x, y, multiply(a, x, y)])
         b = transport(a, base)
-        assert b.product(1, 2) == (0, 0, 1)
+        if b.product(1, 2) != (0, 0, 1):
+            raise InvariantError("regular pair gives e1*e2 != e3")
         alpha2 = b.product(1, 3)[0]
         alpha3 = b.product(2, 3)[0]
         # absorb the e1-component of e1*e3 into the first basis vector
@@ -218,8 +221,8 @@ def _classify_nonsolvable(a: SkewAlgebra) -> ClassificationResult:
         witness = base @ shear
         c = transport(a, witness)
         p13, p23 = c.product(1, 3), c.product(2, 3)
-        assert c.product(1, 2) == (0, 0, 1) and p13[0] == 0
-        assert p23[0] * p13[1] != 0
+        if not (c.product(1, 2) == (0, 0, 1) and p13[0] == 0 and p23[0] * p13[1] != 0):
+            raise InvariantError("NonSolvableNS1 witness misses the normal form")
         params = {"beta2": p13[1], "gamma2": p13[2],
                   "alpha3": p23[0], "beta3": p23[1], "gamma3": p23[2]}
         return ClassificationResult(NS1, params, witness, is_lie(a))
@@ -227,8 +230,8 @@ def _classify_nonsolvable(a: SkewAlgebra) -> ClassificationResult:
     witness = ExactMatrix.from_columns([x, y, multiply(a, x, y)])
     b = transport(a, witness)
     p13, p23 = b.product(1, 3), b.product(2, 3)
-    assert b.product(1, 2) == (0, 0, 1) and p23[0] == 0
-    assert p13[0] * p23[1] != 0
+    if not (b.product(1, 2) == (0, 0, 1) and p23[0] == 0 and p13[0] * p23[1] != 0):
+        raise InvariantError("NonSolvableNS2 witness misses the normal form")
     params = {"alpha2": p13[0], "beta2": p13[1], "gamma2": p13[2],
               "beta3": p23[1], "gamma3": p23[2]}
     return ClassificationResult(NS2, params, witness, is_lie(a))

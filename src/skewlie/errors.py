@@ -30,4 +30,4 @@ class ParseError(SkewlieError):
 
 
 class InvariantError(SkewlieError):
-    """An algebra document violates a structural invariant (i >= j, duplicates)."""
+    """A structural invariant fails: in a document (i >= j, duplicates) or a normal form."""

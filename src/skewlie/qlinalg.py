@@ -2,10 +2,9 @@
 
 Scalars are always reduced fractions with positive denominator, which is
 exactly what ``Fraction`` guarantees; no floating point enters anywhere.
-Row reduction is plain rational Gauss-Jordan (gives the unique RREF, from
-which kernels are read off canonically); determinants use fraction-free
-Bareiss elimination on an integer-rescaled copy to control intermediate
-growth.
+One integer routine does all row reduction: fraction-free (Bareiss)
+Gauss-Jordan on a copy whose rows are rescaled to integers. The unique RREF
+(and with it rank, kernels and inverses) and the determinant are read off it.
 """
 
 from __future__ import annotations
@@ -188,28 +187,55 @@ class EchelonResult:
         return basis
 
 
-def echelonize(m: ExactMatrix) -> EchelonResult:
-    """Reduce to RREF by rational Gauss-Jordan elimination."""
-    a = m.row_list()
-    rows, cols = m.rows, m.cols
+def _fraction_free(m: ExactMatrix) -> tuple[list[list[int]], list[int], int, int, int]:
+    """Fraction-free Gauss-Jordan on rows rescaled by their denominator lcm.
+
+    For the pivot p at (r, c) every other row i becomes
+    (p*a[i] - a[i][c]*a[r]) // prev, prev being the previous pivot; the
+    division is exact by the Bareiss identity. At the end every pivot entry
+    equals the last pivot d. Returns (rows, pivot columns, d, sign of the row
+    swaps, product of the row multipliers).
+    """
+    a: list[list[int]] = []
+    scale = 1
+    for row in m._rows:
+        mult = math.lcm(*(x.denominator for x in row))
+        scale *= mult
+        a.append([x.numerator * (mult // x.denominator) for x in row])
+    nrows = len(a)
     pivots: list[int] = []
-    pr = 0
-    for pc in range(cols):
-        pivot_row = next((i for i in range(pr, rows) if a[i][pc] != 0), None)
-        if pivot_row is None:
-            continue
-        a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        inv = 1 / a[pr][pc]
-        a[pr] = [x * inv for x in a[pr]]
-        for i in range(rows):
-            if i != pr and a[i][pc] != 0:
-                factor = a[i][pc]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == rows:
+    sign = prev = 1
+    r = 0
+    for c in range(m.cols):
+        if r == nrows:
             break
-    return EchelonResult(ExactMatrix(a, cols=cols), len(pivots), tuple(pivots))
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        p = pivot_row[c]
+        for i in range(nrows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return a, pivots, prev, sign, scale
+
+
+def echelonize(m: ExactMatrix) -> EchelonResult:
+    """Unique RREF, rank and pivot columns: the rank rows of the integer
+    elimination divided by the last pivot, padded with zero rows."""
+    a, pivots, d, _, _ = _fraction_free(m)
+    rank, cols = len(pivots), m.cols
+    zero = Fraction(0)
+    reduced = [[Fraction(x, d) if x else zero for x in row] for row in a[:rank]]
+    reduced.extend([zero] * cols for _ in range(m.rows - rank))
+    return EchelonResult(ExactMatrix(reduced, cols=cols), rank, tuple(pivots))
 
 
 def rank(m: ExactMatrix) -> int:
@@ -222,40 +248,14 @@ def kernel_basis(m: ExactMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def determinant(m: ExactMatrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination.
-
-    Rows are first rescaled to integers (the rescaling factor is divided back
-    out at the end) so every intermediate quantity is an integer and the
-    single division per step is exact.
-    """
+    """Exact determinant off the integer elimination: zero below full rank,
+    else sign * d divided by the product of the row multipliers."""
     if not m.is_square:
         raise NonSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    a: list[list[int]] = []
-    for r in range(n):
-        row = m.row(r)
-        mult = math.lcm(*(x.denominator for x in row))
-        scale *= mult
-        a.append([int(x * mult) for x in row])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # exact by the Bareiss identity: prev divides the 2x2 minor
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    _, pivots, d, sign, scale = _fraction_free(m)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * d, scale)
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:

@@ -92,18 +92,6 @@ def build_M(a: SkewAlgebra) -> ExactMatrix:
     return ExactMatrix(grid, cols=n * n)
 
 
-def _double_product(a: SkewAlgebra, i: int, j: int, l: int) -> Vec:
-    """(e_i * e_j) * e_l as a coefficient vector."""
-    cij = a.product(i, j)
-    out = list(zero_vec(a.dim))
-    for s, c in enumerate(cij):
-        if c == 0:
-            continue
-        for m, v in enumerate(a.product(s + 1, l)):
-            out[m] += c * v
-    return tuple(out)
-
-
 def build_HL(a: SkewAlgebra) -> ExactMatrix:
     """Matrix of f -> Hom-Jacobi defect over basis triples, on flattened f.
 
@@ -114,18 +102,28 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
     n = a.dim
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
+    # dp[p, q, l] = (e_p e_q) e_l, once per pair and l; the reversed pair negates it
+    dp = {}
+    for p, q in _pairs(n):
+        cpq = a.product(p, q)
+        for l in range(1, n + 1):
+            v = [Fraction(0)] * n
+            for s, c in enumerate(cpq):
+                if c != 0:
+                    for m, x in enumerate(a.product(s + 1, l)):
+                        v[m] += c * x
+            dp[p, q, l] = tuple(v)
+            dp[q, p, l] = tuple(-x for x in v)
     triples = _triples(n)
     grid = [[Fraction(0)] * (n * n) for _ in range(n * len(triples))]
     for t, (i, j, k) in enumerate(triples):
-        for col in range(n * n):
-            c, l = divmod(col, n)  # unit endomorphism sending e_{c+1} to e_{l+1}
-            acc = zero_vec(n)
-            for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-                if c + 1 == r:
-                    acc = vadd(acc, _double_product(a, p, q, l + 1))
-            for m in range(n):
-                if acc[m] != 0:
-                    grid[t * n + m][col] = acc[m]
+        # the three cyclic terms hit distinct r, so no column gets two terms
+        for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+            for l in range(1, n + 1):
+                col = (r - 1) * n + l - 1  # unit endomorphism e_r -> e_l
+                for m, x in enumerate(dp[p, q, l]):
+                    if x != 0:
+                        grid[t * n + m][col] = x
     return ExactMatrix(grid, cols=n * n)
 
 

@@ -3,8 +3,37 @@ reference tables used across the suite."""
 
 from fractions import Fraction
 
-from skewlie import ExactMatrix, SkewAlgebra, algebra3
+from skewlie import EchelonResult, ExactMatrix, SkewAlgebra, algebra3
 from skewlie.algebra import Vec
+
+
+# ---------------------------------------------------------------------------
+# reference elimination: plain rational Gauss-Jordan on Fraction entries,
+# independent of the package's fraction-free integer routine
+# ---------------------------------------------------------------------------
+
+def fraction_rref(m: ExactMatrix) -> EchelonResult:
+    """Reduce to RREF by rational Gauss-Jordan elimination."""
+    a = m.row_list()
+    rows, cols = m.rows, m.cols
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(cols):
+        pivot_row = next((i for i in range(pr, rows) if a[i][pc] != 0), None)
+        if pivot_row is None:
+            continue
+        a[pr], a[pivot_row] = a[pivot_row], a[pr]
+        inv = 1 / a[pr][pc]
+        a[pr] = [x * inv for x in a[pr]]
+        for i in range(rows):
+            if i != pr and a[i][pc] != 0:
+                factor = a[i][pc]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    return EchelonResult(ExactMatrix(a, cols=cols), len(pivots), tuple(pivots))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -6,14 +7,18 @@ import pytest
 from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
                      classify, determinant, find_regular_pair, heisenberg,
                      is_lie, lie_type_constants, multiply, transport)
-from skewlie.classify import (ABELIAN, HEISENBERG, NS1, SOLVABLE_LIE_LINE,
+from skewlie.classify import (ABELIAN, HEISENBERG, NS1, NS2, SOLVABLE_LIE_LINE,
                               SOLVABLE_LIE_PLANE, SOLVABLE_NON_LIE, TAGS,
                               lie_type_relation_holds, ns1_family, ns2_family,
                               sol_family)
-from skewlie.errors import RegularPairNotFoundError, UnsupportedDimError
+from skewlie.errors import (InvariantError, RegularPairNotFoundError,
+                            UnsupportedDimError)
 
 from helpers import (normal_form_of, rand_algebra, rand_fraction,
                      rand_invertible, rand_nonzero_fraction)
+
+# the package attribute ``skewlie.classify`` is the function, not the module
+classify_module = importlib.import_module("skewlie.classify")
 
 
 def assert_sound(a, result):
@@ -252,3 +257,36 @@ def test_lie_type_solutions_satisfy_relation():
 def test_lie_type_rejects_other_dimensions():
     with pytest.raises(UnsupportedDimError):
         lie_type_constants(abelian(4))
+
+
+# --- normal-form invariants (explicit checks, kept under python -O) ---
+
+def _without_ns1_pairs(monkeypatch):
+    """Make the NS1 pair search come up empty, so the NS2 fallback runs."""
+    search = classify_module._search_pairs
+    monkeypatch.setattr(classify_module, "_search_pairs",
+                        lambda a, want_ns1, max_height:
+                        None if want_ns1 else search(a, want_ns1, max_height))
+
+
+def test_ns2_fallback_gives_its_normal_form(monkeypatch):
+    _without_ns1_pairs(monkeypatch)
+    a = ns2_family(2, 1, 0, 3, 1)
+    r = classify(a)
+    assert r.tag == NS2
+    assert_sound(a, r)
+
+
+@pytest.mark.parametrize("a,ns2_fallback", [
+    (algebra3(0, 1, 0, 0, 0, 1, 0, 0, 0), False),  # SolvableLiePlane
+    (sol_family(1, 0, 0, 2), False),               # SolvableNonLie
+    (algebra3(0, 0, 1, 0, 1, 0, 1, 0, 0), False),  # NonSolvableNS1
+    (ns2_family(2, 1, 0, 3, 1), True),             # NonSolvableNS2
+])
+def test_wrong_normal_form_raises_invariant_error(monkeypatch, a, ns2_fallback):
+    if ns2_fallback:
+        _without_ns1_pairs(monkeypatch)
+    wrong = SkewAlgebra(3, {(1, 2): (1, 0, 0), (1, 3): (1, 0, 0), (2, 3): (1, 0, 0)})
+    monkeypatch.setattr(classify_module, "transport", lambda a, p: wrong)
+    with pytest.raises(InvariantError, match="normal form|e1\\*e2"):
+        classify(a)

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from skewlie.errors import NonSquareError, SingularMapError
 from skewlie.qlinalg import (ExactMatrix, determinant, echelonize,
                              format_rational, inverse, kernel_basis,
                              parse_rational, rank)
+from skewlie.sampler import SampleConfig, random_algebra
+from skewlie.structmats import build_HL, build_M
 
-from helpers import HL16_TABLE, HL16_TABLE_DET, cofactor_determinant
+from helpers import (HL16_TABLE, HL16_TABLE_DET, cofactor_determinant,
+                     fraction_rref)
 
 fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
 
@@ -39,6 +42,34 @@ def test_echelon_proportional_rows():
     assert res.rank == 1
     assert res.pivot_columns == (0,)
     assert res.reduced == ExactMatrix([[1, 2], [0, 0]])
+
+
+@st.composite
+def sparse_matrix(draw):
+    """Rational matrix up to 12x12 with a drawn share of zeros, so that
+    rank-deficient inputs, zero columns and row swaps all occur; 0 rows is
+    allowed."""
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(1, 12))
+    zero_share = draw(st.floats(0, 0.9))
+    entries = [[draw(fractions) if draw(st.floats(0, 1)) >= zero_share
+                else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+    return ExactMatrix(entries, cols=cols)
+
+
+@given(sparse_matrix())
+@example(ExactMatrix.zeros(0, 5))
+@example(ExactMatrix([[0, 0, 1, 2], [0, 3, 1, 0]]))  # wide, zero column, swap
+@example(ExactMatrix([[0, 1], [0, 2], [1, 0], [2, 0], [3, 1]]))  # tall, swap
+def test_echelon_matches_fraction_gauss_jordan(m):
+    assert echelonize(m) == fraction_rref(m)
+
+
+@pytest.mark.parametrize("dim,seed", [(3, 1), (3, 2), (4, 3), (4, 4), (5, 5), (6, 6)])
+def test_echelon_of_operators_matches_fraction_gauss_jordan(dim, seed):
+    a = random_algebra(SampleConfig(dim=dim, trials=1, seed=seed), 0)
+    for m in (build_M(a), build_HL(a)):
+        assert echelonize(m) == fraction_rref(m)
 
 
 @given(frac_matrix(4, 5))
@@ -92,6 +123,8 @@ def test_determinant_of_reference_16x16_table():
 
 
 @given(st.integers(1, 4).flatmap(lambda n: frac_matrix(n, n)))
+@example(ExactMatrix([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 0, 1]]))  # singular
+@example(ExactMatrix([[0, 2, 1], [Fraction(3, 2), 1, 0], [1, 0, 4]]))  # row swap
 def test_determinant_matches_cofactor_expansion(m):
     assert determinant(m) == cofactor_determinant(m.row_list())
 
@@ -105,6 +138,26 @@ def test_determinant_with_rational_entries():
     m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)],
                      [Fraction(1, 5), Fraction(1, 7)]])
     assert determinant(m) == Fraction(1, 14) - Fraction(1, 15)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_rref_determinant_match_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    n = 2 + seed
+    rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6
+             else Fraction(0) for _ in range(n)] for _ in range(n)]
+    if seed % 2:
+        rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1])]  # singular
+    m, ref = ExactMatrix(rows), sympy.Matrix(rows)
+    ref_rref, ref_pivots = ref.rref()
+    ech = echelonize(m)
+    assert ech.rank == ref.rank()
+    assert ech.pivot_columns == ref_pivots
+    assert ech.reduced.row_list() == [[Fraction(int(x.p), int(x.q)) for x in ref_rref.row(i)]
+                                      for i in range(n)]
+    det = ref.det()
+    assert determinant(m) == Fraction(int(det.p), int(det.q))
 
 
 # --- inverse ---

@@ -1,0 +1,20 @@
+"""Rules on the package source, checked by parsing it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "skewlie").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """Internal invariants are explicit checks: ``python -O`` strips ``assert``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert statements at lines {lines}"
+
+
+def test_sources_found():
+    assert len(SOURCES) >= 8
