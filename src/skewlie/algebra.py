@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
-from .qlinalg import ExactMatrix, echelonize, inverse, _as_fraction
+from .qlinalg import ExactMatrix, _as_fraction, determinant, echelonize, inverse
 
 Vec = tuple[Fraction, ...]
 Endo = ExactMatrix
@@ -191,15 +191,15 @@ def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
 
 
 def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
-    """Symmetric matrix with entry (i, j) = trace(L_{e_i} composed with L_{e_j})."""
+    """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j}) = sum over k, l
+    of c_il^k c_jk^l, contracted from the structure constants e_i e_l = sum_k c_il^k e_k."""
     n = a.dim
-    ops = [left_mult(a, basis_vec(n, i)) for i in range(1, n + 1)]
-    return ExactMatrix([[(ops[i] @ ops[j]).trace() for j in range(n)]
-                        for i in range(n)])
+    c = [[a.product(i, l) for l in range(1, n + 1)] for i in range(1, n + 1)]
+    return ExactMatrix([[sum((c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n)),
+                             Fraction(0)) for j in range(n)] for i in range(n)])
 
 
 def killing_determinant(a: SkewAlgebra) -> Fraction:
-    from .qlinalg import determinant
     return determinant(killing_matrix(a))
 
 

@@ -84,6 +84,11 @@ def _height(v: Vec) -> int:
 
 def _search_pairs(a: SkewAlgebra, want_ns1: bool,
                   max_height: int) -> tuple[Vec, Vec] | None:
+    # A pair passes iff P(x, y) != 0, P = det[x, y, xy] * det[y, xy, y(xy)] of
+    # degree <= 4 in each coordinate of x and <= 6 in each of y (first factor
+    # alone: <= 2). A nonzero P cannot vanish on a grid of 7 points per
+    # coordinate (Alon, Combinatorial Nullstellensatz, 1999), so height 3
+    # suffices and 4 leaves margin; heights ascend, so the bound changes no output.
     for bound in range(1, max_height + 1):
         vecs = _vectors_up_to(3, bound)
         for x in vecs:

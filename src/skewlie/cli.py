@@ -33,6 +33,8 @@ def parse_algebra(text: str) -> alg.SkewAlgebra:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
+    except ValueError as e:  # e.g. an integer over the int-to-str digit limit
+        raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     dim = doc.get("dim")
@@ -114,11 +116,8 @@ def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
         "matrix_shape": [rows, n * n] if n >= 3 else None,
         "rank": n * n - space.dim,
     }
-    if rows == n * n:
-        # a nonzero kernel means a singular square HL; only a trivial kernel
-        # needs the determinant's value
-        det = determinant(sm.build_HL(a)) if space.dim == 0 else Fraction(0)
-        payload["determinant"] = format_rational(det)
+    if space.determinant is not None:
+        payload["determinant"] = format_rational(space.determinant)
     return payload
 
 

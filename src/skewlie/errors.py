@@ -6,7 +6,7 @@ class SkewlieError(Exception):
 
 
 class NonSquareError(SkewlieError):
-    """A square matrix was required (determinant, inverse, trace)."""
+    """A square matrix was required (determinant, inverse)."""
 
 
 class SingularMapError(SkewlieError):

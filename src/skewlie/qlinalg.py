@@ -2,9 +2,10 @@
 
 Scalars are always reduced fractions with positive denominator, which is
 exactly what ``Fraction`` guarantees; no floating point enters anywhere.
-One integer routine does all row reduction: fraction-free (Bareiss)
-Gauss-Jordan on a copy whose rows are rescaled to integers. The unique RREF
-(and with it rank, kernels and inverses) and the determinant are read off it.
+One integer routine, ``echelonize``, does all row reduction: fraction-free
+(Bareiss) Gauss-Jordan on a copy whose rows are rescaled to integers. Every
+number comes off that one run: the unique RREF (and with it rank, kernels and
+inverses) and, for a square input, the determinant.
 """
 
 from __future__ import annotations
@@ -106,11 +107,6 @@ class ExactMatrix:
         return ExactMatrix(zip(*self._rows), cols=self.rows) if self.rows else \
             ExactMatrix([[Fraction(0)] * 0 for _ in range(self.cols)], cols=0)
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise NonSquareError(f"trace of a {self.rows}x{self.cols} matrix")
-        return sum((self._rows[i][i] for i in range(self.rows)), Fraction(0))
-
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
         v = [_as_fraction(x) for x in vec]
@@ -161,11 +157,13 @@ class ExactMatrix:
 
 @dataclass(frozen=True)
 class EchelonResult:
-    """Unique reduced row-echelon form together with rank and pivot columns."""
+    """Unique reduced row-echelon form, rank and pivot columns, plus the
+    determinant of a square input (None for a non-square one)."""
 
     reduced: ExactMatrix
     rank: int
     pivot_columns: tuple[int, ...]
+    determinant: Fraction | None
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """Canonical kernel basis read off the RREF.
@@ -187,14 +185,16 @@ class EchelonResult:
         return basis
 
 
-def _fraction_free(m: ExactMatrix) -> tuple[list[list[int]], list[int], int, int, int]:
+def echelonize(m: ExactMatrix) -> EchelonResult:
     """Fraction-free Gauss-Jordan on rows rescaled by their denominator lcm.
 
     For the pivot p at (r, c) every other row i becomes
-    (p*a[i] - a[i][c]*a[r]) // prev, prev being the previous pivot; the
-    division is exact by the Bareiss identity. At the end every pivot entry
-    equals the last pivot d. Returns (rows, pivot columns, d, sign of the row
-    swaps, product of the row multipliers).
+    (p*a[i] - a[i][c]*a[r]) // d, d being the previous pivot (1 at first);
+    the division is exact by the Bareiss identity. At the end every pivot
+    entry equals the last pivot d, so the unique RREF is the rank rows
+    divided by d, padded with zero rows. A square input's determinant comes
+    off the same run: 0 below full rank, else sign * d over the product of
+    the row multipliers, sign being that of the row swaps.
     """
     a: list[list[int]] = []
     scale = 1
@@ -202,11 +202,11 @@ def _fraction_free(m: ExactMatrix) -> tuple[list[list[int]], list[int], int, int
         mult = math.lcm(*(x.denominator for x in row))
         scale *= mult
         a.append([x.numerator * (mult // x.denominator) for x in row])
-    nrows = len(a)
+    nrows, cols = m.rows, m.cols
     pivots: list[int] = []
-    sign = prev = 1
+    sign = d = 1
     r = 0
-    for c in range(m.cols):
+    for c in range(cols):
         if r == nrows:
             break
         piv = next((i for i in range(r, nrows) if a[i][c]), None)
@@ -220,22 +220,15 @@ def _fraction_free(m: ExactMatrix) -> tuple[list[list[int]], list[int], int, int
         for i in range(nrows):
             if i != r:
                 f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
+                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], pivot_row)]
+        d = p
         pivots.append(c)
         r += 1
-    return a, pivots, prev, sign, scale
-
-
-def echelonize(m: ExactMatrix) -> EchelonResult:
-    """Unique RREF, rank and pivot columns: the rank rows of the integer
-    elimination divided by the last pivot, padded with zero rows."""
-    a, pivots, d, _, _ = _fraction_free(m)
-    rank, cols = len(pivots), m.cols
     zero = Fraction(0)
-    reduced = [[Fraction(x, d) if x else zero for x in row] for row in a[:rank]]
-    reduced.extend([zero] * cols for _ in range(m.rows - rank))
-    return EchelonResult(ExactMatrix(reduced, cols=cols), rank, tuple(pivots))
+    reduced = [[Fraction(x, d) if x else zero for x in row] for row in a[:r]]
+    reduced.extend([zero] * cols for _ in range(nrows - r))
+    det = (Fraction(sign * d, scale) if r == nrows else zero) if m.is_square else None
+    return EchelonResult(ExactMatrix(reduced, cols=cols), r, tuple(pivots), det)
 
 
 def rank(m: ExactMatrix) -> int:
@@ -248,14 +241,10 @@ def kernel_basis(m: ExactMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def determinant(m: ExactMatrix) -> Fraction:
-    """Exact determinant off the integer elimination: zero below full rank,
-    else sign * d divided by the product of the row multipliers."""
+    """Exact determinant, read off ``echelonize``."""
     if not m.is_square:
         raise NonSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    _, pivots, d, sign, scale = _fraction_free(m)
-    if len(pivots) < m.rows:
-        return Fraction(0)
-    return Fraction(sign * d, scale)
+    return echelonize(m).determinant
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:

@@ -57,8 +57,9 @@ class SampleConfig:
             raise ValueError(f"dim {self.dim} outside 2..6")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.height < 1:
-            raise ValueError("height must be >= 1")
+        if not 1 <= self.height < (1 << 63):
+            raise ValueError("height must be in 1..2**63 - 1: one 64-bit draw must "
+                             "cover [-height, height]")
         if not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
 

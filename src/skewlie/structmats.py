@@ -13,7 +13,8 @@ serve as an independent route for cross-checking the assembly.
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 the orbit dimension is rank M = n^2 - (derivation dimension), the
 automorphism dimension equals the derivation dimension, and the algebra is
-Hom-Lie iff ker HL is nonzero, with rank HL = n^2 - dim ker HL.
+Hom-Lie iff ker HL is nonzero, with rank HL = n^2 - dim ker HL. The square
+HL of n = 4 yields its determinant off the same elimination as its kernel.
 """
 
 from __future__ import annotations
@@ -137,10 +138,11 @@ class DerivationSpace:
 
 @dataclass(frozen=True)
 class HomLieSpace:
-    """Basis of the space of Hom-Lie twists compatible with the product."""
+    """Basis of the Hom-Lie twists, and the determinant of HL when square (n = 4)."""
 
     basis: tuple[Endo, ...]
     dim: int
+    determinant: Fraction | None
 
 
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
@@ -167,8 +169,9 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    vecs = kernel_basis(build_HL(a) if n > 2 else ExactMatrix.zeros(0, 4))
-    return HomLieSpace(tuple(endo_of_vec(n, v) for v in vecs), len(vecs))
+    ech = echelonize(build_HL(a) if n > 2 else ExactMatrix.zeros(0, 4))
+    basis = tuple(endo_of_vec(n, v) for v in ech.kernel())
+    return HomLieSpace(basis, len(basis), ech.determinant)
 
 
 def is_homlie(a: SkewAlgebra) -> bool:

@@ -3,7 +3,8 @@ reference tables used across the suite."""
 
 from fractions import Fraction
 
-from skewlie import EchelonResult, ExactMatrix, SkewAlgebra, algebra3
+from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, algebra3,
+                     basis_vec, left_mult)
 from skewlie.algebra import Vec
 
 
@@ -13,16 +14,24 @@ from skewlie.algebra import Vec
 # ---------------------------------------------------------------------------
 
 def fraction_rref(m: ExactMatrix) -> EchelonResult:
-    """Reduce to RREF by rational Gauss-Jordan elimination."""
+    """Reduce to RREF by rational Gauss-Jordan elimination.
+
+    The determinant of a square input is the product of the pivots with the
+    sign of the row swaps, 0 below full rank; it is None for a non-square one.
+    """
     a = m.row_list()
     rows, cols = m.rows, m.cols
     pivots: list[int] = []
+    det = Fraction(1)
     pr = 0
     for pc in range(cols):
         pivot_row = next((i for i in range(pr, rows) if a[i][pc] != 0), None)
         if pivot_row is None:
             continue
+        if pivot_row != pr:
+            det = -det
         a[pr], a[pivot_row] = a[pivot_row], a[pr]
+        det *= a[pr][pc]
         inv = 1 / a[pr][pc]
         a[pr] = [x * inv for x in a[pr]]
         for i in range(rows):
@@ -33,7 +42,29 @@ def fraction_rref(m: ExactMatrix) -> EchelonResult:
         pr += 1
         if pr == rows:
             break
-    return EchelonResult(ExactMatrix(a, cols=cols), len(pivots), tuple(pivots))
+    if not m.is_square:
+        det = None
+    elif len(pivots) < rows:
+        det = Fraction(0)
+    return EchelonResult(ExactMatrix(a, cols=cols), len(pivots), tuple(pivots), det)
+
+
+# ---------------------------------------------------------------------------
+# reference Killing form: trace(L_i L_j) through left-multiplication matrices,
+# independent of the package's contraction of the structure constants
+# ---------------------------------------------------------------------------
+
+def killing_by_trace(a: SkewAlgebra) -> ExactMatrix:
+    n = a.dim
+    ops = [left_mult(a, basis_vec(n, i)) for i in range(1, n + 1)]
+    entries = []
+    for li in ops:
+        row = []
+        for lj in ops:
+            prod = li @ lj
+            row.append(sum((prod[k, k] for k in range(n)), Fraction(0)))
+        entries.append(row)
+    return ExactMatrix(entries)
 
 
 # ---------------------------------------------------------------------------

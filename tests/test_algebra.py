@@ -10,11 +10,14 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
                      killing_determinant, killing_matrix, left_mult, multiply,
                      span, subspace_product, transport)
 from skewlie.algebra import full_space, vadd, vscale
-from skewlie.classify import ns1_family, sol_family
+from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.errors import (DimensionMismatchError, SingularMapError,
                             UnsupportedDimError)
 
-from helpers import rand_algebra, rand_invertible, rand_vec
+from skewlie.sampler import SampleConfig, random_algebra
+
+from helpers import (counterexample4, killing_by_trace, rand_algebra,
+                     rand_invertible, rand_vec, rigid_dim4)
 
 algebras3 = st.builds(lambda cs: algebra3(*cs),
                       st.tuples(*([st.integers(-3, 3)] * 9)))
@@ -147,6 +150,31 @@ def test_killing_determinant_examples():
 def test_killing_matrix_symmetric(a):
     k = killing_matrix(a)
     assert k == k.transpose()
+
+
+KILLING_FIXTURES = {
+    "abelian4": lambda: abelian(4),
+    "heisenberg": heisenberg,
+    "filiform5": lambda: filiform5(1, 2, Fraction(-1, 3), 5),
+    "sol": lambda: sol_family(2, -3, Fraction(5, 2), 7),
+    "ns1": lambda: ns1_family(2, 3, 5, 7, 11),
+    "ns2": lambda: ns2_family(Fraction(1, 2), 1, 0, Fraction(-1, 2), 3),
+    "counterexample4": counterexample4,
+    "rigid4": rigid_dim4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KILLING_FIXTURES))
+def test_killing_matrix_matches_trace_route_on_fixtures(name):
+    a = KILLING_FIXTURES[name]()
+    assert killing_matrix(a) == killing_by_trace(a)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_killing_matrix_matches_trace_route_on_random_algebras(dim):
+    for seed in range(3):
+        a = random_algebra(SampleConfig(dim=dim, trials=1, seed=seed, height=3), 0)
+        assert killing_matrix(a) == killing_by_trace(a)
 
 
 # --- transport ---

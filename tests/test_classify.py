@@ -188,6 +188,35 @@ def test_second_family_corner_inputs_stay_stable():
             assert_sound(b, r2)
 
 
+def _big_nonzero(rng):
+    while True:
+        x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+        if x != 0:
+            return x
+
+
+def _rational_basis(rng):
+    while True:
+        p = ExactMatrix([[rand_fraction(rng) for _ in range(3)] for _ in range(3)])
+        if determinant(p) != 0:
+            return p
+
+
+@pytest.mark.parametrize("family", ["ns1", "ns2"])
+def test_height_three_finds_ns1_pair_for_large_constants(family):
+    # the degree bound in _search_pairs says height 3 always suffices for a
+    # non-solvable algebra, however large its structure constants
+    rng = random.Random(4242 if family == "ns1" else 4343)
+    for _ in range(6):
+        params = [_big_nonzero(rng) for _ in range(5)]
+        normal = ns1_family(*params) if family == "ns1" else ns2_family(*params)
+        a = transport(normal, _rational_basis(rng))
+        assert classify_module._search_pairs(a, want_ns1=True, max_height=3) is not None
+        r = classify(a)
+        assert r.tag == NS1
+        assert_sound(a, r)
+
+
 def test_solvable_families_stable_under_transport():
     rng = random.Random(23)
     for _ in range(15):

@@ -1,16 +1,20 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from skewlie import (SkewAlgebra, abelian, aut_dimension, build_HL, build_M,
                      determinant, filiform5, format_rational, heisenberg,
                      is_homlie, is_nilpotent, is_solvable, orbit_dimension,
                      rank)
+from skewlie import structmats as sm
 from skewlie.cli import main, parse_algebra, serialize_algebra
 from skewlie.errors import InvariantError, ParseError
 
-from helpers import counterexample4, rand_algebra
+from helpers import counterexample4, fraction_rref, rand_algebra
 
 HEIS_DOC = '{"dim": 3, "products": [{"i": 1, "j": 2, "c": ["0", "0", "1"]}]}'
 
@@ -43,6 +47,9 @@ def test_parse_fractions_and_bare_integers():
     ('not json', ParseError),
     ('[1, 2]', ParseError),
     pytest.param('[' * 100000, ParseError, id="deeply-nested-ParseError"),
+    pytest.param('{"dim": 1' + '0' * 5000 + '}', ParseError, id="huge-dim-ParseError"),
+    pytest.param('{"dim": 3, "products": [{"i": 1, "j": 2, "c": [1' + '0' * 5000
+                 + ', 0, 0]}]}', ParseError, id="huge-entry-ParseError"),
 ])
 def test_parse_rejects_malformed_documents(doc, exc):
     with pytest.raises(exc):
@@ -155,6 +162,7 @@ def test_payload_fields_match_library(name, tmp_path, capsys):
         assert hom["rank"] == rank(hl)
         if hl.is_square:
             assert hom["determinant"] == format_rational(determinant(hl))
+            assert hom["determinant"] == format_rational(fraction_rref(hl).determinant)
         else:
             assert "determinant" not in hom
     else:
@@ -163,6 +171,27 @@ def test_payload_fields_match_library(name, tmp_path, capsys):
 
     assert full["nilpotent"] == is_nilpotent(a)
     assert full["solvable"] == is_solvable(a)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "counterexample4", "abelian4",
+                                  "filiform5", "sparse6"])
+def test_analyze_builds_each_operator_once(name, tmp_path, capsys, monkeypatch):
+    # counterexample4's square HL is nonsingular: its determinant must come off
+    # the same elimination as the kernel, not off a second build
+    builds = {"build_M": 0, "build_HL": 0}
+    for fn in builds:
+        original = getattr(sm, fn)
+
+        def counted(a, fn=fn, original=original):
+            builds[fn] += 1
+            return original(a)
+
+        monkeypatch.setattr(sm, fn, counted)
+    a = PAYLOAD_ALGEBRAS[name]()
+    path = write_doc(tmp_path, "a.json", json.dumps(serialize_algebra(a)))
+    assert main(["analyze", path, "--json"]) == 0
+    capsys.readouterr()
+    assert builds == {"build_M": 1, "build_HL": 1}
 
 
 def test_json_reports_are_byte_stable(tmp_path, capsys):
@@ -189,6 +218,12 @@ def test_exit_2_on_deeply_nested_document(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_exit_2_on_sample_height_beyond_64_bit_draw(capsys):
+    assert main(["sample", "--dim", "3", "--trials", "1",
+                 "--height", str(2**63)]) == 2
+    assert "64-bit" in capsys.readouterr().err
+
+
 def test_exit_2_on_missing_file(capsys):
     assert main(["analyze", "/nonexistent/path.json"]) == 2
 
@@ -203,3 +238,83 @@ def test_exit_1_on_analysis_error(tmp_path, capsys):
 def test_exit_2_on_usage_error(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+# --- fuzz: malformed and near-valid documents ---
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=10)
+
+good_literals = (st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 6))
+                 | st.integers(-9, 9))
+bad_literals = (st.sampled_from(["1/0", "1.5", "", "x", "1/-2", "--1", "1e3", "0x10",
+                                 "NaN", "1" * 5000])
+                | json_values)
+
+
+@st.composite
+def near_valid_documents(draw):
+    """A valid dim-2..4 document, then (unless the mutation is "none") one
+    defect: a dim outside 2..6, a missing or retyped field, a bad literal, a
+    wrong ``c`` length, an out-of-range index or a duplicate pair."""
+    dim = draw(st.integers(2, 4))
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    products = [{"i": i, "j": j, "c": draw(st.lists(good_literals, min_size=dim,
+                                                     max_size=dim))}
+                for i, j in chosen]
+    doc = {"dim": dim, "products": products}
+    mutation = draw(st.sampled_from(["none", "dim", "drop", "field", "literal",
+                                     "length", "index", "duplicate"]))
+    if mutation != "none" and not products:
+        products.append({"i": 1, "j": 2, "c": ["1"] * dim})
+    item = draw(st.sampled_from(products)) if products else {}
+    if mutation == "dim":
+        doc["dim"] = draw(st.integers(-2, 9).filter(lambda d: not 2 <= d <= 6))
+    elif mutation == "drop":
+        target = draw(st.sampled_from([doc, item]))
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif mutation == "field":
+        target = draw(st.sampled_from([doc, item]))
+        target[draw(st.sampled_from(sorted(target)))] = draw(json_values)
+    elif mutation == "literal":
+        item["c"][draw(st.integers(0, dim - 1))] = draw(bad_literals)
+    elif mutation == "length":
+        item["c"] = item["c"][:-1] if draw(st.booleans()) else item["c"] + ["0"]
+    elif mutation == "index":
+        item[draw(st.sampled_from(["i", "j"]))] = draw(st.integers(-2, dim + 2))
+    elif mutation == "duplicate":
+        products.append(dict(item))
+    return json.dumps(doc)
+
+
+documents = st.one_of(near_valid_documents(), json_values.map(json.dumps),
+                      st.text(max_size=30))
+FILE_COMMANDS = ["analyze", "derivations", "homlie", "classify", "killing", "lietype"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=documents, cmd=st.sampled_from(FILE_COMMANDS))
+@example(text='{"dim": 1' + '0' * 5000 + '}', cmd="analyze")  # over the int digit limit
+def test_fuzzed_documents_end_in_an_exit_code(text, cmd, fuzz_path):
+    try:
+        a = parse_algebra(text)
+    except (ParseError, InvariantError):
+        a = None
+    assert a is None or isinstance(a, SkewAlgebra)
+    path = fuzz_path
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([cmd, str(path), "--json"])
+    assert code in (0, 1, 2)
+    assert (code == 2) == (a is None)

@@ -15,6 +15,15 @@ def test_config_validation():
         SampleConfig(dim=3, trials=1, seed=1 << 64)
 
 
+def test_height_must_fit_one_64_bit_draw():
+    # 2*height + 1 values must fit in 2**64, or rejection sampling never ends
+    with pytest.raises(ValueError, match="64-bit"):
+        SampleConfig(dim=3, trials=1, seed=0, height=2**63)
+    cfg = SampleConfig(dim=3, trials=1, seed=0, height=2**63 - 1)
+    coeffs = [c for v in random_algebra(cfg, 0).products.values() for c in v]
+    assert all(abs(c) <= 2**63 - 1 for c in coeffs)
+
+
 def test_splitmix_range():
     rng = SplitMix64(99)
     draws = [rng.randint(-2, 2) for _ in range(500)]
