@@ -1,9 +1,10 @@
 """Skew-symmetric algebras with exact rational structure constants.
 
-An algebra of dimension n is stored as the coefficient vectors of the basis
-products e_i * e_j for i < j (1-based); the products for i >= j follow from
-skew-symmetry. Everything downstream (multiplication, Jacobiator, series,
-Killing form, basis transport) is pure and exact.
+An algebra of dimension n is given by the coefficient vectors of the basis
+products e_i * e_j for i < j (1-based) and stores the n x n table of all
+products, filled once: reversed pairs negated, the diagonal zero. Everything
+downstream (multiplication, Jacobiator, series, Killing form, basis
+transport) reads that table and is pure and exact.
 """
 
 from __future__ import annotations
@@ -56,15 +57,19 @@ def _triples(n: int) -> list[tuple[int, int, int]]:
 
 
 class SkewAlgebra:
-    """A skew-symmetric algebra given by structure constants on pairs i < j."""
+    """A skew-symmetric algebra given by structure constants on pairs i < j.
 
-    __slots__ = ("dim", "_products")
+    The constructor fills ``_table[i][j]``, the vector of e_{i+1} * e_{j+1},
+    once; equality and hashing compare it, so zero and absent products agree.
+    """
+
+    __slots__ = ("dim", "_table")
 
     def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence] | None = None):
         if not MIN_DIM <= dim <= MAX_DIM:
             raise UnsupportedDimError(f"dimension {dim} outside supported range "
                                       f"{MIN_DIM}..{MAX_DIM}")
-        table: dict[tuple[int, int], Vec] = {}
+        table = [[zero_vec(dim)] * dim for _ in range(dim)]
         for (i, j), coeffs in (products or {}).items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
@@ -72,38 +77,35 @@ class SkewAlgebra:
             if len(vec) != dim:
                 raise ValueError(f"product ({i},{j}) has {len(vec)} coefficients, "
                                  f"expected {dim}")
-            if any(c != 0 for c in vec):
-                table[(i, j)] = vec
+            table[i - 1][j - 1] = vec
+            table[j - 1][i - 1] = tuple(-c for c in vec)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_products", table)
+        object.__setattr__(self, "_table", tuple(map(tuple, table)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAlgebra is immutable")
 
     @property
     def products(self) -> dict[tuple[int, int], Vec]:
-        """Nonzero structure-constant vectors, keyed by 1-based pairs i < j."""
-        return dict(self._products)
+        """Nonzero product vectors, keyed by 1-based pairs i < j in lexicographic order."""
+        return {(i, j): v for (i, j) in _pairs(self.dim)
+                if any(v := self._table[i - 1][j - 1])}
 
     def product(self, i: int, j: int) -> Vec:
-        """Coefficient vector of e_i * e_j for any 1-based i, j."""
-        if i == j:
-            return zero_vec(self.dim)
-        if i < j:
-            return self._products.get((i, j), zero_vec(self.dim))
-        flipped = self._products.get((j, i))
-        return zero_vec(self.dim) if flipped is None else tuple(-c for c in flipped)
+        """Coefficient vector of e_i * e_j for 1-based i, j in 1..dim."""
+        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
+            raise IndexError(f"basis indices ({i},{j}) outside 1..{self.dim}")
+        return self._table[i - 1][j - 1]
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SkewAlgebra) and self.dim == other.dim
-                and self._products == other._products)
+        return isinstance(other, SkewAlgebra) and self._table == other._table
 
     def __hash__(self) -> int:
-        return hash((self.dim, tuple(sorted(self._products.items()))))
+        return hash(self._table)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"e{i}e{j}->({', '.join(map(str, v))})"
-                          for (i, j), v in sorted(self._products.items()))
+                          for (i, j), v in self.products.items())
         return f"SkewAlgebra(dim={self.dim}, {terms or 'abelian'})"
 
 
@@ -153,14 +155,14 @@ def multiply(a: SkewAlgebra, x: Sequence, y: Sequence) -> Vec:
     x = _check_vec(a, x)
     y = _check_vec(a, y)
     out = [Fraction(0)] * a.dim
-    for i in range(a.dim):
-        if x[i] == 0:
+    for xi, row in zip(x, a._table):
+        if xi == 0:
             continue
-        for j in range(a.dim):
-            if y[j] == 0 or i == j:
+        for yj, prod in zip(y, row):
+            if yj == 0:
                 continue
-            coeff = x[i] * y[j]
-            for k, c in enumerate(a.product(i + 1, j + 1)):
+            coeff = xi * yj
+            for k, c in enumerate(prod):
                 if c != 0:
                     out[k] += coeff * c
     return tuple(out)
@@ -193,8 +195,7 @@ def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
 def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
     """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j}) = sum over k, l
     of c_il^k c_jk^l, contracted from the structure constants e_i e_l = sum_k c_il^k e_k."""
-    n = a.dim
-    c = [[a.product(i, l) for l in range(1, n + 1)] for i in range(1, n + 1)]
+    n, c = a.dim, a._table
     return ExactMatrix([[sum((c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n)),
                              Fraction(0)) for j in range(n)] for i in range(n)])
 

@@ -157,10 +157,8 @@ def _classify_dim1_derived(a: SkewAlgebra, line) -> ClassificationResult:
     if not wandering:
         # nilpotent: pick the first basis pair with a nonzero product, which
         # together with that product forms a basis
-        pair = next((i, j) for (i, j) in ((1, 2), (1, 3), (2, 3))
-                    if a.product(i, j) != zero_vec(3))
-        u, v = basis_vec(3, pair[0]), basis_vec(3, pair[1])
-        witness = ExactMatrix.from_columns([u, v, multiply(a, u, v)])
+        (i, j), uv = next(iter(a.products.items()))
+        witness = ExactMatrix.from_columns([basis_vec(3, i), basis_vec(3, j), uv])
         return ClassificationResult(HEISENBERG, {}, witness, True)
     # not nilpotent: products span the line and multiplication by w acts on it
     pivot = next(i for i, c in enumerate(w) if c != 0)

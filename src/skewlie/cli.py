@@ -82,7 +82,7 @@ def serialize_algebra(a: alg.SkewAlgebra) -> dict[str, Any]:
         "dim": a.dim,
         "products": [
             {"i": i, "j": j, "c": [format_rational(x) for x in coeffs]}
-            for (i, j), coeffs in sorted(a.products.items())
+            for (i, j), coeffs in a.products.items()
         ],
     }
 

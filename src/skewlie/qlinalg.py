@@ -80,10 +80,9 @@ class ExactMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> ExactMatrix:
-        cols = [tuple(_as_fraction(x) for x in c) for c in columns]
-        if not cols:
+        if not columns:
             raise ValueError("need at least one column")
-        return cls(zip(*cols))
+        return cls(zip(*columns, strict=True))
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key

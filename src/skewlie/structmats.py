@@ -5,10 +5,10 @@ Endomorphisms are flattened column-major: ``vec_of_endo`` lists the first
 column of f, then the second, and so on. Rows of the derivation matrix are
 the components of the derivation defect on basis pairs (i, j), pairs in
 lexicographic order with i < j, components innermost. Rows of the Hom-Jacobi
-matrix do the same over basis triples i < j < k. Both builders assemble
-coefficients straight from the structure constants; the ``*_defect``
-functions evaluate the same bilinear expressions directly on vectors and
-serve as an independent route for cross-checking the assembly.
+matrix do the same over basis triples i < j < k. Both builders contract the
+algebra's product table, read through ``product(i, j)``, straight into their
+grids; the ``*_defect`` functions evaluate the same bilinear expressions
+directly on vectors and serve as an independent route for cross-checking.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 the orbit dimension is rank M = n^2 - (derivation dimension), the
@@ -75,21 +75,20 @@ def build_M(a: SkewAlgebra) -> ExactMatrix:
     n = a.dim
     pairs = _pairs(n)
     grid = [[Fraction(0)] * (n * n) for _ in range(n * len(pairs))]
+    # column c*n + k (0-based) is the unit endomorphism f: e_{c+1} -> e_{k+1}. Its
+    # defect f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_{k+1} e_j if c+1 = i, plus
+    # e_i e_{k+1} if c+1 = j (never both, as i != j), minus (e_i e_j)_c e_{k+1}.
     for p, (i, j) in enumerate(pairs):
-        cij = a.product(i, j)
-        for col in range(n * n):
-            c, k = divmod(col, n)  # unit endomorphism sending e_{c+1} to e_{k+1}
-            t = list(zero_vec(n))
-            if c + 1 == i:
-                for m, v in enumerate(a.product(k + 1, j)):
-                    t[m] += v
-            if c + 1 == j:
-                for m, v in enumerate(a.product(i, k + 1)):
-                    t[m] += v
-            t[k] -= cij[c]
-            for m in range(n):
-                if t[m] != 0:
-                    grid[p * n + m][col] = t[m]
+        rows = grid[p * n:(p + 1) * n]
+        for k in range(n):
+            for c, prod in ((i - 1, a.product(k + 1, j)), (j - 1, a.product(i, k + 1))):
+                for m, x in enumerate(prod):
+                    if x != 0:
+                        rows[m][c * n + k] = x
+        for c, x in enumerate(a.product(i, j)):
+            if x != 0:
+                for k in range(n):
+                    rows[k][c * n + k] -= x
     return ExactMatrix(grid, cols=n * n)
 
 

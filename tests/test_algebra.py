@@ -44,9 +44,18 @@ def test_product_lookup_is_skew():
     assert h.product(1, 3) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("i,j", [(1, 7), (0, 2), (5, 5)])
+def test_product_rejects_indices_outside_basis(i, j):
+    with pytest.raises(IndexError):
+        heisenberg().product(i, j)
+
+
 def test_zero_products_are_dropped():
     a = SkewAlgebra(3, {(1, 2): (0, 0, 0), (1, 3): (0, 1, 0)})
-    assert a == SkewAlgebra(3, {(1, 3): (0, 1, 0)})
+    b = SkewAlgebra(3, {(1, 3): (0, 1, 0)})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.products == b.products == {(1, 3): (0, 1, 0)}
 
 
 # --- multiplication ---

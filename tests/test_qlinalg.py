@@ -22,6 +22,17 @@ def frac_matrix(rows, cols):
                     min_size=rows, max_size=rows).map(ExactMatrix)
 
 
+# --- construction ---
+
+def test_from_columns_coerces_entries_and_rejects_ragged_columns():
+    m = ExactMatrix.from_columns([(1, "2/3"), (Fraction(1, 2), 4)])
+    assert m == ExactMatrix([[1, Fraction(1, 2)], [Fraction(2, 3), 4]])
+    with pytest.raises(ValueError):
+        ExactMatrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        ExactMatrix.from_columns([(1,), (2, 3)])
+
+
 # --- echelon form ---
 
 def test_echelon_zero_matrix():

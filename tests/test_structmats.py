@@ -313,7 +313,7 @@ def test_dim2_homlie_convention():
 
 # --- matrix route versus direct evaluation (the core oracle) ---
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_matrix_vs_direct_derivation_defect(dim):
     rng = random.Random(200 + dim)
     for _ in range(30):
@@ -327,7 +327,7 @@ def test_matrix_vs_direct_derivation_defect(dim):
         assert list(image) == direct
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_matrix_vs_direct_hom_jacobi(dim):
     rng = random.Random(300 + dim)
     for _ in range(30):
