@@ -4,7 +4,9 @@ An algebra of dimension n is given by the coefficient vectors of the basis
 products e_i * e_j for i < j (1-based) and stores the n x n table of all
 products, filled once: reversed pairs negated, the diagonal zero. Everything
 downstream (multiplication, Jacobiator, series, Killing form, basis
-transport) reads that table and is pure and exact.
+transport), the double products (e_p e_q) e_l of the Lie, Hom-Lie and
+Lie-type identities and the derived algebra A·A read that table and are pure
+and exact; ``jacobiator`` keeps the independent route through ``multiply``.
 """
 
 from __future__ import annotations
@@ -176,12 +178,23 @@ def jacobiator(a: SkewAlgebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
                 multiply(a, multiply(a, z, x), y))
 
 
+def _double_product(a: SkewAlgebra, p: int, q: int, l: int) -> Vec:
+    """(e_p e_q) e_l for 1-based p, q, l: the sum over s of c_pq^s e_s e_l,
+    contracted from the product table with zero terms skipped."""
+    out = [Fraction(0)] * a.dim
+    for c, row in zip(a._table[p - 1][q - 1], a._table):
+        if c != 0:
+            for m, x in enumerate(row[l - 1]):
+                if x != 0:
+                    out[m] += c * x
+    return tuple(out)
+
+
 def is_lie(a: SkewAlgebra) -> bool:
     """True iff the Jacobiator vanishes on all basis triples i < j < k."""
-    n = a.dim
-    zero = zero_vec(n)
-    return all(jacobiator(a, basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)) == zero
-               for (i, j, k) in _triples(n))
+    dp = _double_product
+    return all(not any(map(sum, zip(dp(a, i, j, k), dp(a, j, k, i), dp(a, k, i, j))))
+               for (i, j, k) in _triples(a.dim))
 
 
 def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
@@ -245,15 +258,15 @@ class Subspace:
 def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
     """Canonical subspace spanned by the given vectors.
 
-    ``dim`` fixes the ambient dimension and is required when the list is empty.
+    ``dim`` fixes the ambient dimension (required for an empty list, checked otherwise).
     """
     vecs = [as_vec(v) for v in vectors]
-    if vecs:
+    if dim is None:
+        if not vecs:
+            raise ValueError("empty span needs an explicit ambient dimension")
         dim = len(vecs[0])
-        if any(len(v) != dim for v in vecs):
-            raise DimensionMismatchError("spanning vectors of unequal length")
-    elif dim is None:
-        raise ValueError("empty span needs an explicit ambient dimension")
+    if any(len(v) != dim for v in vecs):
+        raise DimensionMismatchError(f"spanning vectors must all have length {dim}")
     ech = echelonize(ExactMatrix(vecs, cols=dim))
     rows = [ech.reduced.row(i) for i in range(ech.rank)]
     return Subspace(ExactMatrix(rows, cols=dim), ech.rank)
@@ -271,6 +284,11 @@ def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
     return span(prods, dim=a.dim)
 
 
+def _derived_algebra(a: SkewAlgebra) -> Subspace:
+    """A·A, the span of the basis products, read off the product table."""
+    return span(a.products.values(), dim=a.dim)
+
+
 @dataclass(frozen=True)
 class SeriesReport:
     """Dimensions along a descending series; ends at 0 or at first repeat."""
@@ -281,14 +299,11 @@ class SeriesReport:
 
 def _series(a: SkewAlgebra, kind: str) -> SeriesReport:
     full = full_space(a.dim)
-    cur = full
-    dims = [a.dim]
-    while cur.dim > 0:
-        nxt = subspace_product(a, cur, full if kind == "central" else cur)
+    cur, nxt = full, _derived_algebra(a)
+    dims = [a.dim, nxt.dim]
+    while nxt != cur and nxt.dim > 0:
+        cur, nxt = nxt, subspace_product(a, nxt, full if kind == "central" else nxt)
         dims.append(nxt.dim)
-        if nxt == cur:
-            break
-        cur = nxt
     return SeriesReport(kind, tuple(dims))
 
 

@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Endo, SkewAlgebra, Vec, basis_vec, is_lie, multiply,
-                      full_space, subspace_product, transport, vscale,
-                      zero_vec)
+from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product,
+                      basis_vec, is_lie, multiply, subspace_product, transport,
+                      vscale, zero_vec)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
 from .qlinalg import ExactMatrix, determinant, echelonize, kernel_basis
 
@@ -152,9 +152,8 @@ def _annihilator(a: SkewAlgebra) -> list[Vec]:
 
 def _classify_dim1_derived(a: SkewAlgebra, line) -> ClassificationResult:
     w = line.basis_vectors()[0]
-    wandering = any(multiply(a, basis_vec(3, i), w) != zero_vec(3)
-                    for i in range(1, 4))
-    if not wandering:
+    ew = [multiply(a, basis_vec(3, i), w) for i in range(1, 4)]  # e_i w
+    if not any(map(any, ew)):
         # nilpotent: pick the first basis pair with a nonzero product, which
         # together with that product forms a basis
         (i, j), uv = next(iter(a.products.items()))
@@ -162,7 +161,7 @@ def _classify_dim1_derived(a: SkewAlgebra, line) -> ClassificationResult:
         return ClassificationResult(HEISENBERG, {}, witness, True)
     # not nilpotent: products span the line and multiplication by w acts on it
     pivot = next(i for i, c in enumerate(w) if c != 0)
-    lam = [multiply(a, basis_vec(3, i), w)[pivot] / w[pivot] for i in range(1, 4)]
+    lam = [v[pivot] / w[pivot] for v in ew]
     lead = next(i for i, l in enumerate(lam) if l != 0)
     f1 = vscale(1 / lam[lead], basis_vec(3, lead + 1))
     f2 = _annihilator(a)[0]
@@ -248,8 +247,7 @@ def classify(a: SkewAlgebra) -> ClassificationResult:
     """
     if a.dim != 3:
         raise UnsupportedDimError("classification covers dimension 3 only")
-    full = full_space(3)
-    derived = subspace_product(a, full, full)
+    derived = _derived_algebra(a)
     if derived.dim == 0:
         return ClassificationResult(ABELIAN, {}, ExactMatrix.identity(3), True)
     if derived.dim == 1:
@@ -277,10 +275,7 @@ def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:
     """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2."""
     if a.dim != 3:
         raise UnsupportedDimError("the Lie-type relation lives in dimension 3")
-    e1, e2, e3 = (basis_vec(3, i) for i in (1, 2, 3))
-    return (multiply(a, multiply(a, e1, e2), e3),
-            multiply(a, multiply(a, e2, e3), e1),
-            multiply(a, multiply(a, e3, e1), e2))
+    return tuple(_double_product(a, *t) for t in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
 
 
 def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:

@@ -129,12 +129,6 @@ class ExactMatrix:
         return ExactMatrix([[a + b for a, b in zip(r, s)]
                             for r, s in zip(self._rows, other._rows)], cols=self.cols)
 
-    def __sub__(self, other: ExactMatrix) -> ExactMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix([[a - b for a, b in zip(r, s)]
-                            for r, s in zip(self._rows, other._rows)], cols=self.cols)
-
     def scale(self, factor) -> ExactMatrix:
         f = _as_fraction(factor)
         return ExactMatrix([[f * x for x in r] for r in self._rows], cols=self.cols)

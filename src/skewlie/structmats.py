@@ -5,10 +5,11 @@ Endomorphisms are flattened column-major: ``vec_of_endo`` lists the first
 column of f, then the second, and so on. Rows of the derivation matrix are
 the components of the derivation defect on basis pairs (i, j), pairs in
 lexicographic order with i < j, components innermost. Rows of the Hom-Jacobi
-matrix do the same over basis triples i < j < k. Both builders contract the
-algebra's product table, read through ``product(i, j)``, straight into their
-grids; the ``*_defect`` functions evaluate the same bilinear expressions
-directly on vectors and serve as an independent route for cross-checking.
+matrix do the same over basis triples i < j < k. ``build_M`` contracts the
+product table, read through ``product(i, j)``, and ``build_HL`` the double
+products (e_p e_q) e_l of ``algebra._double_product``, straight into their
+grids; the ``*_defect`` functions evaluate the same expressions directly on
+vectors through ``multiply`` and serve as an independent route for cross-checking.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 the orbit dimension is rank M = n^2 - (derivation dimension), the
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, _pairs, _triples, basis_vec,
-                      multiply, vadd, zero_vec)
+from .algebra import (Endo, SkewAlgebra, Vec, _double_product, _pairs, _triples,
+                      basis_vec, multiply, vadd, zero_vec)
 from .errors import DimensionMismatchError, UnsupportedDimError
 from .qlinalg import ExactMatrix, echelonize, kernel_basis
 
@@ -102,17 +103,11 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
     n = a.dim
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
-    # dp[p, q, l] = (e_p e_q) e_l, once per pair and l; the reversed pair negates it
+    # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
     dp = {}
     for p, q in _pairs(n):
-        cpq = a.product(p, q)
         for l in range(1, n + 1):
-            v = [Fraction(0)] * n
-            for s, c in enumerate(cpq):
-                if c != 0:
-                    for m, x in enumerate(a.product(s + 1, l)):
-                        v[m] += c * x
-            dp[p, q, l] = tuple(v)
+            dp[p, q, l] = v = _double_product(a, p, q, l)
             dp[q, p, l] = tuple(-x for x in v)
     triples = _triples(n)
     grid = [[Fraction(0)] * (n * n) for _ in range(n * len(triples))]

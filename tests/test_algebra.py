@@ -9,7 +9,8 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
                      heisenberg, is_lie, is_nilpotent, is_solvable, jacobiator,
                      killing_determinant, killing_matrix, left_mult, multiply,
                      span, subspace_product, transport)
-from skewlie.algebra import full_space, vadd, vscale
+from skewlie.algebra import (_derived_algebra, _double_product, _triples,
+                             full_space, vadd, vscale)
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.errors import (DimensionMismatchError, SingularMapError,
                             UnsupportedDimError)
@@ -110,6 +111,74 @@ def test_gamma2_family_lie_condition(g2, expect):
 def test_jacobiator_value_at_gamma2_one():
     a = algebra3(0, 1, 0, 0, 0, 1, 1, 0, 0)
     assert jacobiator(a, e(1), e(2), e(3)) == (2, 0, 0)
+
+
+# --- table contractions against the multiply routes ---
+
+def route_algebras(dim):
+    """Seeded random algebras of one dimension, each also moved to a rational
+    basis, plus the abelian one."""
+    rng = random.Random(dim)
+    out = [abelian(dim)]
+    for seed in range(2):
+        a = random_algebra(SampleConfig(dim=dim, trials=1, seed=seed, height=3), 0)
+        out += [a, transport(a, rand_invertible(rng, dim))]
+    return out
+
+
+# (algebra, is it Lie); the transported ones have rational constants
+LIE_FIXTURES = {
+    "heisenberg": (heisenberg, True),
+    "so3": (lambda: algebra3(0, 0, 1, 0, -1, 0, 1, 0, 0), True),
+    "heisenberg-moved": (lambda: transport(heisenberg(), rand_invertible(random.Random(1), 3)),
+                         True),
+    "gamma2-one": (lambda: algebra3(0, 1, 0, 0, 0, 1, 1, 0, 0), False),
+    "filiform5-model": (lambda: filiform5(0, 0, 0, 0), True),
+    "filiform5-1010": (lambda: filiform5(1, 0, 1, 0), True),
+    "filiform5-2520": (lambda: filiform5(2, 5, 2, 0), True),
+    "filiform5-1001": (lambda: filiform5(1, 0, 0, 1), False),
+    "filiform5-1000": (lambda: filiform5(1, 0, 0, 0), False),
+    "filiform5-moved": (lambda: transport(filiform5(2, 5, 2, 0),
+                                          rand_invertible(random.Random(2), 5)), True),
+    "counterexample4": (counterexample4, False),
+    "abelian6": (lambda: abelian(6), True),
+}
+
+
+def jacobiator_vanishes(a):
+    n = a.dim
+    return all(jacobiator(a, basis_vec(n, i), basis_vec(n, j), basis_vec(n, k)) == (0,) * n
+               for (i, j, k) in _triples(n))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_double_product_matches_multiply_twice(dim):
+    for a in route_algebras(dim):
+        for p in range(1, dim + 1):
+            for q in range(1, dim + 1):
+                pq = multiply(a, basis_vec(dim, p), basis_vec(dim, q))
+                for l in range(1, dim + 1):
+                    assert _double_product(a, p, q, l) == multiply(a, pq, basis_vec(dim, l))
+
+
+@pytest.mark.parametrize("name", sorted(LIE_FIXTURES))
+def test_is_lie_agrees_with_jacobiator_on_fixtures(name):
+    build, expect = LIE_FIXTURES[name]
+    a = build()
+    assert is_lie(a) == jacobiator_vanishes(a) == expect
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_is_lie_agrees_with_jacobiator_on_random_algebras(dim):
+    for a in route_algebras(dim):
+        assert is_lie(a) == jacobiator_vanishes(a)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_derived_algebra_matches_subspace_product(dim):
+    full = full_space(dim)
+    for a in route_algebras(dim):
+        assert _derived_algebra(a) == subspace_product(a, full, full)
 
 
 # --- left multiplication ---
@@ -222,6 +291,12 @@ def test_transport_preserves_lie(a, seed):
 def test_span_empty():
     s = span([], dim=3)
     assert s.dim == 0
+
+
+@pytest.mark.parametrize("vectors,dim", [([(1, 2)], 3), ([(1, 2, 3), (4, 5, 6)], 2)])
+def test_span_rejects_vectors_not_of_explicit_dim(vectors, dim):
+    with pytest.raises(DimensionMismatchError):
+        span(vectors, dim=dim)
 
 
 def test_subspace_product_heisenberg():

@@ -283,6 +283,19 @@ def test_lie_type_solutions_satisfy_relation():
             assert lie_type_relation_holds(a, pa + t * ha, pb + t * hb)
 
 
+def test_cyclic_terms_match_multiply_twice():
+    rng = random.Random(27)
+    cases = [heisenberg(), abelian(3), algebra3(0, 1, 0, 0, 0, 1, 1, 0, 0)]
+    cases += [rand_algebra(rng, dim=3) for _ in range(10)]
+    cases += [transport(a, rand_invertible(rng, 3)) for a in cases[3:8]]
+    e1, e2, e3 = (basis_vec(3, i) for i in (1, 2, 3))
+    for a in cases:
+        assert classify_module._cyclic_terms(a) == (
+            multiply(a, multiply(a, e1, e2), e3),
+            multiply(a, multiply(a, e2, e3), e1),
+            multiply(a, multiply(a, e3, e1), e2))
+
+
 def test_lie_type_rejects_other_dimensions():
     with pytest.raises(UnsupportedDimError):
         lie_type_constants(abelian(4))
