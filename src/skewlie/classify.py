@@ -126,18 +126,12 @@ def find_regular_pair(a: SkewAlgebra, max_height: int = 4) -> tuple[Vec, Vec]:
 
 
 def _extend_with_standard(cols: list[Vec], n: int) -> list[Vec]:
-    """Complete to a basis using the lowest-index standard vectors that keep
-    the columns independent."""
-    chosen = list(cols)
-    current = echelonize(ExactMatrix(chosen, cols=n)).rank if chosen else 0
-    for i in range(1, n + 1):
-        if len(chosen) == n:
-            break
-        cand = chosen + [basis_vec(n, i)]
-        r = echelonize(ExactMatrix(cand, cols=n)).rank
-        if r > current:
-            chosen, current = cand, r
-    return chosen
+    """Complete independent columns to a basis using the lowest-index standard
+    vectors that keep them independent: the pivot columns of [cols | I] past
+    ``cols``, read off one elimination."""
+    k, std = len(cols), [basis_vec(n, i) for i in range(1, n + 1)]
+    pivots = echelonize(ExactMatrix.from_columns(cols + std)).pivot_columns
+    return cols + [std[c - k] for c in pivots if c >= k]
 
 
 def _annihilator(a: SkewAlgebra) -> list[Vec]:

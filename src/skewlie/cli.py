@@ -6,6 +6,10 @@ rational literals ("p/q" or "p"); pairs that are absent multiply to zero.
 Reports are plain text by default or a single JSON object with ``--json``;
 every number is serialized as an exact rational literal, and identical input
 always produces byte-identical JSON.
+
+One table, ``_COMMANDS``, maps each document subcommand to its help text and
+payload builder. The argument parser is built from it once per process, at
+import, and ``main`` only parses and dispatches.
 """
 
 from __future__ import annotations
@@ -238,35 +242,39 @@ def _load(path: str) -> alg.SkewAlgebra:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skewlie",
-        description="Exact analysis of skew-symmetric algebras given by "
-                    "rational structure constants")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("analyze", "run every applicable analysis"),
-            ("derivations", "derivation space and orbit/automorphism dimensions"),
-            ("homlie", "Hom-Lie solution space and decision"),
-            ("classify", "normal form, parameters, and basis-change witness (dim 3)"),
-            ("killing", "Killing form matrix and determinant"),
-            ("lietype", "constant coefficients of the Lie-type relation (dim 3)")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="algebra document (JSON)")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-    p = sub.add_parser("sample", help="seeded genericity experiment")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height", type=int, default=2)
-    p.add_argument("--json", action="store_true", help="emit a JSON report")
-    return parser
+# Each document subcommand: name -> (help text, payload builder), in --help order.
+_COMMANDS = {
+    "analyze": ("run every applicable analysis", _analyze_payload),
+    "derivations": ("derivation space and orbit/automorphism dimensions",
+                    _derivations_payload),
+    "homlie": ("Hom-Lie solution space and decision", _homlie_payload),
+    "classify": ("normal form, parameters, and basis-change witness (dim 3)",
+                 _classify_payload),
+    "killing": ("Killing form matrix and determinant", _killing_payload),
+    "lietype": ("constant coefficients of the Lie-type relation (dim 3)",
+                _lietype_payload),
+}
+
+_PARSER = argparse.ArgumentParser(
+    prog="skewlie",
+    description="Exact analysis of skew-symmetric algebras given by "
+                "rational structure constants")
+_sub = _PARSER.add_subparsers(dest="command", required=True)
+for _name, (_help, _) in _COMMANDS.items():
+    _p = _sub.add_parser(_name, help=_help)
+    _p.add_argument("file", help="algebra document (JSON)")
+    _p.add_argument("--json", action="store_true", help="emit a JSON report")
+_p = _sub.add_parser("sample", help="seeded genericity experiment")
+_p.add_argument("--dim", type=int, required=True)
+_p.add_argument("--trials", type=int, required=True)
+_p.add_argument("--seed", type=int, default=0)
+_p.add_argument("--height", type=int, default=2)
+_p.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -285,15 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             document = {"command": "sample", "result": payload}
         else:
             a = _load(args.file)
-            builder = {
-                "analyze": _analyze_payload,
-                "derivations": _derivations_payload,
-                "homlie": _homlie_payload,
-                "classify": _classify_payload,
-                "killing": _killing_payload,
-                "lietype": _lietype_payload,
-            }[args.command]
-            payload = builder(a)
+            payload = _COMMANDS[args.command][1](a)
             document = {"command": args.command,
                         "input": serialize_algebra(a),
                         "result": payload}

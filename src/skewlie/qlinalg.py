@@ -57,6 +57,8 @@ class ExactMatrix:
     def __init__(self, entries: Iterable[Iterable], *, cols: int | None = None):
         rows = tuple(tuple(_as_fraction(x) for x in row) for row in entries)
         if rows:
+            if cols is not None and len(rows[0]) != cols:
+                raise ValueError(f"rows of length {len(rows[0])} against cols={cols}")
             cols = len(rows[0])
             if any(len(r) != cols for r in rows):
                 raise ValueError("ragged rows")

@@ -4,7 +4,7 @@ reference tables used across the suite."""
 from fractions import Fraction
 
 from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, algebra3,
-                     basis_vec, left_mult)
+                     basis_vec, echelonize, left_mult)
 from skewlie.algebra import Vec
 
 
@@ -260,6 +260,21 @@ def gamma2_family(g2) -> SkewAlgebra:
 # ---------------------------------------------------------------------------
 # classification support
 # ---------------------------------------------------------------------------
+
+def greedy_extend_with_standard(cols: list[Vec], n: int) -> list[Vec]:
+    """Complete to a basis using the lowest-index standard vectors that keep
+    the columns independent."""
+    chosen = list(cols)
+    current = echelonize(ExactMatrix(chosen, cols=n)).rank if chosen else 0
+    for i in range(1, n + 1):
+        if len(chosen) == n:
+            break
+        cand = chosen + [basis_vec(n, i)]
+        r = echelonize(ExactMatrix(cand, cols=n)).rank
+        if r > current:
+            chosen, current = cand, r
+    return chosen
+
 
 def normal_form_of(result):
     """Rebuild the normal-form algebra that a classification result asserts."""

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
-                     classify, determinant, find_regular_pair, heisenberg,
-                     is_lie, lie_type_constants, multiply, transport)
+                     classify, determinant, echelonize, find_regular_pair,
+                     heisenberg, is_lie, lie_type_constants, multiply,
+                     transport)
 from skewlie.classify import (ABELIAN, HEISENBERG, NS1, NS2, SOLVABLE_LIE_LINE,
                               SOLVABLE_LIE_PLANE, SOLVABLE_NON_LIE, TAGS,
                               lie_type_relation_holds, ns1_family, ns2_family,
@@ -14,8 +15,8 @@ from skewlie.classify import (ABELIAN, HEISENBERG, NS1, NS2, SOLVABLE_LIE_LINE,
 from skewlie.errors import (InvariantError, RegularPairNotFoundError,
                             UnsupportedDimError)
 
-from helpers import (normal_form_of, rand_algebra, rand_fraction,
-                     rand_invertible, rand_nonzero_fraction)
+from helpers import (greedy_extend_with_standard, normal_form_of, rand_algebra,
+                     rand_fraction, rand_invertible, rand_nonzero_fraction)
 
 # the package attribute ``skewlie.classify`` is the function, not the module
 classify_module = importlib.import_module("skewlie.classify")
@@ -294,6 +295,24 @@ def test_cyclic_terms_match_multiply_twice():
             multiply(a, multiply(a, e1, e2), e3),
             multiply(a, multiply(a, e2, e3), e1),
             multiply(a, multiply(a, e3, e1), e2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_extend_with_standard_matches_greedy_oracle(n):
+    # sparse entries so that many standard vectors are ruled out; the empty
+    # set and full bases are included
+    rng = random.Random(40 + n)
+    checked = 0
+    while checked < 120:
+        k = rng.randint(0, n)
+        cols = [tuple(Fraction(rng.choice([0, 0, 0, 1, -1, 2]), rng.randint(1, 3))
+                      for _ in range(n)) for _ in range(k)]
+        if cols and echelonize(ExactMatrix(cols, cols=n)).rank < k:
+            continue
+        extended = classify_module._extend_with_standard(cols, n)
+        assert extended == greedy_extend_with_standard(cols, n)
+        assert len(extended) == n and extended[:k] == cols
+        checked += 1
 
 
 def test_lie_type_rejects_other_dimensions():

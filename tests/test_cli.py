@@ -1,15 +1,21 @@
+import argparse
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from skewlie import (SkewAlgebra, abelian, aut_dimension, build_HL, build_M,
-                     determinant, filiform5, format_rational, heisenberg,
-                     is_homlie, is_nilpotent, is_solvable, orbit_dimension,
-                     rank)
+from skewlie import (ExactMatrix, SkewAlgebra, abelian, aut_dimension, build_HL,
+                     build_M, determinant, filiform5, format_rational,
+                     heisenberg, is_homlie, is_nilpotent, is_solvable,
+                     orbit_dimension, rank, transport)
 from skewlie import structmats as sm
 from skewlie.cli import main, parse_algebra, serialize_algebra
 from skewlie.errors import InvariantError, ParseError
@@ -201,6 +207,70 @@ def test_json_reports_are_byte_stable(tmp_path, capsys):
     main(["analyze", path, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# --- one parser per process ---
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one in-process ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _rational_dim4():
+    rng = random.Random(17)
+    p = ExactMatrix([[1, Fraction(1, 2), 0, 0], [0, 1, Fraction(-2, 3), 0],
+                     [0, 0, 1, 3], [Fraction(1, 5), 0, 0, 1]])
+    return transport(rand_algebra(rng, dim=4, height=2), p)
+
+
+def test_repeated_calls_in_one_process_give_the_same_results(tmp_path):
+    # each call runs twice, the repeat only after every other call has run
+    good = write_doc(tmp_path, "h.json", HEIS_DOC)
+    bad = write_doc(tmp_path, "bad.json", '{"dim": 3, "products": [{"i": 2}]}')
+    calls = [[cmd, good, *flag] for cmd in FILE_COMMANDS for flag in ([], ["--json"])]
+    calls += [["sample", "--dim", "3", "--trials", "5", "--seed", "7", *flag]
+              for flag in ([], ["--json"])]
+    calls += [["--help"], ["analyze", "--help"], ["sample", "--help"],
+              [], ["no-such-command"], ["sample", "--dim", "x", "--trials", "1"],
+              ["analyze", bad], ["killing", bad, "--json"]]
+    first = [run_main(argv) for argv in calls]
+    assert [run_main(argv) for argv in calls] == first
+    codes = [code for code, _, _ in first]
+    assert codes == [0] * 14 + [0, 0, 0, 2, 2, 2, 2, 2]
+    assert all(out for code, out, _ in first if code == 0)
+    assert all(err for code, _, err in first if code == 2)
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert main(["sample", "--dim", "3", "--trials", "2", "--seed", "1",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "sample"
+
+
+@pytest.mark.parametrize("kind", ["analyze", "sample"])
+def test_json_output_is_the_same_across_processes(kind, tmp_path):
+    if kind == "analyze":
+        path = write_doc(tmp_path, "r4.json",
+                         json.dumps(serialize_algebra(_rational_dim4())))
+        argv = ["analyze", path, "--json"]
+    else:
+        argv = ["sample", "--dim", "3", "--trials", "20", "--seed", "42", "--json"]
+    code, expected, err = run_main(argv)
+    assert code == 0 and err == ""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for hashseed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hashseed}
+        proc = subprocess.run([sys.executable, "-m", "skewlie.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected
 
 
 # --- exit codes ---

@@ -33,6 +33,21 @@ def test_from_columns_coerces_entries_and_rejects_ragged_columns():
         ExactMatrix.from_columns([(1,), (2, 3)])
 
 
+@pytest.mark.parametrize("entries,cols", [
+    ([[1, 2]], 3),
+    ([[1, 2], [3, 4]], 1),
+    ([[]], 2),
+])
+def test_matrix_rejects_rows_not_of_explicit_cols(entries, cols):
+    with pytest.raises(ValueError):
+        ExactMatrix(entries, cols=cols)
+
+
+def test_matrix_accepts_rows_of_explicit_cols():
+    assert ExactMatrix([[1, 2]], cols=2) == ExactMatrix([[1, 2]])
+    assert ExactMatrix([], cols=3).cols == 3
+
+
 # --- echelon form ---
 
 def test_echelon_zero_matrix():

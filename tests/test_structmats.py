@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, aut_dimension,
                      basis_vec, build_HL, build_M, derivation_space, determinant,
-                     heisenberg, filiform5, hom_check, homlie_space, is_homlie,
-                     is_lie, left_mult, orbit_dimension, rank,
-                     transport, vec_of_endo)
+                     heisenberg, filiform5, hom_check, homlie_space, inverse,
+                     is_homlie, is_lie, killing_matrix, left_mult,
+                     orbit_dimension, rank, span, transport, vec_of_endo)
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.algebra import _pairs, _triples
 from skewlie.errors import UnsupportedDimError
@@ -343,13 +343,51 @@ def test_matrix_vs_direct_hom_jacobi(dim):
 
 # --- isomorphism invariance ---
 
+def _conjugated_span(endos, p, pinv):
+    """The subspace of End V spanned by p^-1 f p over the given f, in RREF."""
+    n = p.rows
+    return span((vec_of_endo(pinv @ f @ p) for f in endos), dim=n * n)
+
+
+def _assert_transport_invariants(dim, seed):
+    # b is a in the basis of the columns of p, so b(x, y) = p^-1 a(px, py):
+    # derivations and Hom-Lie twists conjugate by p, the Killing form is
+    # pulled back by p, and at dim 4 det HL has weight 8 (HL goes from End V
+    # to V (x) L^3 V*, and L^3 V* = V (x) det^-1 there)
+    rng = random.Random(seed)
+    a = rand_algebra(rng, dim=dim)
+    p = ExactMatrix([[rand_fraction(rng, 3, 2) for _ in range(dim)]
+                     for _ in range(dim)])
+    if determinant(p) == 0:
+        p = rand_invertible(rng, dim)
+    pinv = inverse(p)
+    b = transport(a, p)
+    ders_a, ders_b = derivation_space(a), derivation_space(b)
+    assert (span((vec_of_endo(f) for f in ders_b.basis), dim=dim * dim)
+            == _conjugated_span(ders_a.basis, p, pinv))
+    hom_a, hom_b = homlie_space(a), homlie_space(b)
+    assert (span((vec_of_endo(f) for f in hom_b.basis), dim=dim * dim)
+            == _conjugated_span(hom_a.basis, p, pinv))
+    pt = ExactMatrix([p.column(j) for j in range(dim)])
+    assert killing_matrix(b) == pt @ killing_matrix(a) @ p
+    if dim == 4:
+        assert hom_b.determinant == determinant(p) ** 8 * hom_a.determinant
+    assert aut_dimension(b) == aut_dimension(a) == ders_a.dim == ders_b.dim
+    assert orbit_dimension(b) == orbit_dimension(a)
+    assert hom_b.dim == hom_a.dim
+
+
 @settings(max_examples=20)
 @given(st.integers(0, 10 ** 6))
 def test_invariants_under_transport(seed):
-    rng = random.Random(seed)
-    a = rand_algebra(rng, dim=3)
-    p = rand_invertible(rng, 3)
-    b = transport(a, p)
-    assert aut_dimension(b) == aut_dimension(a)
-    assert orbit_dimension(b) == orbit_dimension(a)
-    assert homlie_space(b).dim == homlie_space(a).dim
+    _assert_transport_invariants(3, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(2, 6), seed=st.integers(0, 10 ** 6))
+@example(dim=2, seed=2)
+@example(dim=4, seed=4)
+@example(dim=5, seed=5)
+@example(dim=6, seed=6)
+def test_invariants_under_transport_dims_2_to_6(dim, seed):
+    _assert_transport_invariants(dim, seed)
