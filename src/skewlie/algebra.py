@@ -178,11 +178,11 @@ def jacobiator(a: SkewAlgebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
                 multiply(a, multiply(a, z, x), y))
 
 
-def _double_product(a: SkewAlgebra, p: int, q: int, l: int) -> Vec:
+def _double_product(table, p: int, q: int, l: int) -> tuple:
     """(e_p e_q) e_l for 1-based p, q, l: the sum over s of c_pq^s e_s e_l,
-    contracted from the product table with zero terms skipped."""
-    out = [Fraction(0)] * a.dim
-    for c, row in zip(a._table[p - 1][q - 1], a._table):
+    contracted from a product table (``_table`` or integers) skipping zeros."""
+    out = [0] * len(table)
+    for c, row in zip(table[p - 1][q - 1], table):
         if c != 0:
             for m, x in enumerate(row[l - 1]):
                 if x != 0:
@@ -192,8 +192,8 @@ def _double_product(a: SkewAlgebra, p: int, q: int, l: int) -> Vec:
 
 def is_lie(a: SkewAlgebra) -> bool:
     """True iff the Jacobiator vanishes on all basis triples i < j < k."""
-    dp = _double_product
-    return all(not any(map(sum, zip(dp(a, i, j, k), dp(a, j, k, i), dp(a, k, i, j))))
+    t, dp = a._table, _double_product
+    return all(not any(map(sum, zip(dp(t, i, j, k), dp(t, j, k, i), dp(t, k, i, j))))
                for (i, j, k) in _triples(a.dim))
 
 

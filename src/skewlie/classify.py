@@ -269,7 +269,7 @@ def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:
     """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2."""
     if a.dim != 3:
         raise UnsupportedDimError("the Lie-type relation lives in dimension 3")
-    return tuple(_double_product(a, *t) for t in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+    return tuple(_double_product(a._table, *t) for t in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
 
 
 def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:

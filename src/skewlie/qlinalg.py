@@ -2,10 +2,11 @@
 
 Scalars are always reduced fractions with positive denominator, which is
 exactly what ``Fraction`` guarantees; no floating point enters anywhere.
-One integer routine, ``echelonize``, does all row reduction: fraction-free
-(Bareiss) Gauss-Jordan on a copy whose rows are rescaled to integers. Every
-number comes off that one run: the unique RREF (and with it rank, kernels and
-inverses) and, for a square input, the determinant.
+One integer routine, ``_eliminate``, does all row reduction: fraction-free
+(Bareiss) Gauss-Jordan on integer rows. ``echelonize`` rescales an
+``ExactMatrix``'s rows to integers for it; ``structmats`` hands it integer
+operator rows directly. Every number comes off that one run: the unique RREF
+(and with it rank, kernels and inverses) and a square input's determinant.
 """
 
 from __future__ import annotations
@@ -181,23 +182,22 @@ class EchelonResult:
 
 
 def echelonize(m: ExactMatrix) -> EchelonResult:
-    """Fraction-free Gauss-Jordan on rows rescaled by their denominator lcm.
+    """Rescale each row to integers by its denominator lcm, then ``_eliminate``."""
+    mults = [math.lcm(*(x.denominator for x in row)) for row in m._rows]
+    rows = [[x.numerator * (k // x.denominator) for x in r] for k, r in zip(mults, m._rows)]
+    return _eliminate(rows, m.cols, math.prod(mults), m.is_square)
 
-    For the pivot p at (r, c) every other row i becomes
-    (p*a[i] - a[i][c]*a[r]) // d, d being the previous pivot (1 at first);
-    the division is exact by the Bareiss identity. At the end every pivot
-    entry equals the last pivot d, so the unique RREF is the rank rows
-    divided by d, padded with zero rows. A square input's determinant comes
-    off the same run: 0 below full rank, else sign * d over the product of
-    the row multipliers, sign being that of the row swaps.
+
+def _eliminate(a: list[list[int]], cols: int, scale: int, square: bool) -> EchelonResult:
+    """Fraction-free Gauss-Jordan, in place, on integer rows: a matrix's rows
+    times row factors whose product is scale (rank, pivots and RREF ignore
+    them). For the pivot p at (r, c) every other row i becomes
+    (p*a[i] - a[i][c]*a[r]) // d, d the previous pivot (1 at first), exact
+    by the Bareiss identity. Then every pivot entry is the last pivot d: the
+    RREF is the rank rows over d, padded with zero rows, and a square matrix's
+    determinant is 0 below full rank, else sign * d / scale (sign of the swaps).
     """
-    a: list[list[int]] = []
-    scale = 1
-    for row in m._rows:
-        mult = math.lcm(*(x.denominator for x in row))
-        scale *= mult
-        a.append([x.numerator * (mult // x.denominator) for x in row])
-    nrows, cols = m.rows, m.cols
+    nrows = len(a)
     pivots: list[int] = []
     sign = d = 1
     r = 0
@@ -222,7 +222,7 @@ def echelonize(m: ExactMatrix) -> EchelonResult:
     zero = Fraction(0)
     reduced = [[Fraction(x, d) if x else zero for x in row] for row in a[:r]]
     reduced.extend([zero] * cols for _ in range(nrows - r))
-    det = (Fraction(sign * d, scale) if r == nrows else zero) if m.is_square else None
+    det = (Fraction(sign * d, scale) if r == nrows else zero) if square else None
     return EchelonResult(ExactMatrix(reduced, cols=cols), r, tuple(pivots), det)
 
 

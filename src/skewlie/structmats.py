@@ -2,24 +2,26 @@
 Hom-Jacobi operator as matrices acting on flattened endomorphisms.
 
 Endomorphisms are flattened column-major: ``vec_of_endo`` lists the first
-column of f, then the second, and so on. Rows of the derivation matrix are
+column of f, then the second, and so on. Rows of the derivation matrix M are
 the components of the derivation defect on basis pairs (i, j), pairs in
-lexicographic order with i < j, components innermost. Rows of the Hom-Jacobi
-matrix do the same over basis triples i < j < k. ``build_M`` contracts the
-product table, read through ``product(i, j)``, and ``build_HL`` the double
-products (e_p e_q) e_l of ``algebra._double_product``, straight into their
-grids; the ``*_defect`` functions evaluate the same expressions directly on
-vectors through ``multiply`` and serve as an independent route for cross-checking.
+lexicographic order with i < j, components innermost; rows of the Hom-Jacobi
+matrix HL do the same over basis triples i < j < k. ``_M_rows`` and
+``_HL_rows`` assemble integer rows from the constants over one common
+denominator den, M (linear in them) scaled by den and HL (quadratic) by den^2,
+for ``qlinalg._eliminate``; rank and kernel ignore the scaling. ``build_M`` and
+``build_HL`` are ``Fraction`` views of those rows; the ``*_defect`` functions
+evaluate the same expressions on vectors through ``multiply``, independently.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
-the orbit dimension is rank M = n^2 - (derivation dimension), the
-automorphism dimension equals the derivation dimension, and the algebra is
-Hom-Lie iff ker HL is nonzero, with rank HL = n^2 - dim ker HL. The square
-HL of n = 4 yields its determinant off the same elimination as its kernel.
+orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
+= derivation dimension, Hom-Lie iff ker HL is nonzero, rank HL = n^2 - dim ker
+HL. The square 16 x 16 HL of n = 4 yields its determinant off the same
+elimination as its kernel, divided by den^32.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,7 +29,7 @@ from typing import Sequence
 from .algebra import (Endo, SkewAlgebra, Vec, _double_product, _pairs, _triples,
                       basis_vec, multiply, vadd, zero_vec)
 from .errors import DimensionMismatchError, UnsupportedDimError
-from .qlinalg import ExactMatrix, echelonize, kernel_basis
+from .qlinalg import EchelonResult, ExactMatrix, _eliminate
 
 
 def vec_of_endo(f: Endo) -> Vec:
@@ -67,59 +69,77 @@ def hom_jacobi_defect(a: SkewAlgebra, f: Endo,
                 multiply(a, multiply(a, z, x), f.apply(y)))
 
 
-def build_M(a: SkewAlgebra) -> ExactMatrix:
-    """Matrix of f -> derivation defect, acting on flattened endomorphisms.
+def _integer_table(a: SkewAlgebra) -> tuple[list[list[list[int]]], int]:
+    """The product table as integer constants over one common denominator den."""
+    den = math.lcm(*(x.denominator for row in a._table for v in row for x in v))
+    return [[[x.numerator * (den // x.denominator) for x in v] for v in row]
+            for row in a._table], den
 
-    Shape is (n * C(n,2)) x n^2; the kernel is the derivation algebra, the
-    rank the dimension of the isomorphism orbit.
-    """
+
+def _M_rows(a: SkewAlgebra) -> tuple[list[list[int]], int]:
+    """Integer rows of den * M and their row factor den (M is linear in the constants)."""
     n = a.dim
+    t, den = _integer_table(a)
     pairs = _pairs(n)
-    grid = [[Fraction(0)] * (n * n) for _ in range(n * len(pairs))]
+    grid = [[0] * (n * n) for _ in range(n * len(pairs))]
     # column c*n + k (0-based) is the unit endomorphism f: e_{c+1} -> e_{k+1}. Its
     # defect f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_{k+1} e_j if c+1 = i, plus
     # e_i e_{k+1} if c+1 = j (never both, as i != j), minus (e_i e_j)_c e_{k+1}.
     for p, (i, j) in enumerate(pairs):
         rows = grid[p * n:(p + 1) * n]
         for k in range(n):
-            for c, prod in ((i - 1, a.product(k + 1, j)), (j - 1, a.product(i, k + 1))):
+            for c, prod in ((i - 1, t[k][j - 1]), (j - 1, t[i - 1][k])):
                 for m, x in enumerate(prod):
-                    if x != 0:
+                    if x:
                         rows[m][c * n + k] = x
-        for c, x in enumerate(a.product(i, j)):
-            if x != 0:
+        for c, x in enumerate(t[i - 1][j - 1]):
+            if x:
                 for k in range(n):
                     rows[k][c * n + k] -= x
-    return ExactMatrix(grid, cols=n * n)
+    return grid, den
 
 
-def build_HL(a: SkewAlgebra) -> ExactMatrix:
-    """Matrix of f -> Hom-Jacobi defect over basis triples, on flattened f.
-
-    Shape is (n * C(n,3)) x n^2. Requires n >= 3: with no triples the
-    Hom-Jacobi condition is vacuous and every dimension-2 algebra carries a
-    Hom-Lie structure unconditionally.
-    """
+def _HL_rows(a: SkewAlgebra) -> tuple[list[list[int]], int]:
+    """Integer rows of den^2 * HL and their row factor den^2 (HL is quadratic)."""
     n = a.dim
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
+    t, den = _integer_table(a)
     # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
-    dp = {}
-    for p, q in _pairs(n):
-        for l in range(1, n + 1):
-            dp[p, q, l] = v = _double_product(a, p, q, l)
-            dp[q, p, l] = tuple(-x for x in v)
+    dp = {(p, q, l): _double_product(t, p, q, l) for p, q in _pairs(n) for l in range(1, n + 1)}
+    dp.update({(q, p, l): tuple(-x for x in v) for (p, q, l), v in dp.items()})
     triples = _triples(n)
-    grid = [[Fraction(0)] * (n * n) for _ in range(n * len(triples))]
-    for t, (i, j, k) in enumerate(triples):
+    grid = [[0] * (n * n) for _ in range(n * len(triples))]
+    for row, (i, j, k) in enumerate(triples):
         # the three cyclic terms hit distinct r, so no column gets two terms
         for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
             for l in range(1, n + 1):
                 col = (r - 1) * n + l - 1  # unit endomorphism e_r -> e_l
                 for m, x in enumerate(dp[p, q, l]):
-                    if x != 0:
-                        grid[t * n + m][col] = x
-    return ExactMatrix(grid, cols=n * n)
+                    if x:
+                        grid[row * n + m][col] = x
+    return grid, den * den
+
+
+def build_M(a: SkewAlgebra) -> ExactMatrix:
+    """Matrix of f -> derivation defect, acting on flattened endomorphisms:
+    (n * C(n,2)) x n^2, kernel the derivation algebra, rank the orbit dimension."""
+    rows, den = _M_rows(a)
+    return ExactMatrix([[Fraction(x, den) for x in r] for r in rows], cols=a.dim * a.dim)
+
+
+def build_HL(a: SkewAlgebra) -> ExactMatrix:
+    """Matrix of f -> Hom-Jacobi defect over basis triples, on flattened f.
+
+    Shape is (n * C(n,3)) x n^2. Requires n >= 3: with no triples the Hom-Jacobi
+    condition is vacuous and every dimension-2 algebra is Hom-Lie unconditionally.
+    """
+    rows, den2 = _HL_rows(a)
+    return ExactMatrix([[Fraction(x, den2) for x in r] for r in rows], cols=a.dim * a.dim)
+
+
+def _reduce(rows: list[list[int]], factor: int, cols: int) -> EchelonResult:
+    return _eliminate(rows, cols, factor ** len(rows), len(rows) == cols)
 
 
 @dataclass(frozen=True)
@@ -141,7 +161,7 @@ class HomLieSpace:
 
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
-    vecs = kernel_basis(build_M(a))
+    vecs = _reduce(*_M_rows(a), a.dim * a.dim).kernel()
     return DerivationSpace(tuple(endo_of_vec(a.dim, v) for v in vecs), len(vecs))
 
 
@@ -152,7 +172,7 @@ def aut_dimension(a: SkewAlgebra) -> int:
 
 def orbit_dimension(a: SkewAlgebra) -> int:
     """Dimension of the isomorphism orbit: rank of the derivation matrix."""
-    return echelonize(build_M(a)).rank
+    return _reduce(*_M_rows(a), a.dim * a.dim).rank
 
 
 def homlie_space(a: SkewAlgebra) -> HomLieSpace:
@@ -163,7 +183,7 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    ech = echelonize(build_HL(a) if n > 2 else ExactMatrix.zeros(0, 4))
+    ech = _reduce(*(_HL_rows(a) if n > 2 else ([], 1)), n * n)
     basis = tuple(endo_of_vec(n, v) for v in ech.kernel())
     return HomLieSpace(basis, len(basis), ech.determinant)
 

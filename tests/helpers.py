@@ -5,7 +5,8 @@ from fractions import Fraction
 
 from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, algebra3,
                      basis_vec, echelonize, left_mult)
-from skewlie.algebra import Vec
+from skewlie.algebra import Vec, _double_product, _pairs, _triples
+from skewlie.errors import UnsupportedDimError
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,56 @@ def fraction_rref(m: ExactMatrix) -> EchelonResult:
     elif len(pivots) < rows:
         det = Fraction(0)
     return EchelonResult(ExactMatrix(a, cols=cols), len(pivots), tuple(pivots), det)
+
+
+# ---------------------------------------------------------------------------
+# reference operators: M and HL assembled on Fraction entries straight from the
+# product table, independent of the package's integer rows over a common
+# denominator (these are the bodies build_M and build_HL had before)
+# ---------------------------------------------------------------------------
+
+def fraction_build_M(a: SkewAlgebra) -> ExactMatrix:
+    n = a.dim
+    pairs = _pairs(n)
+    grid = [[Fraction(0)] * (n * n) for _ in range(n * len(pairs))]
+    # column c*n + k (0-based) is the unit endomorphism f: e_{c+1} -> e_{k+1}. Its
+    # defect f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_{k+1} e_j if c+1 = i, plus
+    # e_i e_{k+1} if c+1 = j (never both, as i != j), minus (e_i e_j)_c e_{k+1}.
+    for p, (i, j) in enumerate(pairs):
+        rows = grid[p * n:(p + 1) * n]
+        for k in range(n):
+            for c, prod in ((i - 1, a.product(k + 1, j)), (j - 1, a.product(i, k + 1))):
+                for m, x in enumerate(prod):
+                    if x != 0:
+                        rows[m][c * n + k] = x
+        for c, x in enumerate(a.product(i, j)):
+            if x != 0:
+                for k in range(n):
+                    rows[k][c * n + k] -= x
+    return ExactMatrix(grid, cols=n * n)
+
+
+def fraction_build_HL(a: SkewAlgebra) -> ExactMatrix:
+    n = a.dim
+    if n < 3:
+        raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
+    # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
+    dp = {}
+    for p, q in _pairs(n):
+        for l in range(1, n + 1):
+            dp[p, q, l] = v = _double_product(a._table, p, q, l)
+            dp[q, p, l] = tuple(-x for x in v)
+    triples = _triples(n)
+    grid = [[Fraction(0)] * (n * n) for _ in range(n * len(triples))]
+    for t, (i, j, k) in enumerate(triples):
+        # the three cyclic terms hit distinct r, so no column gets two terms
+        for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
+            for l in range(1, n + 1):
+                col = (r - 1) * n + l - 1  # unit endomorphism e_r -> e_l
+                for m, x in enumerate(dp[p, q, l]):
+                    if x != 0:
+                        grid[t * n + m][col] = x
+    return ExactMatrix(grid, cols=n * n)
 
 
 # ---------------------------------------------------------------------------

@@ -179,12 +179,10 @@ def test_payload_fields_match_library(name, tmp_path, capsys):
     assert full["solvable"] == is_solvable(a)
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "counterexample4", "abelian4",
-                                  "filiform5", "sparse6"])
-def test_analyze_builds_each_operator_once(name, tmp_path, capsys, monkeypatch):
-    # counterexample4's square HL is nonsingular: its determinant must come off
-    # the same elimination as the kernel, not off a second build
-    builds = {"build_M": 0, "build_HL": 0}
+def count_builds(monkeypatch):
+    """Count the calls of the integer operator builders, which every route to
+    M and HL goes through (the public ``build_M``/``build_HL`` included)."""
+    builds = {"_M_rows": 0, "_HL_rows": 0}
     for fn in builds:
         original = getattr(sm, fn)
 
@@ -193,11 +191,29 @@ def test_analyze_builds_each_operator_once(name, tmp_path, capsys, monkeypatch):
             return original(a)
 
         monkeypatch.setattr(sm, fn, counted)
+    return builds
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "counterexample4", "abelian4",
+                                  "filiform5", "sparse6"])
+def test_analyze_builds_each_operator_once(name, tmp_path, capsys, monkeypatch):
+    # counterexample4's square HL is nonsingular: its determinant must come off
+    # the same elimination as the kernel, not off a second build
+    builds = count_builds(monkeypatch)
     a = PAYLOAD_ALGEBRAS[name]()
     path = write_doc(tmp_path, "a.json", json.dumps(serialize_algebra(a)))
     assert main(["analyze", path, "--json"]) == 0
     capsys.readouterr()
-    assert builds == {"build_M": 1, "build_HL": 1}
+    assert builds == {"_M_rows": 1, "_HL_rows": 1}
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_sample_builds_each_operator_once_per_trial(dim, capsys, monkeypatch):
+    builds = count_builds(monkeypatch)
+    assert main(["sample", "--dim", str(dim), "--trials", "6", "--seed", "5",
+                 "--json"]) == 0
+    capsys.readouterr()
+    assert builds == {"_M_rows": 6, "_HL_rows": 6}
 
 
 def test_json_reports_are_byte_stable(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from skewlie.errors import UnsupportedDimError
 from skewlie.structmats import derivation_defect, endo_of_vec, hom_jacobi_defect
 
 from helpers import (COUNTEREXAMPLE4_HL_DET, cofactor_determinant,
-                     counterexample4, gamma2_family, rand_algebra, rand_endo,
+                     counterexample4, fraction_build_HL, fraction_build_M,
+                     fraction_rref, gamma2_family, rand_algebra, rand_endo,
                      rand_fraction, rand_invertible, rand_nonzero_fraction,
                      reference_derivation_matrix3, rigid_dim4)
 
@@ -339,6 +341,56 @@ def test_matrix_vs_direct_hom_jacobi(dim):
             direct.extend(hom_jacobi_defect(a, f, basis_vec(dim, i),
                                             basis_vec(dim, j), basis_vec(dim, k)))
         assert list(image) == direct
+
+
+# --- integer operator rows against the Fraction oracles ---
+
+def _denominator(a):
+    return math.lcm(*(x.denominator for v in a.products.values() for x in v))
+
+
+def _rational_basis_algebra(rng, dim):
+    """A random integer algebra moved to a random rational basis: den > 1."""
+    a = rand_algebra(rng, dim=dim)
+    while True:
+        p = ExactMatrix([[rand_fraction(rng, 3, 4) for _ in range(dim)]
+                         for _ in range(dim)])
+        if determinant(p) != 0:
+            b = transport(a, p)
+            if _denominator(b) > 1:
+                return b
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_public_builders_equal_fraction_oracles(dim):
+    rng = random.Random(40 + dim)
+    count = 3 if dim <= 4 else 1
+    algebras = [abelian(dim)]
+    algebras += [rand_algebra(rng, dim=dim) for _ in range(count)]
+    algebras += [_rational_basis_algebra(rng, dim) for _ in range(count)]
+    algebras += {3: [heisenberg(), gamma2_family(Fraction(1, 2))],
+                 4: [counterexample4(), rigid_dim4()],
+                 5: [filiform5(Fraction(1, 2), -1, Fraction(2, 3), 0)]}.get(dim, [])
+    for a in algebras:
+        assert build_M(a) == fraction_build_M(a)
+        if dim >= 3:
+            assert build_HL(a) == fraction_build_HL(a)
+        else:
+            with pytest.raises(UnsupportedDimError):
+                build_HL(a)
+            with pytest.raises(UnsupportedDimError):
+                fraction_build_HL(a)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dim4_determinant_with_denominators_matches_oracle(seed):
+    # the 16 rows of HL reach the elimination scaled by den^2 each, so the
+    # determinant is divided by den^32 on the way out
+    a = _rational_basis_algebra(random.Random(seed), 4)
+    assert _denominator(a) > 1
+    expected = fraction_rref(fraction_build_HL(a)).determinant
+    assert expected != 0
+    assert homlie_space(a).determinant == expected
 
 
 # --- isomorphism invariance ---
