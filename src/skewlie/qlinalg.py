@@ -21,7 +21,7 @@ from .errors import NonSquareError, SingularMapError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")  # ASCII digits only
 
 
 def parse_rational(text: str) -> Fraction:

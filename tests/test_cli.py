@@ -56,6 +56,13 @@ def test_parse_fractions_and_bare_integers():
     pytest.param('{"dim": 1' + '0' * 5000 + '}', ParseError, id="huge-dim-ParseError"),
     pytest.param('{"dim": 3, "products": [{"i": 1, "j": 2, "c": [1' + '0' * 5000
                  + ', 0, 0]}]}', ParseError, id="huge-entry-ParseError"),
+    # Arabic-Indic 1/2, fullwidth 12 and Devanagari 3: Unicode digits, not literals
+    pytest.param('{"dim": 3, "products": [{"i": 1, "j": 2, "c": ["\u0661/\u0662", "0", "0"]}]}',
+                 ParseError, id="arabic-indic-digits-ParseError"),
+    pytest.param('{"dim": 3, "products": [{"i": 1, "j": 2, "c": ["0", "\uff11\uff12", "0"]}]}',
+                 ParseError, id="fullwidth-digits-ParseError"),
+    pytest.param('{"dim": 3, "products": [{"i": 1, "j": 2, "c": ["0", "0", "1/\u0969"]}]}',
+                 ParseError, id="devanagari-denominator-ParseError"),
 ])
 def test_parse_rejects_malformed_documents(doc, exc):
     with pytest.raises(exc):
@@ -302,6 +309,13 @@ def test_exit_2_on_deeply_nested_document(tmp_path, capsys):
     path = write_doc(tmp_path, "deep.json", '[' * 100000)
     assert main(["analyze", path]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_exit_2_on_non_ascii_digits(tmp_path, capsys):
+    path = write_doc(tmp_path, "u.json",
+                     '{"dim": 3, "products": [{"i": 1, "j": 2, "c": ["\u0661/\u0662", "0", "0"]}]}')
+    assert main(["analyze", path]) == 2
+    assert "not a rational literal" in capsys.readouterr().err
 
 
 def test_exit_2_on_sample_height_beyond_64_bit_draw(capsys):

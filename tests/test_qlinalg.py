@@ -227,7 +227,8 @@ def test_parse_rational(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["1.5", "1e3", "1/-2", "/3", "a", "", "1 / 2", "3/0"])
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1/-2", "/3", "a", "", "1 / 2", "3/0",
+                                  "\u0661/\u0662", "\uff11\uff12", "1/\u0969"])
 def test_parse_rational_rejects_non_rationals(text):
     with pytest.raises(ValueError):
         parse_rational(text)
