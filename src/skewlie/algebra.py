@@ -11,6 +11,7 @@ and exact; ``jacobiator`` keeps the independent route through ``multiply``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -178,6 +179,13 @@ def jacobiator(a: SkewAlgebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
                 multiply(a, multiply(a, z, x), y))
 
 
+def _integer_table(a: SkewAlgebra) -> tuple[list[list[list[int]]], int]:
+    """The product table as integer constants over one common denominator den."""
+    den = math.lcm(*(x.denominator for row in a._table for v in row for x in v))
+    return [[[x.numerator * (den // x.denominator) for x in v] for v in row]
+            for row in a._table], den
+
+
 def _double_product(table, p: int, q: int, l: int) -> tuple:
     """(e_p e_q) e_l for 1-based p, q, l: the sum over s of c_pq^s e_s e_l,
     contracted from a product table (``_table`` or integers) skipping zeros."""
@@ -191,8 +199,9 @@ def _double_product(table, p: int, q: int, l: int) -> tuple:
 
 
 def is_lie(a: SkewAlgebra) -> bool:
-    """True iff the Jacobiator vanishes on all basis triples i < j < k."""
-    t, dp = a._table, _double_product
+    """True iff the Jacobiator vanishes on all basis triples i < j < k; the
+    integer table scales it by den^2, which leaves the zero test alone."""
+    t, dp = _integer_table(a)[0], _double_product
     return all(not any(map(sum, zip(dp(t, i, j, k), dp(t, j, k, i), dp(t, k, i, j))))
                for (i, j, k) in _triples(a.dim))
 
@@ -206,11 +215,12 @@ def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
 
 
 def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
-    """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j}) = sum over k, l
-    of c_il^k c_jk^l, contracted from the structure constants e_i e_l = sum_k c_il^k e_k."""
-    n, c = a.dim, a._table
-    return ExactMatrix([[sum((c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n)),
-                             Fraction(0)) for j in range(n)] for i in range(n)])
+    """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j}) = sum over k, l of
+    c_il^k c_jk^l for e_i e_l = sum_k c_il^k e_k, on the integer table, over den^2."""
+    n, (c, den) = a.dim, _integer_table(a)
+    return ExactMatrix._of(tuple(tuple(
+        Fraction(sum(c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n)), den * den)
+        for j in range(n)) for i in range(n)), n)
 
 
 def killing_determinant(a: SkewAlgebra) -> Fraction:
@@ -268,8 +278,7 @@ def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
     if any(len(v) != dim for v in vecs):
         raise DimensionMismatchError(f"spanning vectors must all have length {dim}")
     ech = echelonize(ExactMatrix(vecs, cols=dim))
-    rows = [ech.reduced.row(i) for i in range(ech.rank)]
-    return Subspace(ExactMatrix(rows, cols=dim), ech.rank)
+    return Subspace(ExactMatrix._of(ech.reduced._rows[:ech.rank], dim), ech.rank)
 
 
 def full_space(n: int) -> Subspace:

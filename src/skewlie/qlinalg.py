@@ -1,12 +1,14 @@
 """Exact rational linear algebra: dense matrices over ``fractions.Fraction``.
 
-Scalars are always reduced fractions with positive denominator, which is
-exactly what ``Fraction`` guarantees; no floating point enters anywhere.
-One integer routine, ``_eliminate``, does all row reduction: fraction-free
-(Bareiss) Gauss-Jordan on integer rows. ``echelonize`` rescales an
-``ExactMatrix``'s rows to integers for it; ``structmats`` hands it integer
-operator rows directly. Every number comes off that one run: the unique RREF
-(and with it rank, kernels and inverses) and a square input's determinant.
+Scalars are reduced fractions with positive denominator, as ``Fraction``
+guarantees; no floating point enters. One integer routine, ``_eliminate``,
+does all row reduction: fraction-free (Bareiss) Gauss-Jordan on integer rows
+from which each pivot column leaves, as it then holds only the RREF's identity.
+``echelonize`` rescales an ``ExactMatrix``'s rows to integers for it;
+``structmats`` hands it integer operator rows directly. Every number comes off
+that one run: the unique RREF (and with it rank, kernels and inverses) and a
+square input's determinant. ``ExactMatrix`` coerces entries at its public
+constructor only; ``_of`` wraps the ``Fraction`` tuples the package built.
 """
 
 from __future__ import annotations
@@ -65,12 +67,19 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
+        for name, value in zip(self.__slots__, (rows, len(rows), cols)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[Fraction, ...], ...], cols: int) -> ExactMatrix:
+        """Wrap tuple rows of ``Fraction`` the package made; the constructor coerces."""
+        m = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (rows, len(rows), cols)):
+            object.__setattr__(m, name, value)
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> ExactMatrix:
@@ -79,7 +88,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> ExactMatrix:
@@ -191,11 +200,14 @@ def echelonize(m: ExactMatrix) -> EchelonResult:
 def _eliminate(a: list[list[int]], cols: int, scale: int, square: bool) -> EchelonResult:
     """Fraction-free Gauss-Jordan, in place, on integer rows: a matrix's rows
     times row factors whose product is scale (rank, pivots and RREF ignore
-    them). For the pivot p at (r, c) every other row i becomes
-    (p*a[i] - a[i][c]*a[r]) // d, d the previous pivot (1 at first), exact
-    by the Bareiss identity. Then every pivot entry is the last pivot d: the
-    RREF is the rank rows over d, padded with zero rows, and a square matrix's
-    determinant is 0 below full rank, else sign * d / scale (sign of the swaps).
+    them). For the pivot p at (r, c) every other row becomes
+    (p*row - f*pivot_row) // d, f its entry at c and d the previous pivot (1 at
+    first), exact by the Bareiss identity; if f == 0 that is p*row // d. Column
+    c is then, and stays, the last pivot in its row and 0 elsewhere, the RREF's
+    identity pattern, so it leaves every row: rows hold the columns not yet
+    pivots, and only free ones precede c, at c - r. RREF row k is 1 at its pivot
+    and x / d at each free column, then zero rows; a square matrix's determinant
+    is 0 below full rank, else sign * d / scale (sign of the swaps).
     """
     nrows = len(a)
     pivots: list[int] = []
@@ -204,26 +216,37 @@ def _eliminate(a: list[list[int]], cols: int, scale: int, square: bool) -> Echel
     for c in range(cols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
+        pos = c - r
+        piv = next((i for i in range(r, nrows) if a[i][pos]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         pivot_row = a[r]
-        p = pivot_row[c]
+        p = pivot_row.pop(pos)
         for i in range(nrows):
             if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], pivot_row)]
+                f = a[i].pop(pos)
+                if f:
+                    a[i] = [(p * x - f * y) // d for x, y in zip(a[i], pivot_row)]
+                else:
+                    a[i] = [p * x // d for x in a[i]]
         d = p
         pivots.append(c)
         r += 1
-    zero = Fraction(0)
-    reduced = [[Fraction(x, d) if x else zero for x in row] for row in a[:r]]
-    reduced.extend([zero] * cols for _ in range(nrows - r))
+    zero, one = Fraction(0), Fraction(1)
+    free = sorted(set(range(cols)).difference(pivots))
+    reduced = []
+    for pc, row in zip(pivots, a):
+        out = [zero] * cols
+        out[pc] = one
+        for fc, x in zip(free, row):
+            out[fc] = Fraction(x, d) if x else zero
+        reduced.append(tuple(out))
+    reduced.extend([(zero,) * cols] * (nrows - r))
     det = (Fraction(sign * d, scale) if r == nrows else zero) if square else None
-    return EchelonResult(ExactMatrix(reduced, cols=cols), r, tuple(pivots), det)
+    return EchelonResult(ExactMatrix._of(tuple(reduced), cols), r, tuple(pivots), det)
 
 
 def rank(m: ExactMatrix) -> int:
@@ -251,5 +274,4 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
     ech = echelonize(ExactMatrix(aug, cols=2 * n))
     if ech.pivot_columns[:n] != tuple(range(n)):
         raise SingularMapError("matrix is not invertible")
-    red = ech.reduced
-    return ExactMatrix([[red[i, n + j] for j in range(n)] for i in range(n)])
+    return ExactMatrix._of(tuple(row[n:] for row in ech.reduced._rows), n)

@@ -21,13 +21,12 @@ elimination as its kernel, divided by den^32.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, _double_product, _pairs, _triples,
-                      basis_vec, multiply, vadd, zero_vec)
+from .algebra import (Endo, SkewAlgebra, Vec, _double_product, _integer_table, _pairs,
+                      _triples, basis_vec, multiply, vadd, zero_vec)
 from .errors import DimensionMismatchError, UnsupportedDimError
 from .qlinalg import EchelonResult, ExactMatrix, _eliminate
 
@@ -67,13 +66,6 @@ def hom_jacobi_defect(a: SkewAlgebra, f: Endo,
     return vadd(vadd(multiply(a, multiply(a, x, y), f.apply(z)),
                      multiply(a, multiply(a, y, z), f.apply(x))),
                 multiply(a, multiply(a, z, x), f.apply(y)))
-
-
-def _integer_table(a: SkewAlgebra) -> tuple[list[list[list[int]]], int]:
-    """The product table as integer constants over one common denominator den."""
-    den = math.lcm(*(x.denominator for row in a._table for v in row for x in v))
-    return [[[x.numerator * (den // x.denominator) for x in v] for v in row]
-            for row in a._table], den
 
 
 def _M_rows(a: SkewAlgebra) -> tuple[list[list[int]], int]:
@@ -125,7 +117,8 @@ def build_M(a: SkewAlgebra) -> ExactMatrix:
     """Matrix of f -> derivation defect, acting on flattened endomorphisms:
     (n * C(n,2)) x n^2, kernel the derivation algebra, rank the orbit dimension."""
     rows, den = _M_rows(a)
-    return ExactMatrix([[Fraction(x, den) for x in r] for r in rows], cols=a.dim * a.dim)
+    return ExactMatrix._of(tuple(tuple(Fraction(x, den) for x in r) for r in rows),
+                           a.dim * a.dim)
 
 
 def build_HL(a: SkewAlgebra) -> ExactMatrix:
@@ -135,7 +128,8 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
     condition is vacuous and every dimension-2 algebra is Hom-Lie unconditionally.
     """
     rows, den2 = _HL_rows(a)
-    return ExactMatrix([[Fraction(x, den2) for x in r] for r in rows], cols=a.dim * a.dim)
+    return ExactMatrix._of(tuple(tuple(Fraction(x, den2) for x in r) for r in rows),
+                           a.dim * a.dim)
 
 
 def _reduce(rows: list[list[int]], factor: int, cols: int) -> EchelonResult:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from skewlie.algebra import killing_matrix
 from skewlie.errors import NonSquareError, SingularMapError
 from skewlie.qlinalg import (ExactMatrix, determinant, echelonize,
                              format_rational, inverse, kernel_basis,
@@ -12,7 +13,7 @@ from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import build_HL, build_M
 
 from helpers import (HL16_TABLE, HL16_TABLE_DET, cofactor_determinant,
-                     fraction_rref)
+                     fraction_rref, rand_algebra)
 
 fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
 
@@ -87,6 +88,10 @@ def sparse_matrix(draw):
 @example(ExactMatrix.zeros(0, 5))
 @example(ExactMatrix([[0, 0, 1, 2], [0, 3, 1, 0]]))  # wide, zero column, swap
 @example(ExactMatrix([[0, 1], [0, 2], [1, 0], [2, 0], [3, 1]]))  # tall, swap
+@example(ExactMatrix([[2, 0, 1], [3, 0, 5]]))  # zero column between two pivots
+@example(ExactMatrix([[1, 2, 3], [2, 4, 5]]))  # free column left of a pivot, nonzero above
+@example(ExactMatrix([[2, 0, 1], [0, 3, 1], [1, 0, 1]]))  # 0 in the pivot column: rescale only
+@example(ExactMatrix([[Fraction(1, 2), 2, 3, 4], [0, 3, 5, Fraction(6, 7)]]))  # full row rank early
 def test_echelon_matches_fraction_gauss_jordan(m):
     assert echelonize(m) == fraction_rref(m)
 
@@ -96,6 +101,28 @@ def test_echelon_of_operators_matches_fraction_gauss_jordan(dim, seed):
     a = random_algebra(SampleConfig(dim=dim, trials=1, seed=seed), 0)
     for m in (build_M(a), build_HL(a)):
         assert echelonize(m) == fraction_rref(m)
+
+
+def assert_package_built(m):
+    """Rows are tuples of Fraction, and m is equal to, and hashes like, the same
+    entries passed through the public constructor."""
+    assert all(type(row) is tuple and all(type(x) is Fraction for x in row) for row in m._rows)
+    public = ExactMatrix([list(row) for row in m._rows], cols=m.cols)
+    assert m == public and hash(m) == hash(public)
+
+
+@given(sparse_matrix())
+def test_reduced_matrix_is_built_like_a_public_one(m):
+    assert_package_built(echelonize(m).reduced)
+
+
+@pytest.mark.parametrize("dim,seed", [(3, 1), (4, 3), (5, 5), (6, 6)])
+def test_operator_matrices_are_built_like_public_ones(dim, seed):
+    for a in (random_algebra(SampleConfig(dim=dim, trials=1, seed=seed), 0),
+              rand_algebra(random.Random(seed), dim)):  # rational constants, den > 1
+        for m in (build_M(a), build_HL(a), killing_matrix(a)):
+            assert_package_built(m)
+            assert_package_built(echelonize(m).reduced)
 
 
 @given(frac_matrix(4, 5))
@@ -196,6 +223,13 @@ def test_inverse_roundtrip():
             continue
         assert m @ inverse(m) == ExactMatrix.identity(3)
         assert inverse(m) @ m == ExactMatrix.identity(3)
+
+
+def test_empty_matrix_identity_inverse_and_determinant():
+    empty = ExactMatrix([], cols=0)
+    assert ExactMatrix.identity(0) == empty
+    assert inverse(empty) == empty
+    assert determinant(empty) == 1
 
 
 def test_inverse_rejects_singular():
