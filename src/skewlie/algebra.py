@@ -62,11 +62,12 @@ def _triples(n: int) -> list[tuple[int, int, int]]:
 class SkewAlgebra:
     """A skew-symmetric algebra given by structure constants on pairs i < j.
 
-    The constructor fills ``_table[i][j]``, the vector of e_{i+1} * e_{j+1},
-    once; equality and hashing compare it, so zero and absent products agree.
+    The constructor fills ``_table[i][j]``, the vector of e_{i+1} * e_{j+1}, and
+    ``_ints``, that table over one common denominator as (integer table, den),
+    once; equality and hashing compare ``_table``, so zero and absent products agree.
     """
 
-    __slots__ = ("dim", "_table")
+    __slots__ = ("dim", "_table", "_ints")
 
     def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence] | None = None):
         if not MIN_DIM <= dim <= MAX_DIM:
@@ -84,6 +85,7 @@ class SkewAlgebra:
             table[j - 1][i - 1] = tuple(-c for c in vec)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_table", tuple(map(tuple, table)))
+        object.__setattr__(self, "_ints", _integer_table(self._table))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAlgebra is immutable")
@@ -179,11 +181,11 @@ def jacobiator(a: SkewAlgebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
                 multiply(a, multiply(a, z, x), y))
 
 
-def _integer_table(a: SkewAlgebra) -> tuple[list[list[list[int]]], int]:
-    """The product table as integer constants over one common denominator den."""
-    den = math.lcm(*(x.denominator for row in a._table for v in row for x in v))
-    return [[[x.numerator * (den // x.denominator) for x in v] for v in row]
-            for row in a._table], den
+def _integer_table(table) -> tuple[tuple, int]:
+    """A product table as integer constants over one common denominator den."""
+    den = math.lcm(*(x.denominator for row in table for v in row for x in v))
+    return tuple(tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in row)
+                 for row in table), den
 
 
 def _double_product(table, p: int, q: int, l: int) -> tuple:
@@ -201,7 +203,7 @@ def _double_product(table, p: int, q: int, l: int) -> tuple:
 def is_lie(a: SkewAlgebra) -> bool:
     """True iff the Jacobiator vanishes on all basis triples i < j < k; the
     integer table scales it by den^2, which leaves the zero test alone."""
-    t, dp = _integer_table(a)[0], _double_product
+    t, dp = a._ints[0], _double_product
     return all(not any(map(sum, zip(dp(t, i, j, k), dp(t, j, k, i), dp(t, k, i, j))))
                for (i, j, k) in _triples(a.dim))
 
@@ -217,7 +219,7 @@ def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
 def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
     """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j}) = sum over k, l of
     c_il^k c_jk^l for e_i e_l = sum_k c_il^k e_k, on the integer table, over den^2."""
-    n, (c, den) = a.dim, _integer_table(a)
+    n, (c, den) = a.dim, a._ints
     return ExactMatrix._of(tuple(tuple(
         Fraction(sum(c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n)), den * den)
         for j in range(n)) for i in range(n)), n)

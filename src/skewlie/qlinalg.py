@@ -2,8 +2,8 @@
 
 Scalars are reduced fractions with positive denominator, as ``Fraction``
 guarantees; no floating point enters. One integer routine, ``_eliminate``,
-does all row reduction: fraction-free (Bareiss) Gauss-Jordan on integer rows
-from which each pivot column leaves, as it then holds only the RREF's identity.
+does all row reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer
+rows one at a time to a basis kept in RREF and stops at full column rank.
 ``echelonize`` rescales an ``ExactMatrix``'s rows to integers for it;
 ``structmats`` hands it integer operator rows directly. Every number comes off
 that one run: the unique RREF (and with it rank, kernels and inverses) and a
@@ -197,56 +197,56 @@ def echelonize(m: ExactMatrix) -> EchelonResult:
     return _eliminate(rows, m.cols, math.prod(mults), m.is_square)
 
 
-def _eliminate(a: list[list[int]], cols: int, scale: int, square: bool) -> EchelonResult:
-    """Fraction-free Gauss-Jordan, in place, on integer rows: a matrix's rows
-    times row factors whose product is scale (rank, pivots and RREF ignore
-    them). For the pivot p at (r, c) every other row becomes
-    (p*row - f*pivot_row) // d, f its entry at c and d the previous pivot (1 at
-    first), exact by the Bareiss identity; if f == 0 that is p*row // d. Column
-    c is then, and stays, the last pivot in its row and 0 elsewhere, the RREF's
-    identity pattern, so it leaves every row: rows hold the columns not yet
-    pivots, and only free ones precede c, at c - r. RREF row k is 1 at its pivot
-    and x / d at each free column, then zero rows; a square matrix's determinant
-    is 0 below full rank, else sign * d / scale (sign of the swaps).
+def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction, square: bool) -> EchelonResult:
+    """Fraction-free Gauss-Jordan, row by row, on integer rows: a matrix's rows
+    times row factors whose product is scale (rank, pivots and RREF ignore them).
+    The basis is d times the RREF of the rows read so far, over the columns not
+    yet pivots. Row x reduces there to y = d*x - sum_k x[p_k]*B_k (B_k has pivot
+    p_k; entries of y are minors, so nothing is divided); y == 0 is in the span.
+    Else y's first nonzero column c is a pivot, e = y[c]: c leaves every row,
+    each basis row b becomes (e*b - b[c]*y) // d, exact by Sylvester's identity,
+    y joins and d = e. Once no column is free, the later rows are in the span and
+    are not read. RREF row k is 1 at its pivot and x / d at each free column, then
+    zero rows; a square matrix's determinant is 0 below full rank, else sign * d /
+    scale, sign the parity of the order in which the pivots came (no rows swap).
     """
-    nrows = len(a)
+    free = list(range(cols))
     pivots: list[int] = []
-    sign = d = 1
-    r = 0
-    for c in range(cols):
-        if r == nrows:
+    basis: list[list[int]] = []
+    d, flips = 1, 0
+    for x in a:
+        if not free:
             break
-        pos = c - r
-        piv = next((i for i in range(r, nrows) if a[i][pos]), None)
-        if piv is None:
+        y = [d * x[c] for c in free] if pivots else list(x)
+        for p, b in zip(pivots, basis):
+            if g := x[p]:
+                y = [u - g * v for u, v in zip(y, b)]
+        for pos, e in enumerate(y):
+            if e:
+                break
+        else:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        pivot_row = a[r]
-        p = pivot_row.pop(pos)
-        for i in range(nrows):
-            if i != r:
-                f = a[i].pop(pos)
-                if f:
-                    a[i] = [(p * x - f * y) // d for x, y in zip(a[i], pivot_row)]
-                else:
-                    a[i] = [p * x // d for x in a[i]]
-        d = p
-        pivots.append(c)
-        r += 1
+        del y[pos]
+        for i, b in enumerate(basis):
+            f = b.pop(pos)
+            basis[i] = ([(e * u - f * v) // d for u, v in zip(b, y)] if f
+                        else [e * u // d for u in b])
+        basis.append(y)
+        flips += pos  # r - c + pos earlier pivots exceed c; at full rank r and c cancel
+        pivots.append(free.pop(pos))
+        d = e
     zero, one = Fraction(0), Fraction(1)
-    free = sorted(set(range(cols)).difference(pivots))
     reduced = []
-    for pc, row in zip(pivots, a):
+    for pc, row in sorted(zip(pivots, basis)):
         out = [zero] * cols
         out[pc] = one
         for fc, x in zip(free, row):
             out[fc] = Fraction(x, d) if x else zero
         reduced.append(tuple(out))
-    reduced.extend([(zero,) * cols] * (nrows - r))
-    det = (Fraction(sign * d, scale) if r == nrows else zero) if square else None
-    return EchelonResult(ExactMatrix._of(tuple(reduced), cols), r, tuple(pivots), det)
+    r = len(pivots)
+    reduced.extend([(zero,) * cols] * (len(a) - r))
+    det = (Fraction(-d if flips % 2 else d, scale) if r == len(a) else zero) if square else None
+    return EchelonResult(ExactMatrix._of(tuple(reduced), cols), r, tuple(sorted(pivots)), det)
 
 
 def rank(m: ExactMatrix) -> int:

@@ -7,8 +7,10 @@ the components of the derivation defect on basis pairs (i, j), pairs in
 lexicographic order with i < j, components innermost; rows of the Hom-Jacobi
 matrix HL do the same over basis triples i < j < k. ``_M_rows`` and
 ``_HL_rows`` assemble integer rows from the constants over one common
-denominator den, M (linear in them) scaled by den and HL (quadratic) by den^2,
-for ``qlinalg._eliminate``; rank and kernel ignore the scaling. ``build_M`` and
+denominator den, M (linear in them) scaled by den and HL (quadratic) by den^2;
+``_reduce`` divides each row by its content (the gcd of its entries) and hands
+them to ``qlinalg._eliminate``, which takes both factors out of the determinant
+only, as rank and kernel ignore row scaling. ``build_M`` and
 ``build_HL`` are ``Fraction`` views of those rows; the ``*_defect`` functions
 evaluate the same expressions on vectors through ``multiply``, independently.
 
@@ -21,12 +23,13 @@ elimination as its kernel, divided by den^32.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, _double_product, _integer_table, _pairs,
-                      _triples, basis_vec, multiply, vadd, zero_vec)
+from .algebra import (Endo, SkewAlgebra, Vec, _double_product, _pairs, _triples,
+                      basis_vec, multiply, vadd, zero_vec)
 from .errors import DimensionMismatchError, UnsupportedDimError
 from .qlinalg import EchelonResult, ExactMatrix, _eliminate
 
@@ -70,8 +73,7 @@ def hom_jacobi_defect(a: SkewAlgebra, f: Endo,
 
 def _M_rows(a: SkewAlgebra) -> tuple[list[list[int]], int]:
     """Integer rows of den * M and their row factor den (M is linear in the constants)."""
-    n = a.dim
-    t, den = _integer_table(a)
+    n, (t, den) = a.dim, a._ints
     pairs = _pairs(n)
     grid = [[0] * (n * n) for _ in range(n * len(pairs))]
     # column c*n + k (0-based) is the unit endomorphism f: e_{c+1} -> e_{k+1}. Its
@@ -96,7 +98,7 @@ def _HL_rows(a: SkewAlgebra) -> tuple[list[list[int]], int]:
     n = a.dim
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
-    t, den = _integer_table(a)
+    t, den = a._ints
     # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
     dp = {(p, q, l): _double_product(t, p, q, l) for p, q in _pairs(n) for l in range(1, n + 1)}
     dp.update({(q, p, l): tuple(-x for x in v) for (p, q, l), v in dp.items()})
@@ -133,7 +135,11 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
 
 
 def _reduce(rows: list[list[int]], factor: int, cols: int) -> EchelonResult:
-    return _eliminate(rows, cols, factor ** len(rows), len(rows) == cols)
+    """Eliminate factor * (an operator), each row first divided by its content."""
+    contents = [math.gcd(*row) or 1 for row in rows]
+    rows = [[x // g for x in row] if g > 1 else row for g, row in zip(contents, rows)]
+    return _eliminate(rows, cols, Fraction(factor ** len(rows), math.prod(contents)),
+                      len(rows) == cols)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, aut_dimension, build_HL,
                      build_M, determinant, filiform5, format_rational,
                      heisenberg, is_homlie, is_nilpotent, is_solvable,
                      orbit_dimension, rank, transport)
-from skewlie import structmats as sm
+from skewlie import algebra as alg, structmats as sm
 from skewlie.cli import main, parse_algebra, serialize_algebra
 from skewlie.errors import InvariantError, ParseError
 
@@ -221,6 +221,21 @@ def test_sample_builds_each_operator_once_per_trial(dim, capsys, monkeypatch):
                  "--json"]) == 0
     capsys.readouterr()
     assert builds == {"_M_rows": 6, "_HL_rows": 6}
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_sample_converts_each_algebra_to_integers_once_per_trial(dim, capsys, monkeypatch):
+    # is_lie, _M_rows and _HL_rows all read the one integer table of the algebra;
+    # the converter is counted in every module that could bind it
+    calls = []
+    original = alg._integer_table
+    for mod in (alg, sm):
+        monkeypatch.setattr(mod, "_integer_table", lambda t: calls.append(1) or original(t),
+                            raising=False)
+    assert main(["sample", "--dim", str(dim), "--trials", "6", "--seed", "5",
+                 "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 6
 
 
 def test_json_reports_are_byte_stable(tmp_path, capsys):

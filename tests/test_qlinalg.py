@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from skewlie.algebra import killing_matrix
 from skewlie.errors import NonSquareError, SingularMapError
-from skewlie.qlinalg import (ExactMatrix, determinant, echelonize,
+from skewlie.qlinalg import (ExactMatrix, _eliminate, determinant, echelonize,
                              format_rational, inverse, kernel_basis,
                              parse_rational, rank)
 from skewlie.sampler import SampleConfig, random_algebra
@@ -92,8 +92,20 @@ def sparse_matrix(draw):
 @example(ExactMatrix([[1, 2, 3], [2, 4, 5]]))  # free column left of a pivot, nonzero above
 @example(ExactMatrix([[2, 0, 1], [0, 3, 1], [1, 0, 1]]))  # 0 in the pivot column: rescale only
 @example(ExactMatrix([[Fraction(1, 2), 2, 3, 4], [0, 3, 5, Fraction(6, 7)]]))  # full row rank early
+@example(ExactMatrix([[0, 1], [1, 0]]))  # pivots arrive out of order
+@example(ExactMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))  # 3-cycle: last pivot below two
+@example(ExactMatrix([[0, 0, 0], [0, 2, 1], [3, 1, 0]]))  # zero first row
+@example(ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))  # dependent middle row
+@example(ExactMatrix([[1, 2], [3, 4], [5, 6], [7, Fraction(1, 2)]]))  # tall, rest in the span
 def test_echelon_matches_fraction_gauss_jordan(m):
     assert echelonize(m) == fraction_rref(m)
+
+
+def test_elimination_stops_reading_rows_at_full_column_rank():
+    # the rows after a full-column-rank block are in its span: none is read
+    ech = _eliminate([[0, 2], [3, 1], None, None], 2, 1, False)
+    assert (ech.rank, ech.pivot_columns, ech.determinant) == (2, (0, 1), None)
+    assert ech.reduced == ExactMatrix([[1, 0], [0, 1], [0, 0], [0, 0]])
 
 
 @pytest.mark.parametrize("dim,seed", [(3, 1), (3, 2), (4, 3), (4, 4), (5, 5), (6, 6)])
@@ -178,6 +190,10 @@ def test_determinant_of_reference_16x16_table():
 @given(st.integers(1, 4).flatmap(lambda n: frac_matrix(n, n)))
 @example(ExactMatrix([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 0, 1]]))  # singular
 @example(ExactMatrix([[0, 2, 1], [Fraction(3, 2), 1, 0], [1, 0, 4]]))  # row swap
+@example(ExactMatrix([[0, 1], [1, 0]]))  # pivots out of order: det -1
+@example(ExactMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))  # 3-cycle: det +1
+@example(ExactMatrix([[0, 0, 0], [0, 2, 1], [3, 1, 0]]))  # zero first row
+@example(ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))  # dependent middle row
 def test_determinant_matches_cofactor_expansion(m):
     assert determinant(m) == cofactor_determinant(m.row_list())
 

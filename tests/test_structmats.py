@@ -13,7 +13,9 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, aut_dimension,
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.algebra import _pairs, _triples
 from skewlie.errors import UnsupportedDimError
-from skewlie.structmats import derivation_defect, endo_of_vec, hom_jacobi_defect
+from skewlie.sampler import SampleConfig, random_algebra
+from skewlie.structmats import (_HL_rows, _M_rows, _reduce, derivation_defect, endo_of_vec,
+                                hom_jacobi_defect)
 
 from helpers import (COUNTEREXAMPLE4_HL_DET, cofactor_determinant,
                      counterexample4, fraction_build_HL, fraction_build_M,
@@ -380,6 +382,18 @@ def test_public_builders_equal_fraction_oracles(dim):
                 build_HL(a)
             with pytest.raises(UnsupportedDimError):
                 fraction_build_HL(a)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_operator_reduction_equals_fraction_oracle(dim):
+    # the integer route divides rows by den (or den^2) and by their contents;
+    # the Fraction route does neither, so the determinant checks the scale fold
+    algebras = (random_algebra(SampleConfig(dim=dim, trials=1, seed=dim), 0),
+                _rational_basis_algebra(random.Random(dim), dim))
+    assert _denominator(algebras[1]) > 1
+    for a in algebras:
+        assert _reduce(*_M_rows(a), dim * dim) == fraction_rref(fraction_build_M(a))
+        assert _reduce(*_HL_rows(a), dim * dim) == fraction_rref(fraction_build_HL(a))
 
 
 @pytest.mark.parametrize("seed", range(4))
