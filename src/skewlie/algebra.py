@@ -1,12 +1,12 @@
 """Skew-symmetric algebras with exact rational structure constants.
 
 An algebra of dimension n is given by the coefficient vectors of the basis
-products e_i * e_j for i < j (1-based) and stores the n x n table of all
-products, filled once: reversed pairs negated, the diagonal zero. Everything
-downstream (multiplication, Jacobiator, series, Killing form, basis
-transport), the double products (e_p e_q) e_l of the Lie, Hom-Lie and
-Lie-type identities and the derived algebra A·A read that table and are pure
-and exact; ``jacobiator`` keeps the independent route through ``multiply``.
+products e_i * e_j for i < j (1-based) and stores them once, as one integer
+tensor t over a common denominator den; ``product`` is a ``Fraction`` view.
+One integer kernel, ``_mul``, serves ``multiply`` and ``transport``. The double
+products (e_p e_q) e_l of the Lie, Hom-Lie and Lie-type identities, the Killing
+form and the derived algebra A·A read t directly. All of it is pure and exact;
+``jacobiator`` keeps the independent route through ``multiply``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _as_fraction, determinant, echelonize, inverse
+from .qlinalg import (EchelonResult, ExactMatrix, _as_fraction, _eliminate, _rescale,
+                      determinant, echelonize, inverse)
 
 Vec = tuple[Fraction, ...]
 Endo = ExactMatrix
@@ -62,18 +63,18 @@ def _triples(n: int) -> list[tuple[int, int, int]]:
 class SkewAlgebra:
     """A skew-symmetric algebra given by structure constants on pairs i < j.
 
-    The constructor fills ``_table[i][j]``, the vector of e_{i+1} * e_{j+1}, and
-    ``_ints``, that table over one common denominator as (integer table, den),
-    once; equality and hashing compare ``_table``, so zero and absent products agree.
+    The constructor converts each given pair once into ``_ints = (t, den)``: den
+    is the lcm of the reduced denominators, t[i][j] = den * (e_{i+1} e_{j+1}) and
+    t[j][i] = -t[i][j]. That form is canonical, so equality and hashing compare it.
     """
 
-    __slots__ = ("dim", "_table", "_ints")
+    __slots__ = ("dim", "_ints")
 
     def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence] | None = None):
         if not MIN_DIM <= dim <= MAX_DIM:
             raise UnsupportedDimError(f"dimension {dim} outside supported range "
                                       f"{MIN_DIM}..{MAX_DIM}")
-        table = [[zero_vec(dim)] * dim for _ in range(dim)]
+        given = {}
         for (i, j), coeffs in (products or {}).items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
@@ -81,11 +82,14 @@ class SkewAlgebra:
             if len(vec) != dim:
                 raise ValueError(f"product ({i},{j}) has {len(vec)} coefficients, "
                                  f"expected {dim}")
-            table[i - 1][j - 1] = vec
-            table[j - 1][i - 1] = tuple(-c for c in vec)
+            given[i - 1, j - 1] = vec
+        den = math.lcm(*(x.denominator for vec in given.values() for x in vec))
+        t = [[(0,) * dim] * dim for _ in range(dim)]
+        for (i, j), vec in given.items():
+            t[i][j] = v = tuple(x.numerator * (den // x.denominator) for x in vec)
+            t[j][i] = tuple(-x for x in v)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_table", tuple(map(tuple, table)))
-        object.__setattr__(self, "_ints", _integer_table(self._table))
+        object.__setattr__(self, "_ints", (tuple(map(tuple, t)), den))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAlgebra is immutable")
@@ -93,20 +97,21 @@ class SkewAlgebra:
     @property
     def products(self) -> dict[tuple[int, int], Vec]:
         """Nonzero product vectors, keyed by 1-based pairs i < j in lexicographic order."""
-        return {(i, j): v for (i, j) in _pairs(self.dim)
-                if any(v := self._table[i - 1][j - 1])}
+        t = self._ints[0]
+        return {(i, j): self.product(i, j) for i, j in _pairs(self.dim) if any(t[i - 1][j - 1])}
 
     def product(self, i: int, j: int) -> Vec:
         """Coefficient vector of e_i * e_j for 1-based i, j in 1..dim."""
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise IndexError(f"basis indices ({i},{j}) outside 1..{self.dim}")
-        return self._table[i - 1][j - 1]
+        t, den = self._ints
+        return tuple(Fraction(x, den) for x in t[i - 1][j - 1])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SkewAlgebra) and self._table == other._table
+        return isinstance(other, SkewAlgebra) and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash(self._table)
+        return hash(self._ints)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"e{i}e{j}->({', '.join(map(str, v))})"
@@ -155,22 +160,23 @@ def _check_vec(a: SkewAlgebra, v: Sequence) -> Vec:
     return vec
 
 
+def _mul(t, x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """den * (x*y) for integer vectors x, y: the sum over pairs r < s of
+    (x_r y_s - x_s y_r) t[r][s] (1-based), skipping zeros."""
+    out = [0] * len(t)
+    for r, s in _pairs(len(t)):
+        if c := x[r - 1] * y[s - 1] - x[s - 1] * y[r - 1]:
+            for k, v in enumerate(t[r - 1][s - 1]):
+                if v:
+                    out[k] += c * v
+    return out
+
+
 def multiply(a: SkewAlgebra, x: Sequence, y: Sequence) -> Vec:
-    """Bilinear skew-symmetric product of two vectors."""
-    x = _check_vec(a, x)
-    y = _check_vec(a, y)
-    out = [Fraction(0)] * a.dim
-    for xi, row in zip(x, a._table):
-        if xi == 0:
-            continue
-        for yj, prod in zip(y, row):
-            if yj == 0:
-                continue
-            coeff = xi * yj
-            for k, c in enumerate(prod):
-                if c != 0:
-                    out[k] += coeff * c
-    return tuple(out)
+    """Bilinear skew-symmetric product of two vectors: ``_mul`` on their integer rescalings."""
+    (x, dx), (y, dy) = _rescale(_check_vec(a, x)), _rescale(_check_vec(a, y))
+    q = a._ints[1] * dx * dy
+    return tuple(Fraction(v, q) for v in _mul(a._ints[0], x, y))
 
 
 def jacobiator(a: SkewAlgebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
@@ -181,16 +187,9 @@ def jacobiator(a: SkewAlgebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
                 multiply(a, multiply(a, z, x), y))
 
 
-def _integer_table(table) -> tuple[tuple, int]:
-    """A product table as integer constants over one common denominator den."""
-    den = math.lcm(*(x.denominator for row in table for v in row for x in v))
-    return tuple(tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in row)
-                 for row in table), den
-
-
 def _double_product(table, p: int, q: int, l: int) -> tuple:
     """(e_p e_q) e_l for 1-based p, q, l: the sum over s of c_pq^s e_s e_l,
-    contracted from a product table (``_table`` or integers) skipping zeros."""
+    contracted from an n x n table of product vectors (the integer t) skipping zeros."""
     out = [0] * len(table)
     for c, row in zip(table[p - 1][q - 1], table):
         if c != 0:
@@ -233,7 +232,9 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
     """The algebra in the basis given by the columns of p.
 
     The new product is x, y -> p^{-1} (p(x) * p(y)); transport by the
-    identity is the identity, and transports compose contravariantly.
+    identity is the identity, and transports compose contravariantly. With p's
+    columns x_i/dx_i, p^{-1}'s rows Q_k/dq_k and u = ``_mul`` of x_i and x_j, all
+    integer: c'_ij^k = Q_k . u / (den dx_i dx_j dq_k).
     """
     if not (p.is_square and p.rows == a.dim):
         raise DimensionMismatchError(f"transport of dim-{a.dim} algebra by "
@@ -242,9 +243,16 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
         pinv = inverse(p)
     except SingularMapError:
         raise SingularMapError("basis-change matrix is singular") from None
-    table = {(i, j): pinv.apply(multiply(a, p.column(i - 1), p.column(j - 1)))
-             for (i, j) in _pairs(a.dim)}
-    return SkewAlgebra(a.dim, table)
+    (t, den), n = a._ints, a.dim
+    cols = [_rescale(p.column(i)) for i in range(n)]
+    qrows = [_rescale(row) for row in pinv._rows]
+    products = {}
+    for i, j in _pairs(n):
+        (x, dx), (y, dy) = cols[i - 1], cols[j - 1]
+        u = _mul(t, x, y)
+        products[i, j] = [Fraction(sum(qs * us for qs, us in zip(q, u)), den * dx * dy * dq)
+                          for q, dq in qrows]
+    return SkewAlgebra(n, products)
 
 
 @dataclass(frozen=True)
@@ -279,8 +287,12 @@ def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
         dim = len(vecs[0])
     if any(len(v) != dim for v in vecs):
         raise DimensionMismatchError(f"spanning vectors must all have length {dim}")
-    ech = echelonize(ExactMatrix(vecs, cols=dim))
-    return Subspace(ExactMatrix._of(ech.reduced._rows[:ech.rank], dim), ech.rank)
+    return _subspace(echelonize(ExactMatrix(vecs, cols=dim)))
+
+
+def _subspace(ech: EchelonResult) -> Subspace:
+    """The subspace spanned by a reduction's rows: the nonzero rows of its RREF."""
+    return Subspace(ExactMatrix._of(ech.reduced._rows[:ech.rank], ech.reduced.cols), ech.rank)
 
 
 def full_space(n: int) -> Subspace:
@@ -296,8 +308,9 @@ def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
 
 
 def _derived_algebra(a: SkewAlgebra) -> Subspace:
-    """A·A, the span of the basis products, read off the product table."""
-    return span(a.products.values(), dim=a.dim)
+    """A·A: the span of t's upper-half integer rows, which ignores their factor den."""
+    t = a._ints[0]
+    return _subspace(_eliminate([t[i - 1][j - 1] for i, j in _pairs(a.dim)], a.dim, 1, False))
 
 
 @dataclass(frozen=True)
@@ -309,12 +322,12 @@ class SeriesReport:
 
 
 def _series(a: SkewAlgebra, kind: str) -> SeriesReport:
-    full = full_space(a.dim)
-    cur, nxt = full, _derived_algebra(a)
-    dims = [a.dim, nxt.dim]
-    while nxt != cur and nxt.dim > 0:
-        cur, nxt = nxt, subspace_product(a, nxt, full if kind == "central" else nxt)
-        dims.append(nxt.dim)
+    term = _derived_algebra(a)
+    dims = [a.dim, term.dim]
+    # the terms descend (A^{k+1} ⊆ A^k), so an equal dimension means an equal term
+    while 0 < dims[-1] < dims[-2]:
+        term = subspace_product(a, term, full_space(a.dim) if kind == "central" else term)
+        dims.append(term.dim)
     return SeriesReport(kind, tuple(dims))
 
 

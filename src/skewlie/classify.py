@@ -18,7 +18,7 @@ from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product,
                       basis_vec, is_lie, multiply, subspace_product, transport,
                       vscale, zero_vec)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
-from .qlinalg import ExactMatrix, determinant, echelonize, kernel_basis
+from .qlinalg import ExactMatrix, determinant, echelonize, inverse, kernel_basis
 
 ABELIAN = "Abelian"
 HEISENBERG = "HeisenbergNilpotent"
@@ -136,12 +136,9 @@ def _extend_with_standard(cols: list[Vec], n: int) -> list[Vec]:
 
 def _annihilator(a: SkewAlgebra) -> list[Vec]:
     """Basis of { r : r * x = 0 for all x } (two-sided, since the product is skew)."""
-    n = a.dim
-    rows = []
-    for j in range(1, n + 1):
-        for m in range(n):
-            rows.append([a.product(i, j)[m] for i in range(1, n + 1)])
-    return [tuple(v) for v in kernel_basis(ExactMatrix(rows, cols=n))]
+    n, t = a.dim, a._ints[0]  # the kernel ignores the common factor den
+    rows = [[t[i][j][m] for i in range(n)] for j in range(n) for m in range(n)]
+    return kernel_basis(ExactMatrix(rows, cols=n))
 
 
 def _classify_dim1_derived(a: SkewAlgebra, line) -> ClassificationResult:
@@ -205,13 +202,12 @@ def _classify_nonsolvable(a: SkewAlgebra) -> ClassificationResult:
     pair = _search_pairs(a, want_ns1=True, max_height=4)
     if pair is not None:
         x, y = pair
-        base = ExactMatrix.from_columns([x, y, multiply(a, x, y)])
-        b = transport(a, base)
-        if b.product(1, 2) != (0, 0, 1):
-            raise InvariantError("regular pair gives e1*e2 != e3")
-        alpha2 = b.product(1, 3)[0]
-        alpha3 = b.product(2, 3)[0]
-        # absorb the e1-component of e1*e3 into the first basis vector
+        z = multiply(a, x, y)
+        base = ExactMatrix.from_columns([x, y, z])
+        # e1-components of e1*e3, e2*e3 in the basis x, y, z, absorbed into the first
+        # vector; the check on the final witness also covers e1*e2 = e3
+        binv = inverse(base)
+        alpha2, alpha3 = (binv.apply(multiply(a, w, z))[0] for w in (x, y))
         shear = ExactMatrix.from_columns(
             [(1, -alpha2 / alpha3, 0), (0, 1, 0), (0, 0, 1)])
         witness = base @ shear
@@ -266,10 +262,12 @@ class LieTypeSolution:
 
 
 def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:
-    """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2."""
+    """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2, off the integer table."""
     if a.dim != 3:
         raise UnsupportedDimError("the Lie-type relation lives in dimension 3")
-    return tuple(_double_product(a._table, *t) for t in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+    t, den = a._ints
+    return tuple(tuple(Fraction(x, den * den) for x in _double_product(t, *p))
+                 for p in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
 
 
 def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,7 +40,11 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical textual form: ``p/q`` with q > 0 and gcd(p, q) = 1, or ``p``."""
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # raised only past the interpreter's int-to-str digit limit
+        raise ValueError(f"exact result too large to print: over {sys.get_int_max_str_digits()}"
+                         f" digits, Python's int-to-str limit (PYTHONINTMAXSTRDIGITS)") from None
 
 
 def _as_fraction(x) -> Fraction:
@@ -190,11 +195,16 @@ class EchelonResult:
         return basis
 
 
+def _rescale(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Fractions as integers over their denominator lcm k: (k * v, k)."""
+    k = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (k // x.denominator) for x in v], k
+
+
 def echelonize(m: ExactMatrix) -> EchelonResult:
     """Rescale each row to integers by its denominator lcm, then ``_eliminate``."""
-    mults = [math.lcm(*(x.denominator for x in row)) for row in m._rows]
-    rows = [[x.numerator * (k // x.denominator) for x in r] for k, r in zip(mults, m._rows)]
-    return _eliminate(rows, m.cols, math.prod(mults), m.is_square)
+    rows = [_rescale(r) for r in m._rows]
+    return _eliminate([r for r, _ in rows], m.cols, math.prod(k for _, k in rows), m.is_square)
 
 
 def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction, square: bool) -> EchelonResult:

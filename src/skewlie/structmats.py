@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (Endo, SkewAlgebra, Vec, _double_product, _pairs, _triples,
-                      basis_vec, multiply, vadd, zero_vec)
+                      as_vec, basis_vec, multiply, vadd, zero_vec)
 from .errors import DimensionMismatchError, UnsupportedDimError
 from .qlinalg import EchelonResult, ExactMatrix, _eliminate
 
@@ -44,7 +44,8 @@ def endo_of_vec(n: int, v: Sequence) -> Endo:
     """Inverse of ``vec_of_endo``."""
     if len(v) != n * n:
         raise DimensionMismatchError(f"vector of length {len(v)} is not n^2 for n={n}")
-    return ExactMatrix([[v[c * n + r] for c in range(n)] for r in range(n)])
+    v = as_vec(v)  # column c is v[c*n : c*n + n]
+    return ExactMatrix._of(tuple(zip(*(v[c * n:c * n + n] for c in range(n)))), n)
 
 
 def _check_endo(a: SkewAlgebra, f: Endo) -> None:

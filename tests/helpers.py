@@ -82,10 +82,11 @@ def fraction_build_HL(a: SkewAlgebra) -> ExactMatrix:
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
     # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
+    table = [[a.product(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     dp = {}
     for p, q in _pairs(n):
         for l in range(1, n + 1):
-            dp[p, q, l] = v = _double_product(a._table, p, q, l)
+            dp[p, q, l] = v = _double_product(table, p, q, l)
             dp[q, p, l] = tuple(-x for x in v)
     triples = _triples(n)
     grid = [[Fraction(0)] * (n * n) for _ in range(n * len(triples))]
@@ -116,6 +117,35 @@ def killing_by_trace(a: SkewAlgebra) -> ExactMatrix:
             row.append(sum((prod[k, k] for k in range(n)), Fraction(0)))
         entries.append(row)
     return ExactMatrix(entries)
+
+
+# ---------------------------------------------------------------------------
+# reference product and transport: Fraction sums over a.product, independent of
+# the package's integer kernel
+# ---------------------------------------------------------------------------
+
+def fraction_product(a: SkewAlgebra, x, y) -> tuple:
+    """x * y as the sum over all i, j of x_i y_j a.product(i, j)."""
+    n = a.dim
+    out = [Fraction(0)] * n
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k, c in enumerate(a.product(i, j)):
+                out[k] += Fraction(x[i - 1]) * Fraction(y[j - 1]) * c
+    return tuple(out)
+
+
+def fraction_transport(a: SkewAlgebra, p: ExactMatrix) -> SkewAlgebra:
+    """The algebra with products p^{-1}(p e_i * p e_j), p^{-1} read off the
+    rational RREF of [p | I]."""
+    n = a.dim
+    aug = ExactMatrix([list(p.row(r)) + [int(r == c) for c in range(n)] for r in range(n)])
+    pinv = [row[n:] for row in fraction_rref(aug).reduced.row_list()]
+    products = {}
+    for i, j in _pairs(n):
+        v = fraction_product(a, p.column(i - 1), p.column(j - 1))
+        products[i, j] = [sum((q * x for q, x in zip(row, v)), Fraction(0)) for row in pinv]
+    return SkewAlgebra(n, products)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +211,13 @@ def rand_invertible(rng, n, height=3) -> ExactMatrix:
     while True:
         p = rand_endo(rng, n, height)
         if determinant(p) != 0:
+            return p
+
+
+def rand_rational_invertible(rng, n) -> ExactMatrix:
+    while True:
+        p = ExactMatrix([[rand_fraction(rng, 4, 3) for _ in range(n)] for _ in range(n)])
+        if cofactor_determinant(p.row_list()) != 0:
             return p
 
 

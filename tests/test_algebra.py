@@ -17,8 +17,9 @@ from skewlie.errors import (DimensionMismatchError, SingularMapError,
 
 from skewlie.sampler import SampleConfig, random_algebra
 
-from helpers import (counterexample4, killing_by_trace, rand_algebra,
-                     rand_invertible, rand_vec, rigid_dim4)
+from helpers import (counterexample4, fraction_product, fraction_transport,
+                     killing_by_trace, rand_algebra, rand_fraction, rand_invertible,
+                     rand_rational_invertible, rand_vec, rigid_dim4)
 
 algebras3 = st.builds(lambda cs: algebra3(*cs),
                       st.tuples(*([st.integers(-3, 3)] * 9)))
@@ -49,6 +50,17 @@ def test_product_lookup_is_skew():
 def test_product_rejects_indices_outside_basis(i, j):
     with pytest.raises(IndexError):
         heisenberg().product(i, j)
+
+
+def test_equal_constants_compare_and_hash_equal():
+    # "2/4" and Fraction(1, 2) reduce alike, and an explicit zero pair is absent
+    spelled = [SkewAlgebra(3, {(1, 2): ("2/4", 0, 1)}),
+               SkewAlgebra(3, {(1, 2): (Fraction(1, 2), 0, 1)}),
+               SkewAlgebra(3, {(1, 2): ("1/2", "0", "1"), (1, 3): (0, 0, 0), (2, 3): ("0/5", 0, 0)})]
+    assert all(b == spelled[0] and hash(b) == hash(spelled[0]) for b in spelled)
+    assert len(set(spelled)) == 1
+    assert SkewAlgebra(3, {(1, 2): (1, 0, 0)}) != SkewAlgebra(3, {(1, 2): (2, 0, 0)})
+    assert abelian(3) == SkewAlgebra(3, {(2, 3): (0, 0, 0)}) != abelian(4)
 
 
 def test_zero_products_are_dropped():
@@ -154,11 +166,38 @@ def jacobiator_vanishes(a):
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_double_product_matches_multiply_twice(dim):
     for a in route_algebras(dim):
+        table = [[a.product(i, j) for j in range(1, dim + 1)] for i in range(1, dim + 1)]
         for p in range(1, dim + 1):
             for q in range(1, dim + 1):
                 pq = multiply(a, basis_vec(dim, p), basis_vec(dim, q))
                 for l in range(1, dim + 1):
-                    assert _double_product(a._table, p, q, l) == multiply(a, pq, basis_vec(dim, l))
+                    assert _double_product(table, p, q, l) == multiply(a, pq, basis_vec(dim, l))
+
+
+def kernel_route_algebras(dim, rng):
+    """``route_algebras`` plus one with rational constants drawn directly."""
+    rational = SkewAlgebra(dim, {(i, j): [rand_fraction(rng) for _ in range(dim)]
+                                 for i in range(1, dim + 1) for j in range(i + 1, dim + 1)})
+    assert any(c.denominator > 1 for v in rational.products.values() for c in v)
+    return route_algebras(dim) + [rational]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_multiply_matches_sum_of_products_on_rational_vectors(dim):
+    rng = random.Random(100 + dim)
+    for a in kernel_route_algebras(dim, rng):
+        for _ in range(4):
+            x = [rand_fraction(rng) for _ in range(dim)]
+            y = [rand_fraction(rng) for _ in range(dim)]
+            assert multiply(a, x, y) == fraction_product(a, x, y)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_transport_matches_fraction_oracle(dim):
+    rng = random.Random(200 + dim)
+    for a in kernel_route_algebras(dim, rng):
+        for p in (rand_invertible(rng, dim), rand_rational_invertible(rng, dim)):
+            assert transport(a, p) == fraction_transport(a, p)
 
 
 @pytest.mark.parametrize("name", sorted(LIE_FIXTURES))

@@ -322,6 +322,20 @@ def test_lie_type_rejects_other_dimensions():
 
 # --- normal-form invariants (explicit checks, kept under python -O) ---
 
+@pytest.mark.parametrize("seed", range(4))
+def test_ns1_classify_transports_once(seed, monkeypatch):
+    # the shear is read off base^-1; only the final witness is transported
+    rng = random.Random(seed)
+    a = transport(ns1_family(1, 2, -1, Fraction(1, 2), 3), rand_invertible(rng, 3))
+    calls = []
+    monkeypatch.setattr(classify_module, "transport",
+                        lambda b, p: calls.append(1) or transport(b, p))
+    result = classify(a)
+    assert result.tag == NS1 and len(calls) == 1
+    monkeypatch.undo()
+    assert_sound(a, result)
+
+
 def _without_ns1_pairs(monkeypatch):
     """Make the NS1 pair search come up empty, so the NS2 fallback runs."""
     search = classify_module._search_pairs

@@ -16,7 +16,7 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, aut_dimension, build_HL,
                      build_M, determinant, filiform5, format_rational,
                      heisenberg, is_homlie, is_nilpotent, is_solvable,
                      orbit_dimension, rank, transport)
-from skewlie import algebra as alg, structmats as sm
+from skewlie import algebra as alg, qlinalg as ql, structmats as sm
 from skewlie.cli import main, parse_algebra, serialize_algebra
 from skewlie.errors import InvariantError, ParseError
 
@@ -225,17 +225,20 @@ def test_sample_builds_each_operator_once_per_trial(dim, capsys, monkeypatch):
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_sample_converts_each_algebra_to_integers_once_per_trial(dim, capsys, monkeypatch):
-    # is_lie, _M_rows and _HL_rows all read the one integer table of the algebra;
-    # the converter is counted in every module that could bind it
-    calls = []
-    original = alg._integer_table
-    for mod in (alg, sm):
-        monkeypatch.setattr(mod, "_integer_table", lambda t: calls.append(1) or original(t),
+    # each trial constructs one algebra, whose constructor converts it to integers
+    # once; is_lie, _M_rows and _HL_rows read that tensor, so no vector is rescaled
+    # (the rescale helper is counted in every module that could bind it)
+    constructed, rescaled = [], []
+    init, rescale = alg.SkewAlgebra.__init__, ql._rescale
+    monkeypatch.setattr(alg.SkewAlgebra, "__init__",
+                        lambda self, *args: constructed.append(1) or init(self, *args))
+    for mod in (alg, ql, sm):
+        monkeypatch.setattr(mod, "_rescale", lambda v: rescaled.append(1) or rescale(v),
                             raising=False)
     assert main(["sample", "--dim", str(dim), "--trials", "6", "--seed", "5",
                  "--json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 6
+    assert (len(constructed), len(rescaled)) == (6, 0)
 
 
 def test_json_reports_are_byte_stable(tmp_path, capsys):
@@ -331,6 +334,26 @@ def test_exit_2_on_non_ascii_digits(tmp_path, capsys):
                      '{"dim": 3, "products": [{"i": 1, "j": 2, "c": ["\u0661/\u0662", "0", "0"]}]}')
     assert main(["analyze", path]) == 2
     assert "not a rational literal" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter prints integers of any length")
+@pytest.mark.parametrize("cmd", ["killing", "analyze"])
+def test_exit_2_naming_the_cause_when_a_result_is_too_long_to_print(cmd, tmp_path, capsys):
+    # 2,200-digit constants parse, but the Killing form squares them past the limit
+    big = "7" * 2200
+    doc = {"dim": 3, "products": [{"i": 1, "j": 2, "c": ["0", big, "0"]},
+                                  {"i": 1, "j": 3, "c": ["0", "0", big]}]}
+    path = write_doc(tmp_path, "big.json", json.dumps(doc))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
+    try:
+        assert main([cmd, path, "--json"]) == 2
+    finally:
+        sys.set_int_max_str_digits(saved)
+    err = capsys.readouterr().err
+    assert err.startswith("error: exact result too large to print: over 4300 digits")
+    assert "Traceback" not in err
 
 
 def test_exit_2_on_sample_height_beyond_64_bit_draw(capsys):
