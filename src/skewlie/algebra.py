@@ -162,13 +162,15 @@ def _check_vec(a: SkewAlgebra, v: Sequence) -> Vec:
 
 def _mul(t, x: Sequence[int], y: Sequence[int]) -> list[int]:
     """den * (x*y) for integer vectors x, y: the sum over pairs r < s of
-    (x_r y_s - x_s y_r) t[r][s] (1-based), skipping zeros."""
-    out = [0] * len(t)
-    for r, s in _pairs(len(t)):
-        if c := x[r - 1] * y[s - 1] - x[s - 1] * y[r - 1]:
-            for k, v in enumerate(t[r - 1][s - 1]):
-                if v:
-                    out[k] += c * v
+    (x_r y_s - x_s y_r) t[r][s], skipping zeros."""
+    n = len(t)
+    out = [0] * n
+    for r in range(n):
+        for s in range(r + 1, n):
+            if c := x[r] * y[s] - x[s] * y[r]:
+                for k, v in enumerate(t[r][s]):
+                    if v:
+                        out[k] += c * v
     return out
 
 

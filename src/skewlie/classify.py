@@ -10,15 +10,15 @@ input by it reproduces the normal form with the reported parameters exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product,
-                      basis_vec, is_lie, multiply, subspace_product, transport,
-                      vscale, zero_vec)
+                      _mul, basis_vec, is_lie, multiply, transport, vscale, zero_vec)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
-from .qlinalg import ExactMatrix, determinant, echelonize, inverse, kernel_basis
+from .qlinalg import ExactMatrix, _eliminate, _rescale, echelonize
 
 ABELIAN = "Abelian"
 HEISENBERG = "HeisenbergNilpotent"
@@ -63,23 +63,23 @@ def ns2_family(a2, b2, g2, b3, g3) -> SkewAlgebra:
                            (2, 3): (0, b3, g3)})
 
 
-def _vectors_up_to(n: int, height: int) -> list[Vec]:
-    """Integer vectors of max-norm 1..height, heights ascending; within one
-    height the first coordinate varies fastest through 0, 1, -1, 2, -2, ..."""
-    out: list[Vec] = []
-    for h in range(1, height + 1):
-        vals = [0]
-        for v in range(1, h + 1):
-            vals.extend((v, -v))
-        for tup in itertools.product(vals, repeat=n):
-            vec = tup[::-1]
-            if max(abs(c) for c in vec) == h:
-                out.append(tuple(Fraction(c) for c in vec))
-    return out
+@functools.cache
+def _vectors_up_to(n: int, height: int) -> tuple[tuple[int, ...], ...]:
+    """Integer vectors of max-norm 1..height, heights ascending; within one height
+    the first coordinate varies fastest through 0, 1, -1, 2, -2, ... (built once)."""
+    if height == 0:
+        return ()
+    vals = sorted(range(-height, height + 1), key=lambda v: (abs(v), -v))  # 0, 1, -1, ...
+    return _vectors_up_to(n, height - 1) + tuple(
+        tup[::-1] for tup in itertools.product(vals, repeat=n) if max(map(abs, tup)) == height)
 
 
-def _height(v: Vec) -> int:
-    return max(abs(int(c)) for c in v)
+def _cross(u, v) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _search_pairs(a: SkewAlgebra, want_ns1: bool,
@@ -89,21 +89,20 @@ def _search_pairs(a: SkewAlgebra, want_ns1: bool,
     # alone: <= 2). A nonzero P cannot vanish on a grid of 7 points per
     # coordinate (Alon, Combinatorial Nullstellensatz, 1999), so height 3
     # suffices and 4 leaves margin; heights ascend, so the bound changes no output.
+    # With z = _mul(t, x, y) = den * xy each factor is an integer triple product
+    # times a power of den, which leaves its zero test alone.
+    t = a._ints[0]
     for bound in range(1, max_height + 1):
         vecs = _vectors_up_to(3, bound)
-        for x in vecs:
-            hx = _height(x)
-            for y in vecs:
-                if max(hx, _height(y)) != bound:
+        low = len(_vectors_up_to(3, bound - 1))  # x or y must reach height bound
+        for i, x in enumerate(vecs):
+            for y in vecs[low if i < low else 0:]:
+                z = _mul(t, x, y)
+                if not _dot(x, _cross(y, z)):
                     continue
-                z = multiply(a, x, y)
-                if determinant(ExactMatrix.from_columns([x, y, z])) == 0:
+                if want_ns1 and not _dot(y, _cross(z, _mul(t, y, z))):
                     continue
-                if want_ns1:
-                    yz = multiply(a, y, z)
-                    if determinant(ExactMatrix.from_columns([y, z, yz])) == 0:
-                        continue
-                return x, y
+                return tuple(map(Fraction, x)), tuple(map(Fraction, y))
     return None
 
 
@@ -111,9 +110,9 @@ def find_regular_pair(a: SkewAlgebra, max_height: int = 4) -> tuple[Vec, Vec]:
     """First pair (x, y) in the deterministic enumeration with x, y, x*y
     linearly independent.
 
-    Exists for every non-solvable dimension-3 algebra; raises
-    RegularPairNotFoundError once the height bound is exhausted (solvable
-    input, or raise ``max_height``).
+    Exists for every non-solvable dimension-3 algebra and some solvable ones
+    (Heisenberg: e1, e2), and then one of height 1 does; raises
+    RegularPairNotFoundError once the height bound is exhausted.
     """
     if a.dim != 3:
         raise UnsupportedDimError("regular-pair search is a dimension-3 operation")
@@ -138,58 +137,54 @@ def _annihilator(a: SkewAlgebra) -> list[Vec]:
     """Basis of { r : r * x = 0 for all x } (two-sided, since the product is skew)."""
     n, t = a.dim, a._ints[0]  # the kernel ignores the common factor den
     rows = [[t[i][j][m] for i in range(n)] for j in range(n) for m in range(n)]
-    return kernel_basis(ExactMatrix(rows, cols=n))
+    return _eliminate(rows, n, 1, False).kernel()
 
 
 def _classify_dim1_derived(a: SkewAlgebra, line) -> ClassificationResult:
-    w = line.basis_vectors()[0]
-    ew = [multiply(a, basis_vec(3, i), w) for i in range(1, 4)]  # e_i w
+    (t, den), w = a._ints, line.basis_vectors()[0]
+    wi = _rescale(w)[0]  # k * w
+    ew = [_mul(t, e, wi) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]  # den * k * e_i w
     if not any(map(any, ew)):
         # nilpotent: pick the first basis pair with a nonzero product, which
         # together with that product forms a basis
         (i, j), uv = next(iter(a.products.items()))
         witness = ExactMatrix.from_columns([basis_vec(3, i), basis_vec(3, j), uv])
         return ClassificationResult(HEISENBERG, {}, witness, True)
-    # not nilpotent: products span the line and multiplication by w acts on it
-    pivot = next(i for i, c in enumerate(w) if c != 0)
-    lam = [v[pivot] / w[pivot] for v in ew]
-    lead = next(i for i, l in enumerate(lam) if l != 0)
-    f1 = vscale(1 / lam[lead], basis_vec(3, lead + 1))
+    # not nilpotent: products span the line, e_lead w = lam w for the first lam != 0
+    pivot = next(i for i, c in enumerate(wi) if c)
+    lead = next(i for i, v in enumerate(ew) if v[pivot])
+    f1 = vscale(Fraction(den * wi[pivot], ew[lead][pivot]), basis_vec(3, lead + 1))  # e_lead / lam
     f2 = _annihilator(a)[0]
     witness = ExactMatrix.from_columns([f1, f2, w])
     return ClassificationResult(SOLVABLE_LIE_LINE, {}, witness, True)
 
 
+def _params(den: int, **entries: int) -> dict[str, Fraction]:
+    """The reported parameters x / den; the normal-form checks before them read the
+    transported algebra's integer rows ``_ints``, not its ``Fraction`` view."""
+    return {name: Fraction(x, den) for name, x in entries.items()}
+
+
 def _classify_dim2_derived(a: SkewAlgebra, plane) -> ClassificationResult:
-    d2 = subspace_product(a, plane, plane)
-    if d2.dim == 0:
-        f2, f3 = plane.basis_vectors()
-        f1 = _extend_with_standard([f2, f3], 3)[2]
-        witness = ExactMatrix.from_columns([f1, f2, f3])
-        b = transport(a, witness)
-        p12, p13 = b.product(1, 2), b.product(1, 3)
-        if not (p12[0] == p13[0] == 0 and b.product(2, 3) == zero_vec(3)):
-            raise InvariantError("SolvableLiePlane witness misses the normal form")
-        params = {"beta1": p12[1], "gamma1": p12[2],
-                  "beta2": p13[1], "gamma2": p13[2]}
-        return ClassificationResult(SOLVABLE_LIE_PLANE, params, witness, True)
-    # second derived term is a line inside the plane
-    f3 = d2.basis_vectors()[0]
-    f2 = next(v for v in plane.basis_vectors()
-              if echelonize(ExactMatrix([f3, v], cols=3)).rank == 2)
-    scale = multiply(a, f2, f3)
-    pivot = next(i for i, c in enumerate(f3) if c != 0)
-    f2 = vscale(f3[pivot] / scale[pivot], f2)
-    f1 = _extend_with_standard([f2, f3], 3)[2]
-    witness = ExactMatrix.from_columns([f1, f2, f3])
-    b = transport(a, witness)
-    p12, p13 = b.product(1, 2), b.product(1, 3)
-    if not (b.product(2, 3) == (0, 0, 1) and p12[0] == p13[0] == 0
-            and (p12[1] != 0 or p13[1] != 0)):
-        raise InvariantError("SolvableNonLie witness misses the normal form")
-    params = {"beta1": p12[1], "gamma1": p12[2],
-              "beta2": p13[1], "gamma2": p13[2]}
-    return ClassificationResult(SOLVABLE_NON_LIE, params, witness, is_lie(a))
+    (t, den), (f2, f3) = a._ints, plane.basis_vectors()
+    u, v = _rescale(f2)[0], _rescale(f3)[0]
+    w = _mul(t, u, v)  # spans the second derived term, the plane times itself
+    line = any(w)  # that term is a line (SolvableNonLie) or 0 (SolvableLiePlane)
+    if line:
+        # f3 is w with first entry 1, f2 the first plane vector off that line,
+        # scaled so that f2 * f3 = f3
+        pivot = next(i for i, c in enumerate(w) if c)
+        f3 = tuple(Fraction(c, w[pivot]) for c in w)
+        r = next(r for r in (u, v) if any(_cross(w, r)))
+        f2 = tuple(Fraction(c * den * w[pivot], _mul(t, r, w)[pivot]) for c in r)
+    tag = SOLVABLE_NON_LIE if line else SOLVABLE_LIE_PLANE
+    witness = ExactMatrix.from_columns([_extend_with_standard([f2, f3], 3)[2], f2, f3])
+    bt, d = transport(a, witness)._ints
+    p12, p13, p23 = bt[0][1], bt[0][2], bt[1][2]
+    if not (p12[0] == p13[0] == 0 and p23 == (0, 0, d if line else 0) and (p12[1] or p13[1])):
+        raise InvariantError(f"{tag} witness misses the normal form")
+    params = _params(d, beta1=p12[1], gamma1=p12[2], beta2=p13[1], gamma2=p13[2])
+    return ClassificationResult(tag, params, witness, not line or is_lie(a))
 
 
 def _classify_nonsolvable(a: SkewAlgebra) -> ClassificationResult:
@@ -202,30 +197,30 @@ def _classify_nonsolvable(a: SkewAlgebra) -> ClassificationResult:
     pair = _search_pairs(a, want_ns1=True, max_height=4)
     if pair is not None:
         x, y = pair
-        z = multiply(a, x, y)
-        base = ExactMatrix.from_columns([x, y, z])
-        # e1-components of e1*e3, e2*e3 in the basis x, y, z, absorbed into the first
-        # vector; the check on the final witness also covers e1*e2 = e3
-        binv = inverse(base)
-        alpha2, alpha3 = (binv.apply(multiply(a, w, z))[0] for w in (x, y))
-        shear = ExactMatrix.from_columns(
-            [(1, -alpha2 / alpha3, 0), (0, 1, 0), (0, 0, 1)])
-        witness = base @ shear
-        c = transport(a, witness)
-        p13, p23 = c.product(1, 3), c.product(2, 3)
-        if not (c.product(1, 2) == (0, 0, 1) and p13[0] == 0 and p23[0] * p13[1] != 0):
+        (t, den), xi, yi = a._ints, [c.numerator for c in x], [c.numerator for c in y]
+        z = _mul(t, xi, yi)  # den * xy
+        # Row 0 of [x, y, xy]^-1 is (y x xy) / det, so the e1-components of e1*e3 and
+        # e2*e3 in the basis x, y, xy have the integer ratio below (den cancels; its
+        # denominator is det[y, xy, y(xy)] != 0), which the shear x - ratio * y absorbs
+        row0 = _cross(yi, z)
+        ratio = Fraction(_dot(row0, _mul(t, xi, z)), _dot(row0, _mul(t, yi, z)))
+        witness = ExactMatrix.from_columns(
+            [[p - ratio * q for p, q in zip(x, y)], y, [Fraction(c, den) for c in z]])
+        bt, d = transport(a, witness)._ints
+        p12, p13, p23 = bt[0][1], bt[0][2], bt[1][2]
+        if not (p12 == (0, 0, d) and p13[0] == 0 and p23[0] * p13[1] != 0):
             raise InvariantError("NonSolvableNS1 witness misses the normal form")
-        params = {"beta2": p13[1], "gamma2": p13[2],
-                  "alpha3": p23[0], "beta3": p23[1], "gamma3": p23[2]}
+        params = _params(d, beta2=p13[1], gamma2=p13[2],
+                         alpha3=p23[0], beta3=p23[1], gamma3=p23[2])
         return ClassificationResult(NS1, params, witness, is_lie(a))
     x, y = find_regular_pair(a)
     witness = ExactMatrix.from_columns([x, y, multiply(a, x, y)])
-    b = transport(a, witness)
-    p13, p23 = b.product(1, 3), b.product(2, 3)
-    if not (b.product(1, 2) == (0, 0, 1) and p23[0] == 0 and p13[0] * p23[1] != 0):
+    bt, d = transport(a, witness)._ints
+    p12, p13, p23 = bt[0][1], bt[0][2], bt[1][2]
+    if not (p12 == (0, 0, d) and p23[0] == 0 and p13[0] * p23[1] != 0):
         raise InvariantError("NonSolvableNS2 witness misses the normal form")
-    params = {"alpha2": p13[0], "beta2": p13[1], "gamma2": p13[2],
-              "beta3": p23[1], "gamma3": p23[2]}
+    params = _params(d, alpha2=p13[0], beta2=p13[1], gamma2=p13[2],
+                     beta3=p23[1], gamma3=p23[2])
     return ClassificationResult(NS2, params, witness, is_lie(a))
 
 
@@ -261,13 +256,17 @@ class LieTypeSolution:
     admissible: bool
 
 
-def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:
-    """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2, off the integer table."""
+def _cyclic_ints(a: SkewAlgebra) -> list[tuple[int, ...]]:
+    """den² times the cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2, off the integer t."""
     if a.dim != 3:
         raise UnsupportedDimError("the Lie-type relation lives in dimension 3")
-    t, den = a._ints
-    return tuple(tuple(Fraction(x, den * den) for x in _double_product(t, *p))
-                 for p in ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+    return [_double_product(a._ints[0], *p) for p in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+
+
+def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:
+    """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2."""
+    terms, q = _cyclic_ints(a), a._ints[1] ** 2
+    return tuple(tuple(Fraction(x, q) for x in v) for v in terms)
 
 
 def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:
@@ -280,17 +279,16 @@ def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:
 
 def lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:
     """Solve for constant coefficients (a, b) of the Lie-type relation on the
-    basis triple, with coefficient 1 on the first cyclic term."""
-    t1, t2, t3 = _cyclic_terms(a)
-    ech_a = echelonize(ExactMatrix.from_columns([t2, t3]))
+    basis triple, with coefficient 1 on the first cyclic term. The integer
+    terms carry a common factor den², which changes no solution."""
+    t1, t2, t3 = _cyclic_ints(a)
+    ech_a = _eliminate(list(zip(t2, t3)), 2, 1, False)
     homogeneous = tuple((v[0], v[1]) for v in ech_a.kernel())
-    aug = ExactMatrix([[t2[m], t3[m], -t1[m]] for m in range(3)], cols=3)
-    ech_aug = echelonize(aug)
+    ech_aug = _eliminate([(p, q, -r) for p, q, r in zip(t2, t3, t1)], 3, 1, False)
     if ech_aug.rank > ech_a.rank:
         return LieTypeSolution(None, homogeneous, False)
-    particular = [Fraction(0), Fraction(0)]
+    part = [Fraction(0), Fraction(0)]
     for row, pc in enumerate(ech_a.pivot_columns):
-        particular[pc] = ech_aug.reduced[row, 2]
-    part = (particular[0], particular[1])
+        part[pc] = ech_aug.reduced[row, 2]
     admissible = part[0] != 0 or any(h[0] != 0 for h in homogeneous)
-    return LieTypeSolution(part, homogeneous, admissible)
+    return LieTypeSolution(tuple(part), homogeneous, admissible)

@@ -3,9 +3,13 @@ reference tables used across the suite."""
 
 from fractions import Fraction
 
+import itertools
+
 from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, algebra3,
-                     basis_vec, echelonize, left_mult)
+                     basis_vec, determinant, echelonize, inverse, left_mult,
+                     multiply)
 from skewlie.algebra import Vec, _double_product, _pairs, _triples
+from skewlie.classify import LieTypeSolution, _cyclic_terms
 from skewlie.errors import UnsupportedDimError
 
 
@@ -362,6 +366,79 @@ def greedy_extend_with_standard(cols: list[Vec], n: int) -> list[Vec]:
         if r > current:
             chosen, current = cand, r
     return chosen
+
+
+# Reference dim-3 classification steps on Fraction vectors: the regular-pair
+# search by ExactMatrix determinants, the first non-solvable witness through
+# inverse, apply and @, and the Lie-type solver by echelonize. These are the
+# bodies classify had before it worked on the integer tensor.
+
+def fraction_vectors_up_to(n: int, height: int) -> list[Vec]:
+    """Integer vectors of max-norm 1..height, heights ascending; within one
+    height the first coordinate varies fastest through 0, 1, -1, 2, -2, ..."""
+    out: list[Vec] = []
+    for h in range(1, height + 1):
+        vals = [0]
+        for v in range(1, h + 1):
+            vals.extend((v, -v))
+        for tup in itertools.product(vals, repeat=n):
+            vec = tup[::-1]
+            if max(abs(c) for c in vec) == h:
+                out.append(tuple(Fraction(c) for c in vec))
+    return out
+
+
+def _height(v: Vec) -> int:
+    return max(abs(int(c)) for c in v)
+
+
+def fraction_search_pairs(a: SkewAlgebra, want_ns1: bool,
+                          max_height: int) -> tuple[Vec, Vec] | None:
+    for bound in range(1, max_height + 1):
+        vecs = fraction_vectors_up_to(3, bound)
+        for x in vecs:
+            hx = _height(x)
+            for y in vecs:
+                if max(hx, _height(y)) != bound:
+                    continue
+                z = multiply(a, x, y)
+                if determinant(ExactMatrix.from_columns([x, y, z])) == 0:
+                    continue
+                if want_ns1:
+                    yz = multiply(a, y, z)
+                    if determinant(ExactMatrix.from_columns([y, z, yz])) == 0:
+                        continue
+                return x, y
+    return None
+
+
+def fraction_ns1_witness(a: SkewAlgebra, x: Vec, y: Vec) -> ExactMatrix:
+    """[x, y, xy] sheared so that e1*e3 and e2*e3 lose their e1-components."""
+    z = multiply(a, x, y)
+    base = ExactMatrix.from_columns([x, y, z])
+    # e1-components of e1*e3, e2*e3 in the basis x, y, z, absorbed into the first
+    # vector; the check on the final witness also covers e1*e2 = e3
+    binv = inverse(base)
+    alpha2, alpha3 = (binv.apply(multiply(a, w, z))[0] for w in (x, y))
+    shear = ExactMatrix.from_columns(
+        [(1, -alpha2 / alpha3, 0), (0, 1, 0), (0, 0, 1)])
+    return base @ shear
+
+
+def fraction_lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:
+    t1, t2, t3 = _cyclic_terms(a)
+    ech_a = echelonize(ExactMatrix.from_columns([t2, t3]))
+    homogeneous = tuple((v[0], v[1]) for v in ech_a.kernel())
+    aug = ExactMatrix([[t2[m], t3[m], -t1[m]] for m in range(3)], cols=3)
+    ech_aug = echelonize(aug)
+    if ech_aug.rank > ech_a.rank:
+        return LieTypeSolution(None, homogeneous, False)
+    particular = [Fraction(0), Fraction(0)]
+    for row, pc in enumerate(ech_a.pivot_columns):
+        particular[pc] = ech_aug.reduced[row, 2]
+    part = (particular[0], particular[1])
+    admissible = part[0] != 0 or any(h[0] != 0 for h in homogeneous)
+    return LieTypeSolution(part, homogeneous, admissible)
 
 
 def normal_form_of(result):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
                      classify, determinant, echelonize, find_regular_pair,
@@ -15,7 +16,9 @@ from skewlie.classify import (ABELIAN, HEISENBERG, NS1, NS2, SOLVABLE_LIE_LINE,
 from skewlie.errors import (InvariantError, RegularPairNotFoundError,
                             UnsupportedDimError)
 
-from helpers import (greedy_extend_with_standard, normal_form_of, rand_algebra,
+from helpers import (fraction_lie_type_constants, fraction_ns1_witness,
+                     fraction_search_pairs, fraction_vectors_up_to,
+                     greedy_extend_with_standard, normal_form_of, rand_algebra,
                      rand_fraction, rand_invertible, rand_nonzero_fraction)
 
 # the package attribute ``skewlie.classify`` is the function, not the module
@@ -365,3 +368,141 @@ def test_wrong_normal_form_raises_invariant_error(monkeypatch, a, ns2_fallback):
     monkeypatch.setattr(classify_module, "transport", lambda a, p: wrong)
     with pytest.raises(InvariantError, match="normal form|e1\\*e2"):
         classify(a)
+
+
+# --- integer routes against their Fraction oracles ---
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+nonzero_fractions = fractions.filter(bool)
+integer_algebras = st.builds(lambda cs: algebra3(*cs), st.tuples(*[st.integers(-3, 3)] * 9))
+# mostly zero constants, so that the basis pairs fail and later candidates are reached
+sparse_algebras = st.builds(lambda cs: algebra3(*cs),
+                            st.tuples(*[st.sampled_from((0, 0, 0, 1, -1, 2))] * 9))
+rational_algebras = st.builds(lambda cs: algebra3(*cs),
+                              st.tuples(*[fractions] * 9)).filter(lambda a: a._ints[1] > 1)
+
+
+def _lie_plane(draw):
+    b1, g1, b2, g2 = (draw(fractions) for _ in range(4))
+    assume(b1 * g2 != b2 * g1)  # e1 acts invertibly on the derived plane
+    return SkewAlgebra(3, {(1, 2): (0, b1, g1), (1, 3): (0, b2, g2)})
+
+
+SEVEN_FAMILIES = {
+    "abelian": lambda d: abelian(3),
+    "heisenberg": lambda d: heisenberg(),
+    "line": lambda d: SkewAlgebra(3, {(1, 3): (0, 0, 1)}),
+    "plane": _lie_plane,
+    "sol": lambda d: sol_family(d(nonzero_fractions), d(fractions), d(fractions), d(fractions)),
+    "ns1": lambda d: ns1_family(d(nonzero_fractions), d(fractions), d(nonzero_fractions),
+                                d(fractions), d(fractions)),
+    "ns2": lambda d: ns2_family(d(nonzero_fractions), d(fractions), d(fractions),
+                                d(nonzero_fractions), d(fractions)),
+}
+
+
+@st.composite
+def families_in_rational_basis(draw, names=tuple(SEVEN_FAMILIES)):
+    """A normal form of one of the families moved to a random rational basis."""
+    normal = SEVEN_FAMILIES[draw(st.sampled_from(names))](draw)
+    p = ExactMatrix([[draw(fractions) for _ in range(3)] for _ in range(3)])
+    assume(determinant(p) != 0)
+    return transport(normal, p)
+
+
+search_inputs = st.one_of(integer_algebras, sparse_algebras, rational_algebras,
+                          families_in_rational_basis())
+
+
+@given(search_inputs)
+def test_search_pairs_matches_fraction_oracle(a):
+    # An exhausted oracle search takes about a second per height past 1, so the
+    # loop stops at the first empty height past 1. The tables agree at every
+    # height (test_candidate_tables_match_fraction_enumeration), and
+    # test_ns1_search_empty_when_no_ns1_pair_exists covers empty searches.
+    for want_ns1 in (False, True):
+        for h in range(1, 5):
+            got = classify_module._search_pairs(a, want_ns1, h)
+            if got is None and h > 1:
+                break
+            assert got == fraction_search_pairs(a, want_ns1, h)
+    # det[x, y, xy] has degree <= 2 in each coordinate, so a regular pair, if
+    # any exists, has height 1 (find_regular_pair's docstring)
+    search = classify_module._search_pairs
+    assert search(a, False, 2) == search(a, False, 1)
+
+
+@pytest.mark.parametrize("normal", [abelian(3), heisenberg(),
+                                    SkewAlgebra(3, {(1, 3): (0, 0, 1)}),
+                                    algebra3(0, 1, 0, 0, 0, 1, 0, 0, 0)])
+def test_ns1_search_empty_when_no_ns1_pair_exists(normal):
+    # y, xy, y(xy) lie in a derived line, or in a plane on which y acts as a
+    # scalar, so no NS1 pair exists at any height. (Regular pairs alone exist
+    # in some solvable algebras: Heisenberg has e1, e2.)
+    a = transport(normal, ExactMatrix([[Fraction(1, 2), 1, 0], [0, Fraction(2, 3), 1],
+                                       [1, 0, Fraction(-1, 3)]]))
+    assert fraction_search_pairs(a, True, 1) is None
+    for h in (1, 2):
+        assert classify_module._search_pairs(a, True, h) is None
+    if normal == heisenberg():
+        assert classify_module._search_pairs(a, True, 3) is None
+
+
+@given(st.one_of(integer_algebras, rational_algebras,
+                 families_in_rational_basis(names=("ns1", "ns2"))))
+def test_ns1_witness_matches_fraction_oracle(a):
+    r = classify(a)
+    assume(r.tag == NS1)
+    x, y = classify_module._search_pairs(a, True, 4)
+    assert r.witness == fraction_ns1_witness(a, x, y)
+    assert_sound(a, r)
+
+
+@given(search_inputs)
+def test_lie_type_constants_match_fraction_oracle(a):
+    assert lie_type_constants(a) == fraction_lie_type_constants(a)
+
+
+FAMILY_TAGS = {"abelian": ABELIAN, "heisenberg": HEISENBERG, "line": SOLVABLE_LIE_LINE,
+               "plane": SOLVABLE_LIE_PLANE, "sol": SOLVABLE_NON_LIE, "ns1": NS1, "ns2": NS1}
+
+
+@given(st.sampled_from(sorted(FAMILY_TAGS)), st.data())
+def test_families_in_a_rational_basis_keep_their_tag(name, data):
+    a = data.draw(families_in_rational_basis(names=(name,)))
+    r = classify(a)
+    assert r.tag == FAMILY_TAGS[name]
+    assert_sound(a, r)
+
+
+def test_candidate_counts_and_order_are_pinned():
+    table = classify_module._vectors_up_to
+    counts = [len(table(3, h)) - len(table(3, h - 1)) for h in range(1, 5)]
+    assert counts == [26, 98, 218, 386]
+    # heights ascend; within one, the first coordinate runs fastest through 0, 1, -1, 2, -2
+    assert table(3, 1)[:6] == ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, 1, 0),
+                               (0, -1, 0))
+    assert table(3, 2)[26:31] == ((2, 0, 0), (-2, 0, 0), (2, 1, 0), (-2, 1, 0), (2, -1, 0))
+
+
+def test_candidate_tables_match_fraction_enumeration():
+    table = classify_module._vectors_up_to
+    for h in range(1, 6):
+        assert table(3, h) == tuple(tuple(map(int, v)) for v in fraction_vectors_up_to(3, h))
+        assert table(3, h)[:len(table(3, h - 1))] == table(3, h - 1)
+
+
+def test_candidate_tables_are_kept_and_immutable():
+    table = classify_module._vectors_up_to
+    assert table(3, 4) is table(3, 4)
+    assert type(table(3, 4)) is tuple and all(type(v) is tuple for v in table(3, 4))
+    with pytest.raises(TypeError):
+        table(3, 1)[0][0] = 5
+
+
+def test_find_regular_pair_past_the_classifier_bound():
+    table = classify_module._vectors_up_to
+    assert len(table(3, 5)) - len(table(3, 4)) == 602
+    assert find_regular_pair(heisenberg(), max_height=5) == (basis_vec(3, 1), basis_vec(3, 2))
+    a = ns1_family(2, 3, 5, 7, 11)
+    assert find_regular_pair(a, max_height=5) == find_regular_pair(a)
