@@ -2,16 +2,19 @@
 
 An algebra of dimension n is given by the coefficient vectors of the basis
 products e_i * e_j for i < j (1-based) and stores them once, as one integer
-tensor t over a common denominator den; ``product`` is a ``Fraction`` view.
-One integer kernel, ``_mul``, serves ``multiply`` and ``transport``. The double
-products (e_p e_q) e_l of the Lie, Hom-Lie and Lie-type identities, the Killing
-form and the derived algebra A·A read t directly. All of it is pure and exact;
+tensor t over a common denominator den, built by ``_of`` from integer rows;
+``product`` is a ``Fraction`` view. One integer kernel, ``_mul``, serves
+``multiply``, ``transport`` and ``subspace_product``. The double products
+(e_p e_q) e_l of the Lie, Hom-Lie and Lie-type identities, the Killing form and
+the derived algebra A·A read t directly. All of it is pure and exact;
 ``jacobiator`` keeps the independent route through ``multiply``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -63,17 +66,14 @@ def _triples(n: int) -> list[tuple[int, int, int]]:
 class SkewAlgebra:
     """A skew-symmetric algebra given by structure constants on pairs i < j.
 
-    The constructor converts each given pair once into ``_ints = (t, den)``: den
-    is the lcm of the reduced denominators, t[i][j] = den * (e_{i+1} e_{j+1}) and
-    t[j][i] = -t[i][j]. That form is canonical, so equality and hashing compare it.
+    Every algebra is built by ``_of`` as ``_ints = (t, den)``: den is the lcm of
+    the reduced denominators, t[i][j] = den * (e_{i+1} e_{j+1}) and t[j][i] =
+    -t[i][j]. That form is canonical, so equality and hashing compare it.
     """
 
     __slots__ = ("dim", "_ints")
 
     def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence] | None = None):
-        if not MIN_DIM <= dim <= MAX_DIM:
-            raise UnsupportedDimError(f"dimension {dim} outside supported range "
-                                      f"{MIN_DIM}..{MAX_DIM}")
         given = {}
         for (i, j), coeffs in (products or {}).items():
             if not (1 <= i < j <= dim):
@@ -84,12 +84,27 @@ class SkewAlgebra:
                                  f"expected {dim}")
             given[i - 1, j - 1] = vec
         den = math.lcm(*(x.denominator for vec in given.values() for x in vec))
-        t = [[(0,) * dim] * dim for _ in range(dim)]
-        for (i, j), vec in given.items():
-            t[i][j] = v = tuple(x.numerator * (den // x.denominator) for x in vec)
-            t[j][i] = tuple(-x for x in v)
+        a = self._of(dim, {ij: [x.numerator * (den // x.denominator) for x in vec]
+                           for ij, vec in given.items()}, den)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_ints", (tuple(map(tuple, t)), den))
+        object.__setattr__(self, "_ints", a._ints)
+
+    @classmethod
+    def _of(cls, dim: int, upper: Mapping[tuple[int, int], Sequence[int]], den: int) -> SkewAlgebra:
+        """The algebra with e_{i+1} e_{j+1} = upper[i, j] / den for valid 0-based pairs
+        i < j and den > 0; one gcd divides the fill down to the canonical ``_ints``."""
+        if not MIN_DIM <= dim <= MAX_DIM:
+            raise UnsupportedDimError(f"dimension {dim} outside supported range "
+                                      f"{MIN_DIM}..{MAX_DIM}")
+        g = math.gcd(den, *itertools.chain.from_iterable(upper.values()))
+        t = [[(0,) * dim] * dim for _ in range(dim)]
+        for (i, j), v in upper.items():
+            t[i][j] = v = tuple(v) if g == 1 else tuple([x // g for x in v])
+            t[j][i] = tuple([-x for x in v])
+        a = object.__new__(cls)
+        object.__setattr__(a, "dim", dim)
+        object.__setattr__(a, "_ints", (tuple(map(tuple, t)), den // g))
+        return a
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAlgebra is immutable")
@@ -217,13 +232,18 @@ def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
         [multiply(a, x, basis_vec(n, j)) for j in range(1, n + 1)])
 
 
-def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
-    """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j}) = sum over k, l of
-    c_il^k c_jk^l for e_i e_l = sum_k c_il^k e_k, on the integer table, over den^2."""
+def _killing_ints(a: SkewAlgebra) -> tuple[list[list[int]], int]:
+    """(den^2 times the Killing matrix, den^2): entry (i, j) = trace(L_{e_i} L_{e_j}) =
+    sum over k, l of c_il^k c_jk^l for e_i e_l = sum_k c_il^k e_k, on the integer table."""
     n, (c, den) = a.dim, a._ints
-    return ExactMatrix._of(tuple(tuple(
-        Fraction(sum(c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n)), den * den)
-        for j in range(n)) for i in range(n)), n)
+    return [[sum(c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n))
+             for j in range(n)] for i in range(n)], den * den
+
+
+def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
+    """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j})."""
+    rows, q = _killing_ints(a)
+    return ExactMatrix._of(tuple(tuple(Fraction(x, q) for x in r) for r in rows), a.dim)
 
 
 def killing_determinant(a: SkewAlgebra) -> Fraction:
@@ -235,8 +255,8 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
 
     The new product is x, y -> p^{-1} (p(x) * p(y)); transport by the
     identity is the identity, and transports compose contravariantly. With p's
-    columns x_i/dx_i, p^{-1}'s rows Q_k/dq_k and u = ``_mul`` of x_i and x_j, all
-    integer: c'_ij^k = Q_k . u / (den dx_i dx_j dq_k).
+    columns X_i/dx and p^{-1}'s rows Q_k/dq over one denominator each and u =
+    ``_mul`` of X_i and X_j, all integer: c'_ij^k = Q_k . u / (den dx^2 dq).
     """
     if not (p.is_square and p.rows == a.dim):
         raise DimensionMismatchError(f"transport of dim-{a.dim} algebra by "
@@ -246,15 +266,12 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
     except SingularMapError:
         raise SingularMapError("basis-change matrix is singular") from None
     (t, den), n = a._ints, a.dim
-    cols = [_rescale(p.column(i)) for i in range(n)]
-    qrows = [_rescale(row) for row in pinv._rows]
-    products = {}
-    for i, j in _pairs(n):
-        (x, dx), (y, dy) = cols[i - 1], cols[j - 1]
-        u = _mul(t, x, y)
-        products[i, j] = [Fraction(sum(qs * us for qs, us in zip(q, u)), den * dx * dy * dq)
-                          for q, dq in qrows]
-    return SkewAlgebra(n, products)
+    x, dx = _rescale([v for i in range(n) for v in p.column(i)])
+    q, dq = _rescale([v for row in pinv._rows for v in row])
+    cols, qrows = [x[i * n:i * n + n] for i in range(n)], [q[k * n:k * n + n] for k in range(n)]
+    us = {(i, j): _mul(t, cols[i], cols[j]) for i, j in itertools.combinations(range(n), 2)}
+    return SkewAlgebra._of(n, {ij: [sum(map(operator.mul, qk, u)) for qk in qrows]
+                               for ij, u in us.items()}, den * dx * dx * dq)
 
 
 @dataclass(frozen=True)
@@ -302,11 +319,14 @@ def full_space(n: int) -> Subspace:
 
 
 def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
-    """span{ x*y : x a basis vector of u, y a basis vector of w }."""
+    """span{ x*y : x a basis vector of u, y a basis vector of w }: ``_mul`` of their
+    integer rescalings, whose factors the span ignores."""
     if u.ambient_dim() != a.dim or w.ambient_dim() != a.dim:
         raise DimensionMismatchError("subspace from a different ambient space")
-    prods = [multiply(a, x, y) for x in u.basis_vectors() for y in w.basis_vectors()]
-    return span(prods, dim=a.dim)
+    t = a._ints[0]
+    xs, ys = ([_rescale(v)[0] for v in s.basis_vectors()] for s in (u, w))
+    prods = [_mul(t, x, y) for x in xs for y in ys]
+    return _subspace(_eliminate(prods, a.dim, 1, False))
 
 
 def _derived_algebra(a: SkewAlgebra) -> Subspace:

@@ -3,7 +3,8 @@
 Every algebra lands in exactly one family, decided by the dimensions of the
 derived subalgebra chain: abelian, Heisenberg (nilpotent), the two solvable
 Lie shapes, the solvable non-Lie family (with the e2*e3 coefficient scaled
-to 1), or one of the two non-solvable families. The returned witness is an
+to 1), or the first non-solvable family; the second (``NS2``) is a normal form
+that no algebra needs. The returned witness is an
 invertible matrix whose columns are the adapted basis; transporting the
 input by it reproduces the normal form with the reported parameters exactly.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product,
-                      _mul, basis_vec, is_lie, multiply, transport, vscale, zero_vec)
+                      _mul, basis_vec, is_lie, transport, vscale, zero_vec)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
 from .qlinalg import ExactMatrix, _eliminate, _rescale, echelonize
 
@@ -188,40 +189,32 @@ def _classify_dim2_derived(a: SkewAlgebra, plane) -> ClassificationResult:
 
 
 def _classify_nonsolvable(a: SkewAlgebra) -> ClassificationResult:
-    # Prefer a pair landing in the first family: x, y, z := x*y independent
-    # AND y, z, y*z independent. Such a pair exists for every non-solvable
-    # algebra (if span{y, z} were a subalgebra for every regular pair, the
-    # pairs (y, x) and (x, y + s z) force the structure constants into a
-    # contradiction with non-solvability), so the tag does not depend on the
-    # presenting basis; the second family is an exhausted-search fallback.
+    """The first non-solvable form, from the first pair with x, y, z := x*y and
+    y, z, y*z independent. Such a pair of height <= 3 exists for every non-solvable
+    algebra: both determinants are nonzero polynomials in x, y whenever A·A = A
+    (Groebner certificate: ``scripts/ns1_certificate.py``) and the bound in
+    ``_search_pairs`` applies. So the tag does not depend on the presenting basis,
+    and the second form (``NS2``) is never the answer."""
     pair = _search_pairs(a, want_ns1=True, max_height=4)
-    if pair is not None:
-        x, y = pair
-        (t, den), xi, yi = a._ints, [c.numerator for c in x], [c.numerator for c in y]
-        z = _mul(t, xi, yi)  # den * xy
-        # Row 0 of [x, y, xy]^-1 is (y x xy) / det, so the e1-components of e1*e3 and
-        # e2*e3 in the basis x, y, xy have the integer ratio below (den cancels; its
-        # denominator is det[y, xy, y(xy)] != 0), which the shear x - ratio * y absorbs
-        row0 = _cross(yi, z)
-        ratio = Fraction(_dot(row0, _mul(t, xi, z)), _dot(row0, _mul(t, yi, z)))
-        witness = ExactMatrix.from_columns(
-            [[p - ratio * q for p, q in zip(x, y)], y, [Fraction(c, den) for c in z]])
-        bt, d = transport(a, witness)._ints
-        p12, p13, p23 = bt[0][1], bt[0][2], bt[1][2]
-        if not (p12 == (0, 0, d) and p13[0] == 0 and p23[0] * p13[1] != 0):
-            raise InvariantError("NonSolvableNS1 witness misses the normal form")
-        params = _params(d, beta2=p13[1], gamma2=p13[2],
-                         alpha3=p23[0], beta3=p23[1], gamma3=p23[2])
-        return ClassificationResult(NS1, params, witness, is_lie(a))
-    x, y = find_regular_pair(a)
-    witness = ExactMatrix.from_columns([x, y, multiply(a, x, y)])
+    if pair is None:
+        raise InvariantError("no NonSolvableNS1 pair up to height 4")
+    x, y = pair
+    (t, den), xi, yi = a._ints, [c.numerator for c in x], [c.numerator for c in y]
+    z = _mul(t, xi, yi)  # den * xy
+    # Row 0 of [x, y, xy]^-1 is (y x xy) / det, so the e1-components of e1*e3 and
+    # e2*e3 in the basis x, y, xy have the integer ratio below (den cancels; its
+    # denominator is det[y, xy, y(xy)] != 0), which the shear x - ratio * y absorbs
+    row0 = _cross(yi, z)
+    ratio = Fraction(_dot(row0, _mul(t, xi, z)), _dot(row0, _mul(t, yi, z)))
+    witness = ExactMatrix.from_columns(
+        [[p - ratio * q for p, q in zip(x, y)], y, [Fraction(c, den) for c in z]])
     bt, d = transport(a, witness)._ints
     p12, p13, p23 = bt[0][1], bt[0][2], bt[1][2]
-    if not (p12 == (0, 0, d) and p23[0] == 0 and p13[0] * p23[1] != 0):
-        raise InvariantError("NonSolvableNS2 witness misses the normal form")
-    params = _params(d, alpha2=p13[0], beta2=p13[1], gamma2=p13[2],
-                     beta3=p23[1], gamma3=p23[2])
-    return ClassificationResult(NS2, params, witness, is_lie(a))
+    if not (p12 == (0, 0, d) and p13[0] == 0 and p23[0] * p13[1] != 0):
+        raise InvariantError("NonSolvableNS1 witness misses the normal form")
+    params = _params(d, beta2=p13[1], gamma2=p13[2],
+                     alpha3=p23[0], beta3=p23[1], gamma3=p23[2])
+    return ClassificationResult(NS1, params, witness, is_lie(a))
 
 
 def classify(a: SkewAlgebra) -> ClassificationResult:

@@ -5,7 +5,11 @@ An algebra document is a JSON object ``{"dim": n, "products": [{"i": 1,
 rational literals ("p/q" or "p"); pairs that are absent multiply to zero.
 Reports are plain text by default or a single JSON object with ``--json``;
 every number is serialized as an exact rational literal, and identical input
-always produces byte-identical JSON.
+always produces byte-identical JSON. Numbers stay integers over a denominator
+from input to output: ``parse_algebra`` puts the literals over their lcm for
+``SkewAlgebra._of``, the payloads format the integer tensor, kernels and Killing
+matrix with ``_format_ratio``, and ``_dumps`` writes the bytes that ``json.dumps``
+with ``indent=2, sort_keys=True`` would, through the C string encoder.
 
 One table, ``_COMMANDS``, maps each document subcommand to its help text and
 payload builder. The argument parser is built from it once per process, at
@@ -16,8 +20,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from fractions import Fraction
 from typing import Any, Sequence
 
 from . import algebra as alg
@@ -25,7 +29,7 @@ from . import structmats as sm
 from .classify import classify as classify_algebra
 from .classify import lie_type_constants
 from .errors import InvariantError, ParseError, SkewlieError
-from .qlinalg import ExactMatrix, determinant, format_rational, parse_rational
+from .qlinalg import ExactMatrix, _eliminate, _format_ratio, _parse_ratio, format_rational
 from .sampler import SampleConfig, run_experiment
 
 
@@ -47,7 +51,7 @@ def parse_algebra(text: str) -> alg.SkewAlgebra:
     products = doc.get("products", [])
     if not isinstance(products, list):
         raise ParseError("field 'products' must be a list")
-    table: dict[tuple[int, int], list[Fraction]] = {}
+    table: dict[tuple[int, int], list[tuple[int, int]]] = {}  # 0-based pair -> (p, q)s
     for pos, item in enumerate(products):
         where = f"products[{pos}]"
         if not isinstance(item, dict):
@@ -59,40 +63,49 @@ def parse_algebra(text: str) -> alg.SkewAlgebra:
             raise InvariantError(f"{where}: requires i < j, got i={i}, j={j}")
         if not (1 <= i and j <= dim):
             raise InvariantError(f"{where}: indices ({i},{j}) outside 1..{dim}")
-        if (i, j) in table:
+        if (i - 1, j - 1) in table:
             raise InvariantError(f"{where}: duplicate pair ({i},{j})")
         if not isinstance(c, list):
             raise ParseError(f"{where}: field 'c' must be a list of rational literals")
         if len(c) != dim:
             raise ParseError(f"{where}: 'c' has {len(c)} entries, expected {dim}")
-        coeffs = []
+        coeffs = table[i - 1, j - 1] = []
         for k, lit in enumerate(c):
             if isinstance(lit, bool) or not isinstance(lit, (str, int)):
                 raise ParseError(f"{where}.c[{k}]: expected a rational literal string")
             try:
-                coeffs.append(parse_rational(str(lit)))
+                coeffs.append((lit, 1) if isinstance(lit, int) else _parse_ratio(lit))
             except ValueError as e:
                 raise ParseError(f"{where}.c[{k}]: {e}") from None
-        table[(i, j)] = coeffs
+    den = math.lcm(*(q for coeffs in table.values() for _, q in coeffs))
     try:
-        return alg.SkewAlgebra(dim, table)
-    except (ValueError, SkewlieError) as e:
+        return alg.SkewAlgebra._of(dim, {ij: [p * (den // q) for p, q in coeffs]
+                                         for ij, coeffs in table.items()}, den)
+    except SkewlieError as e:
         raise ParseError(str(e)) from None
 
 
 def serialize_algebra(a: alg.SkewAlgebra) -> dict[str, Any]:
     """Canonical document for an algebra (nonzero pairs, sorted, exact literals)."""
+    t, den = a._ints
     return {
         "dim": a.dim,
         "products": [
-            {"i": i, "j": j, "c": [format_rational(x) for x in coeffs]}
-            for (i, j), coeffs in a.products.items()
+            {"i": i, "j": j, "c": [_format_ratio(x, den) for x in t[i - 1][j - 1]]}
+            for i, j in alg._pairs(a.dim) if any(t[i - 1][j - 1])
         ],
     }
 
 
 def _matrix_rows(m: ExactMatrix) -> list[list[str]]:
     return [[format_rational(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def _endo_rows(kernel: tuple) -> list[list[list[str]]]:
+    """Rows of each endomorphism v / q (v column-major) of an integer kernel (n, vs, q)."""
+    n, vecs, q = kernel
+    return [[[_format_ratio(v[c * n + r], q) for c in range(n)] for r in range(n)]
+            for v in vecs]
 
 
 def _derivations_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
@@ -105,7 +118,7 @@ def _derivations_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
         "derivation_dim": ders.dim,
         "aut_dim": ders.dim,
         "orbit_dim": orbit_dim,
-        "basis": [_matrix_rows(f) for f in ders.basis],
+        "basis": _endo_rows(ders._kernel),
     }
 
 
@@ -116,7 +129,7 @@ def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "is_homlie": space.dim >= 1,
         "kernel_dim": space.dim,
-        "basis": [_matrix_rows(f) for f in space.basis],
+        "basis": _endo_rows(space._kernel),
         "matrix_shape": [rows, n * n] if n >= 3 else None,
         "rank": n * n - space.dim,
     }
@@ -126,8 +139,10 @@ def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
 
 
 def _killing_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
-    k = alg.killing_matrix(a)
-    return {"matrix": _matrix_rows(k), "determinant": format_rational(determinant(k))}
+    rows, q = alg._killing_ints(a)
+    det = _eliminate(rows, a.dim, q ** a.dim, True).determinant
+    return {"matrix": [[_format_ratio(x, q) for x in r] for r in rows],
+            "determinant": format_rational(det)}
 
 
 def _classify_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
@@ -272,6 +287,33 @@ _p.add_argument("--height", type=int, default=2)
 _p.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder, when built
+_LEAVES = {str: _encode_str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+           type(None): lambda _: "null"}
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for dicts with ``str`` keys, lists,
+    ``str``, ``int``, ``bool`` and None (these exact types; TypeError for any other);
+    indent is a newline and the indentation of the value's own line."""
+    if (leaf := _LEAVES.get(type(value))) is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if type(value) is list:
+        try:  # a list of strings takes one join
+            body = ("," + inner).join(map(_encode_str, value))
+        except TypeError:
+            body = ("," + inner).join([_dumps(v, inner) for v in value])
+        start, end = "[]"
+    elif type(value) is dict:  # a key that is no str fails in sorted or _encode_str
+        body = ("," + inner).join([_encode_str(k) + ": " + _dumps(v, inner)
+                                   for k, v in sorted(value.items())])
+        start, end = "{}"
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON here")
+    return start + inner + body + indent + end if value else start + end
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -304,7 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(document, indent=2, sort_keys=True))
+        print(_dumps(document))
     else:
         _render_text(args.command, payload)
     return 0

@@ -1,14 +1,16 @@
 """Exact rational linear algebra: dense matrices over ``fractions.Fraction``.
 
-Scalars are reduced fractions with positive denominator, as ``Fraction``
-guarantees; no floating point enters. One integer routine, ``_eliminate``,
-does all row reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer
-rows one at a time to a basis kept in RREF and stops at full column rank.
-``echelonize`` rescales an ``ExactMatrix``'s rows to integers for it;
-``structmats`` hands it integer operator rows directly. Every number comes off
-that one run: the unique RREF (and with it rank, kernels and inverses) and a
-square input's determinant. ``ExactMatrix`` coerces entries at its public
-constructor only; ``_of`` wraps the ``Fraction`` tuples the package built.
+No floating point enters. One integer routine, ``_eliminate``, does all row
+reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer rows one at a
+time to a basis kept in RREF and stops at full column rank. ``echelonize``
+rescales an ``ExactMatrix``'s rows to integers for it; ``structmats`` hands it
+integer operator rows directly. Every number comes off that one run: the unique
+RREF (with rank, kernels and inverses), a square input's determinant, and the
+integer basis, whose kernel ``_kernel_ints`` reads as integer vectors over d.
+Text holds numbers as integer pairs: ``_parse_ratio`` reads a literal as (p, q)
+and ``_format_ratio`` writes p / q in lowest terms; ``parse_rational`` and
+``format_rational`` are their ``Fraction`` forms. ``ExactMatrix`` coerces
+entries at its public constructor only; ``_of`` wraps the package's tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -24,27 +26,39 @@ from .errors import NonSquareError, SingularMapError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")  # ASCII digits only
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")  # ASCII digits only
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """The external textual form ``p/q`` (q > 0) or ``p`` as integers (p, q), unreduced."""
+    text = text.strip()
+    if not (m := _RATIONAL_RE.match(text)):
+        raise ValueError(f"not a rational literal: {text!r}")
+    p, q = int(m[1]), int(m[2] or 1)
+    if not q:
+        raise ValueError(f"zero denominator: {text!r}")
+    return p, q
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the external textual form: ``p/q`` (q > 0) or a bare integer ``p``."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
-        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(*_parse_ratio(text))
+
+
+def _format_ratio(p: int, q: int) -> str:
+    """Canonical textual form of p / q, q != 0: ``p/q`` with q > 0 and gcd(p, q) = 1, or ``p``."""
+    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    p, q = p // g, q // g
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:  # raised only past the interpreter's int-to-str digit limit
+        raise ValueError(f"exact result too large to print: over {sys.get_int_max_str_digits()}"
+                         f" digits, Python's int-to-str limit (PYTHONINTMAXSTRDIGITS)") from None
 
 
 def format_rational(value: Fraction) -> str:
     """Canonical textual form: ``p/q`` with q > 0 and gcd(p, q) = 1, or ``p``."""
-    try:
-        return str(value)
-    except ValueError:  # raised only past the interpreter's int-to-str digit limit
-        raise ValueError(f"exact result too large to print: over {sys.get_int_max_str_digits()}"
-                         f" digits, Python's int-to-str limit (PYTHONINTMAXSTRDIGITS)") from None
+    return _format_ratio(value.numerator, value.denominator)
 
 
 def _as_fraction(x) -> Fraction:
@@ -168,12 +182,14 @@ class ExactMatrix:
 @dataclass(frozen=True)
 class EchelonResult:
     """Unique reduced row-echelon form, rank and pivot columns, plus the
-    determinant of a square input (None for a non-square one)."""
+    determinant of a square input (None for a non-square one). ``_ints`` is the
+    integer basis of ``_eliminate``: (d, free columns, d times the RREF's rows there)."""
 
     reduced: ExactMatrix
     rank: int
     pivot_columns: tuple[int, ...]
     determinant: Fraction | None
+    _ints: tuple | None = field(default=None, compare=False, repr=False)
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """Canonical kernel basis read off the RREF.
@@ -181,18 +197,25 @@ class EchelonResult:
         One basis vector per free column, in increasing column order, with the
         free variable set to 1 and pivot variables solved from the reduced rows.
         """
-        cols = self.reduced.cols
-        pivot_set = set(self.pivot_columns)
+        vecs, d = self._kernel_ints()
+        return [tuple(Fraction(x, d) for x in v) for v in vecs]
+
+    def _kernel_ints(self) -> tuple[list[list[int]], int]:
+        """(d times ``kernel()``, d), integer vectors off ``_ints`` (d may be negative);
+        an RREF built without ``_eliminate`` gives its own entries over d = 1."""
+        ints = self._ints
+        if ints is None:
+            free = [c for c in range(self.reduced.cols) if c not in self.pivot_columns]
+            ints = (1, free, [[r[c] for c in free] for r in self.reduced._rows])
+        d, free, rows = ints
         basis = []
-        for free in range(cols):
-            if free in pivot_set:
-                continue
-            v = [Fraction(0)] * cols
-            v[free] = Fraction(1)
-            for r, pc in enumerate(self.pivot_columns):
-                v[pc] = -self.reduced[r, free]
-            basis.append(tuple(v))
-        return basis
+        for f, fc in enumerate(free):
+            v = [0] * self.reduced.cols
+            v[fc] = d
+            for pc, row in zip(self.pivot_columns, rows):
+                v[pc] = -row[f]
+            basis.append(v)
+        return basis, d
 
 
 def _rescale(v: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -246,8 +269,9 @@ def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction, square: boo
         pivots.append(free.pop(pos))
         d = e
     zero, one = Fraction(0), Fraction(1)
-    reduced = []
-    for pc, row in sorted(zip(pivots, basis)):
+    reduced, rows = [], [row for _, row in sorted(zip(pivots, basis))]
+    pivots.sort()
+    for pc, row in zip(pivots, rows):
         out = [zero] * cols
         out[pc] = one
         for fc, x in zip(free, row):
@@ -256,7 +280,8 @@ def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction, square: boo
     r = len(pivots)
     reduced.extend([(zero,) * cols] * (len(a) - r))
     det = (Fraction(-d if flips % 2 else d, scale) if r == len(a) else zero) if square else None
-    return EchelonResult(ExactMatrix._of(tuple(reduced), cols), r, tuple(sorted(pivots)), det)
+    return EchelonResult(ExactMatrix._of(tuple(reduced), cols), r, tuple(pivots), det,
+                         (d, free, rows))
 
 
 def rank(m: ExactMatrix) -> int:

@@ -23,8 +23,9 @@ elimination as its kernel, divided by den^32.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -143,27 +144,37 @@ def _reduce(rows: list[list[int]], factor: int, cols: int) -> EchelonResult:
                       len(rows) == cols)
 
 
+def _kernel_endos(space) -> tuple[Endo, ...]:
+    """The integer kernel ``space._kernel = (n, vectors, q)`` as endomorphisms v / q."""
+    n, vecs, q = space._kernel
+    return tuple(endo_of_vec(n, [Fraction(x, q) for x in v]) for v in vecs)
+
+
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Basis of the derivation algebra, one endomorphism per kernel vector."""
+    """Basis of the derivation algebra, one endomorphism per kernel vector: ``basis``
+    views the integer kernel (n, vectors, q) of the elimination, built on first read."""
 
-    basis: tuple[Endo, ...]
     dim: int
+    _kernel: tuple = field(repr=False, hash=False)
+    basis = functools.cached_property(_kernel_endos)
 
 
 @dataclass(frozen=True)
 class HomLieSpace:
-    """Basis of the Hom-Lie twists, and the determinant of HL when square (n = 4)."""
+    """Basis of the Hom-Lie twists, and the determinant of HL when square (n = 4);
+    ``basis`` is built on first read, as in ``DerivationSpace``."""
 
-    basis: tuple[Endo, ...]
     dim: int
     determinant: Fraction | None
+    _kernel: tuple = field(repr=False, hash=False)
+    basis = functools.cached_property(_kernel_endos)
 
 
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
-    vecs = _reduce(*_M_rows(a), a.dim * a.dim).kernel()
-    return DerivationSpace(tuple(endo_of_vec(a.dim, v) for v in vecs), len(vecs))
+    vecs, q = _reduce(*_M_rows(a), a.dim * a.dim)._kernel_ints()
+    return DerivationSpace(len(vecs), (a.dim, vecs, q))
 
 
 def aut_dimension(a: SkewAlgebra) -> int:
@@ -185,8 +196,8 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     """
     n = a.dim
     ech = _reduce(*(_HL_rows(a) if n > 2 else ([], 1)), n * n)
-    basis = tuple(endo_of_vec(n, v) for v in ech.kernel())
-    return HomLieSpace(basis, len(basis), ech.determinant)
+    vecs, q = ech._kernel_ints()
+    return HomLieSpace(len(vecs), ech.determinant, (n, vecs, q))
 
 
 def is_homlie(a: SkewAlgebra) -> bool:

@@ -9,7 +9,7 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
                      classify, determinant, echelonize, find_regular_pair,
                      heisenberg, is_lie, lie_type_constants, multiply,
                      transport)
-from skewlie.classify import (ABELIAN, HEISENBERG, NS1, NS2, SOLVABLE_LIE_LINE,
+from skewlie.classify import (ABELIAN, HEISENBERG, NS1, SOLVABLE_LIE_LINE,
                               SOLVABLE_LIE_PLANE, SOLVABLE_NON_LIE, TAGS,
                               lie_type_relation_holds, ns1_family, ns2_family,
                               sol_family)
@@ -340,33 +340,26 @@ def test_ns1_classify_transports_once(seed, monkeypatch):
 
 
 def _without_ns1_pairs(monkeypatch):
-    """Make the NS1 pair search come up empty, so the NS2 fallback runs."""
+    """Make the NS1 pair search come up empty, which scripts/ns1_certificate.py
+    rules out for every non-solvable algebra."""
     search = classify_module._search_pairs
     monkeypatch.setattr(classify_module, "_search_pairs",
                         lambda a, want_ns1, max_height:
                         None if want_ns1 else search(a, want_ns1, max_height))
 
 
-def test_ns2_fallback_gives_its_normal_form(monkeypatch):
-    _without_ns1_pairs(monkeypatch)
-    a = ns2_family(2, 1, 0, 3, 1)
-    r = classify(a)
-    assert r.tag == NS2
-    assert_sound(a, r)
-
-
-@pytest.mark.parametrize("a,ns2_fallback", [
+@pytest.mark.parametrize("a,no_ns1_pair", [
     (algebra3(0, 1, 0, 0, 0, 1, 0, 0, 0), False),  # SolvableLiePlane
     (sol_family(1, 0, 0, 2), False),               # SolvableNonLie
     (algebra3(0, 0, 1, 0, 1, 0, 1, 0, 0), False),  # NonSolvableNS1
-    (ns2_family(2, 1, 0, 3, 1), True),             # NonSolvableNS2
+    (ns2_family(2, 1, 0, 3, 1), True),             # non-solvable, search emptied
 ])
-def test_wrong_normal_form_raises_invariant_error(monkeypatch, a, ns2_fallback):
-    if ns2_fallback:
+def test_wrong_normal_form_raises_invariant_error(monkeypatch, a, no_ns1_pair):
+    if no_ns1_pair:
         _without_ns1_pairs(monkeypatch)
     wrong = SkewAlgebra(3, {(1, 2): (1, 0, 0), (1, 3): (1, 0, 0), (2, 3): (1, 0, 0)})
     monkeypatch.setattr(classify_module, "transport", lambda a, p: wrong)
-    with pytest.raises(InvariantError, match="normal form|e1\\*e2"):
+    with pytest.raises(InvariantError, match="normal form|e1\\*e2|no NonSolvableNS1 pair"):
         classify(a)
 
 
@@ -455,6 +448,22 @@ def test_ns1_witness_matches_fraction_oracle(a):
     assume(r.tag == NS1)
     x, y = classify_module._search_pairs(a, True, 4)
     assert r.witness == fraction_ns1_witness(a, x, y)
+    assert_sound(a, r)
+
+
+def _dense_algebras(constants):
+    return st.builds(lambda cs: algebra3(*cs), st.tuples(*[constants] * 9))
+
+
+@given(st.one_of(_dense_algebras(st.integers(-5, 5).filter(bool)),
+                 _dense_algebras(nonzero_fractions)))
+def test_nonsolvable_algebras_classify_as_ns1_with_a_height_3_pair(a):
+    # scripts/ns1_certificate.py: every non-solvable algebra has an NS1 pair of
+    # height <= 3, so classify never needs the second non-solvable form
+    assume(classify_module._derived_algebra(a).dim == 3)
+    assert classify_module._search_pairs(a, True, 3) is not None
+    r = classify(a)
+    assert r.tag == NS1
     assert_sound(a, r)
 
 
