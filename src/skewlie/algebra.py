@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
-from .qlinalg import (EchelonResult, ExactMatrix, _as_fraction, _eliminate, _rescale,
-                      determinant, echelonize, inverse)
+from .qlinalg import EchelonResult, ExactMatrix, _as_fraction, _eliminate, _rescale, echelonize
 
 Vec = tuple[Fraction, ...]
 Endo = ExactMatrix
@@ -247,7 +245,9 @@ def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
 
 
 def killing_determinant(a: SkewAlgebra) -> Fraction:
-    return determinant(killing_matrix(a))
+    """det of the Killing matrix: its integer form over den^2 eliminated at scale den^(2n)."""
+    rows, q = _killing_ints(a)
+    return _eliminate(rows, a.dim, q ** a.dim).determinant
 
 
 def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
@@ -255,23 +255,26 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
 
     The new product is x, y -> p^{-1} (p(x) * p(y)); transport by the
     identity is the identity, and transports compose contravariantly. With p's
-    columns X_i/dx and p^{-1}'s rows Q_k/dq over one denominator each and u =
-    ``_mul`` of X_i and X_j, all integer: c'_ij^k = Q_k . u / (den dx^2 dq).
+    columns X_i/dx and u_ij = ``_mul`` of X_i and X_j, all integer, one
+    ``_eliminate`` of the rows [X | u_12 ... u_(n-1)n] has pivots 0..n-1 iff p is
+    invertible, and its basis over the u columns is d X^{-1} u_ij. So c'_ij =
+    X^{-1} u_ij / (den dx) is that basis over den dx d, with the sign of d moved
+    into the numerators (``_of`` takes a positive denominator).
     """
     if not (p.is_square and p.rows == a.dim):
         raise DimensionMismatchError(f"transport of dim-{a.dim} algebra by "
                                      f"{p.rows}x{p.cols} map")
-    try:
-        pinv = inverse(p)
-    except SingularMapError:
-        raise SingularMapError("basis-change matrix is singular") from None
     (t, den), n = a._ints, a.dim
     x, dx = _rescale([v for i in range(n) for v in p.column(i)])
-    q, dq = _rescale([v for row in pinv._rows for v in row])
-    cols, qrows = [x[i * n:i * n + n] for i in range(n)], [q[k * n:k * n + n] for k in range(n)]
-    us = {(i, j): _mul(t, cols[i], cols[j]) for i, j in itertools.combinations(range(n), 2)}
-    return SkewAlgebra._of(n, {ij: [sum(map(operator.mul, qk, u)) for qk in qrows]
-                               for ij, u in us.items()}, den * dx * dx * dq)
+    cols, pairs = [x[i * n:i * n + n] for i in range(n)], list(itertools.combinations(range(n), 2))
+    us = [_mul(t, cols[i], cols[j]) for i, j in pairs]
+    ech = _eliminate(list(zip(*cols, *us)), n + len(us))
+    if ech.pivot_columns != tuple(range(n)):
+        raise SingularMapError("basis-change matrix is singular")
+    d, _, rows = ech._ints
+    s = -1 if d < 0 else 1
+    return SkewAlgebra._of(n, {ij: [s * r[m] for r in rows] for m, ij in enumerate(pairs)},
+                           den * dx * d * s)
 
 
 @dataclass(frozen=True)
@@ -326,13 +329,13 @@ def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
     t = a._ints[0]
     xs, ys = ([_rescale(v)[0] for v in s.basis_vectors()] for s in (u, w))
     prods = [_mul(t, x, y) for x in xs for y in ys]
-    return _subspace(_eliminate(prods, a.dim, 1, False))
+    return _subspace(_eliminate(prods, a.dim))
 
 
 def _derived_algebra(a: SkewAlgebra) -> Subspace:
     """A·A: the span of t's upper-half integer rows, which ignores their factor den."""
     t = a._ints[0]
-    return _subspace(_eliminate([t[i - 1][j - 1] for i, j in _pairs(a.dim)], a.dim, 1, False))
+    return _subspace(_eliminate([t[i - 1][j - 1] for i, j in _pairs(a.dim)], a.dim))
 
 
 @dataclass(frozen=True)

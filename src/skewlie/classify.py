@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product,
                       _mul, basis_vec, is_lie, transport, vscale, zero_vec)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _eliminate, _rescale, echelonize
+from .qlinalg import ExactMatrix, _eliminate, _rescale
 
 ABELIAN = "Abelian"
 HEISENBERG = "HeisenbergNilpotent"
@@ -125,20 +125,11 @@ def find_regular_pair(a: SkewAlgebra, max_height: int = 4) -> tuple[Vec, Vec]:
     return found
 
 
-def _extend_with_standard(cols: list[Vec], n: int) -> list[Vec]:
-    """Complete independent columns to a basis using the lowest-index standard
-    vectors that keep them independent: the pivot columns of [cols | I] past
-    ``cols``, read off one elimination."""
-    k, std = len(cols), [basis_vec(n, i) for i in range(1, n + 1)]
-    pivots = echelonize(ExactMatrix.from_columns(cols + std)).pivot_columns
-    return cols + [std[c - k] for c in pivots if c >= k]
-
-
 def _annihilator(a: SkewAlgebra) -> list[Vec]:
     """Basis of { r : r * x = 0 for all x } (two-sided, since the product is skew)."""
     n, t = a.dim, a._ints[0]  # the kernel ignores the common factor den
     rows = [[t[i][j][m] for i in range(n)] for j in range(n) for m in range(n)]
-    return _eliminate(rows, n, 1, False).kernel()
+    return _eliminate(rows, n).kernel()
 
 
 def _classify_dim1_derived(a: SkewAlgebra, line) -> ClassificationResult:
@@ -179,7 +170,9 @@ def _classify_dim2_derived(a: SkewAlgebra, plane) -> ClassificationResult:
         r = next(r for r in (u, v) if any(_cross(w, r)))
         f2 = tuple(Fraction(c * den * w[pivot], _mul(t, r, w)[pivot]) for c in r)
     tag = SOLVABLE_NON_LIE if line else SOLVABLE_LIE_PLANE
-    witness = ExactMatrix.from_columns([_extend_with_standard([f2, f3], 3)[2], f2, f3])
+    # the first e_i off the plane: det[e_i, f2, f3] = (f2 x f3)_i, a multiple of (u x v)_i
+    i = next(i for i, c in enumerate(_cross(u, v)) if c)
+    witness = ExactMatrix.from_columns([basis_vec(3, i + 1), f2, f3])
     bt, d = transport(a, witness)._ints
     p12, p13, p23 = bt[0][1], bt[0][2], bt[1][2]
     if not (p12[0] == p13[0] == 0 and p23 == (0, 0, d if line else 0) and (p12[1] or p13[1])):
@@ -275,13 +268,10 @@ def lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:
     basis triple, with coefficient 1 on the first cyclic term. The integer
     terms carry a common factor den², which changes no solution."""
     t1, t2, t3 = _cyclic_ints(a)
-    ech_a = _eliminate(list(zip(t2, t3)), 2, 1, False)
-    homogeneous = tuple((v[0], v[1]) for v in ech_a.kernel())
-    ech_aug = _eliminate([(p, q, -r) for p, q, r in zip(t2, t3, t1)], 3, 1, False)
-    if ech_aug.rank > ech_a.rank:
-        return LieTypeSolution(None, homogeneous, False)
-    part = [Fraction(0), Fraction(0)]
-    for row, pc in enumerate(ech_a.pivot_columns):
-        part[pc] = ech_aug.reduced[row, 2]
-    admissible = part[0] != 0 or any(h[0] != 0 for h in homogeneous)
-    return LieTypeSolution(tuple(part), homogeneous, admissible)
+    # the kernel of [t2 t3 | -t1]: its vectors (a, b, 0) are the homogeneous
+    # pairs, and the one (-a, -b, 1), if any, is the particular pair negated
+    kernel = _eliminate([(p, q, -r) for p, q, r in zip(t2, t3, t1)], 3).kernel()
+    homogeneous = tuple((v[0], v[1]) for v in kernel if not v[2])
+    part = next(((-v[0], -v[1]) for v in kernel if v[2]), None)
+    admissible = part is not None and (part[0] != 0 or any(h[0] != 0 for h in homogeneous))
+    return LieTypeSolution(part, homogeneous, admissible)

@@ -140,7 +140,7 @@ def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
 
 def _killing_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
     rows, q = alg._killing_ints(a)
-    det = _eliminate(rows, a.dim, q ** a.dim, True).determinant
+    det = _eliminate(rows, a.dim, q ** a.dim).determinant
     return {"matrix": [[_format_ratio(x, q) for x in r] for r in rows],
             "determinant": format_rational(det)}
 

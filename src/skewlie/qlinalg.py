@@ -227,10 +227,10 @@ def _rescale(v: Sequence[Fraction]) -> tuple[list[int], int]:
 def echelonize(m: ExactMatrix) -> EchelonResult:
     """Rescale each row to integers by its denominator lcm, then ``_eliminate``."""
     rows = [_rescale(r) for r in m._rows]
-    return _eliminate([r for r, _ in rows], m.cols, math.prod(k for _, k in rows), m.is_square)
+    return _eliminate([r for r, _ in rows], m.cols, math.prod(k for _, k in rows))
 
 
-def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction, square: bool) -> EchelonResult:
+def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction = 1) -> EchelonResult:
     """Fraction-free Gauss-Jordan, row by row, on integer rows: a matrix's rows
     times row factors whose product is scale (rank, pivots and RREF ignore them).
     The basis is d times the RREF of the rows read so far, over the columns not
@@ -279,7 +279,7 @@ def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction, square: boo
         reduced.append(tuple(out))
     r = len(pivots)
     reduced.extend([(zero,) * cols] * (len(a) - r))
-    det = (Fraction(-d if flips % 2 else d, scale) if r == len(a) else zero) if square else None
+    det = (Fraction(-d if flips % 2 else d, scale) if r == cols else zero) if len(a) == cols else None
     return EchelonResult(ExactMatrix._of(tuple(reduced), cols), r, tuple(pivots), det,
                          (d, free, rows))
 

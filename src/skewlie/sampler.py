@@ -9,7 +9,6 @@ parallel) and the aggregate report never changes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import SkewAlgebra, _pairs, is_lie
 from .structmats import is_homlie, orbit_dimension
@@ -70,9 +69,8 @@ def random_algebra(cfg: SampleConfig, index: int) -> SkewAlgebra:
         raise ValueError(f"index {index} outside 0..{cfg.trials - 1}")
     rng = SplitMix64(cfg.seed ^ index)
     n, h = cfg.dim, cfg.height
-    table = {pair: [Fraction(rng.randint(-h, h)) for _ in range(n)]
-             for pair in _pairs(n)}
-    return SkewAlgebra(n, table)
+    table = {(i - 1, j - 1): [rng.randint(-h, h) for _ in range(n)] for i, j in _pairs(n)}
+    return SkewAlgebra._of(n, table, 1)
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,7 @@ def _reduce(rows: list[list[int]], factor: int, cols: int) -> EchelonResult:
     """Eliminate factor * (an operator), each row first divided by its content."""
     contents = [math.gcd(*row) or 1 for row in rows]
     rows = [[x // g for x in row] if g > 1 else row for g, row in zip(contents, rows)]
-    return _eliminate(rows, cols, Fraction(factor ** len(rows), math.prod(contents)),
-                      len(rows) == cols)
+    return _eliminate(rows, cols, Fraction(factor ** len(rows), math.prod(contents)))
 
 
 def _kernel_endos(space) -> tuple[Endo, ...]:

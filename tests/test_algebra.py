@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
-                     central_series, derived_series, filiform5,
+                     central_series, derived_series, echelonize, filiform5,
                      heisenberg, is_lie, is_nilpotent, is_solvable, jacobiator,
                      killing_determinant, killing_matrix, left_mult, multiply,
                      span, subspace_product, transport)
@@ -198,6 +199,35 @@ def test_transport_matches_fraction_oracle(dim):
     for a in kernel_route_algebras(dim, rng):
         for p in (rand_invertible(rng, dim), rand_rational_invertible(rng, dim)):
             assert transport(a, p) == fraction_transport(a, p)
+
+
+def negative_scale_maps(dim, rng):
+    """Maps whose rows reduce to d < 0 in ``_eliminate``: diag(-1, 1, ...) alone and
+    times odd permutations (a plain permutation reduces to d = 1), plus two random
+    rational ones."""
+    sign = [-1] + [1] * (dim - 1)
+    perms = [s for s in itertools.permutations(range(dim))
+             if sum(s[i] > s[j] for i, j in itertools.combinations(range(dim), 2)) % 2]
+    maps = [ExactMatrix([[sign[i] * int(j == s[i]) for j in range(dim)] for i in range(dim)])
+            for s in [tuple(range(dim))] + perms[:3]]
+    wanted = len(maps) + 2
+    while len(maps) < wanted:
+        p = rand_rational_invertible(rng, dim)
+        if echelonize(p)._ints[0] < 0:
+            maps.append(p)
+    return maps
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_transport_by_negative_scale_maps_matches_fraction_oracle(dim):
+    # transport's elimination basis is over d < 0 here; _of needs a positive
+    # denominator, so the sign of d must move into the numerators
+    rng = random.Random(300 + dim)
+    for p in negative_scale_maps(dim, rng):
+        assert echelonize(p)._ints[0] < 0
+        for a in kernel_route_algebras(dim, rng):
+            b = transport(a, p)
+            assert b == fraction_transport(a, p) and b._ints[1] > 0
 
 
 @pytest.mark.parametrize("name", sorted(LIE_FIXTURES))

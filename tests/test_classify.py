@@ -19,7 +19,8 @@ from skewlie.errors import (InvariantError, RegularPairNotFoundError,
 from helpers import (fraction_lie_type_constants, fraction_ns1_witness,
                      fraction_search_pairs, fraction_vectors_up_to,
                      greedy_extend_with_standard, normal_form_of, rand_algebra,
-                     rand_fraction, rand_invertible, rand_nonzero_fraction)
+                     rand_fraction, rand_invertible, rand_nonzero_fraction,
+                     rand_rational_invertible)
 
 # the package attribute ``skewlie.classify`` is the function, not the module
 classify_module = importlib.import_module("skewlie.classify")
@@ -300,22 +301,33 @@ def test_cyclic_terms_match_multiply_twice():
             multiply(a, multiply(a, e3, e1), e2))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_extend_with_standard_matches_greedy_oracle(n):
-    # sparse entries so that many standard vectors are ruled out; the empty
-    # set and full bases are included
-    rng = random.Random(40 + n)
-    checked = 0
-    while checked < 120:
-        k = rng.randint(0, n)
-        cols = [tuple(Fraction(rng.choice([0, 0, 0, 1, -1, 2]), rng.randint(1, 3))
-                      for _ in range(n)) for _ in range(k)]
-        if cols and echelonize(ExactMatrix(cols, cols=n)).rank < k:
+@pytest.mark.parametrize("tag", [SOLVABLE_LIE_PLANE, SOLVABLE_NON_LIE])
+def test_plane_completion_matches_greedy_oracle(tag):
+    # the witness completes its plane columns f2, f3 by the lowest-index standard
+    # vector off the plane; inputs have integer or rational constants and are
+    # also moved by a random rational basis and by a permutation, which puts the
+    # derived plane on other coordinate axes
+    rng = random.Random(41)
+    perms = [ExactMatrix.from_columns([basis_vec(3, i) for i in s])
+             for s in ((2, 1, 3), (3, 2, 1), (1, 3, 2))]
+    completions = set()
+    for k in range(30):
+        draw = (lambda: rng.randint(-3, 3)) if k % 2 else (lambda: rand_fraction(rng, 4, 3))
+        b1, g1, b2, g2 = (draw() for _ in range(4))
+        if tag == SOLVABLE_LIE_PLANE and b1 * g2 != b2 * g1:
+            a = SkewAlgebra(3, {(1, 2): (0, b1, g1), (1, 3): (0, b2, g2)})
+        elif tag == SOLVABLE_NON_LIE and (b1 or b2):
+            a = sol_family(b1, g1, b2, g2)
+        else:
             continue
-        extended = classify_module._extend_with_standard(cols, n)
-        assert extended == greedy_extend_with_standard(cols, n)
-        assert len(extended) == n and extended[:k] == cols
-        checked += 1
+        for b in (a, transport(a, rand_rational_invertible(rng, 3)),
+                  transport(a, perms[k % 3])):
+            r = classify(b)
+            assert r.tag == tag
+            f1, f2, f3 = (r.witness.column(j) for j in range(3))
+            assert f1 == greedy_extend_with_standard([f2, f3], 3)[2]
+            completions.add(f1)
+    assert completions == {basis_vec(3, i) for i in (1, 2, 3)}
 
 
 def test_lie_type_rejects_other_dimensions():

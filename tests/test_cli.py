@@ -225,20 +225,22 @@ def test_sample_builds_each_operator_once_per_trial(dim, capsys, monkeypatch):
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_sample_converts_each_algebra_to_integers_once_per_trial(dim, capsys, monkeypatch):
-    # each trial constructs one algebra, whose constructor converts it to integers
-    # once; is_lie, _M_rows and _HL_rows read that tensor, so no vector is rescaled
-    # (the rescale helper is counted in every module that could bind it)
-    constructed, rescaled = [], []
-    init, rescale = alg.SkewAlgebra.__init__, ql._rescale
+    # each trial builds one algebra through _of from its integer draws, never through
+    # the Fraction constructor; is_lie, _M_rows and _HL_rows read that tensor, so no
+    # vector is rescaled (the rescale helper is counted in every module that could bind it)
+    constructed, converted, rescaled = [], [], []
+    of, init, rescale = alg.SkewAlgebra._of, alg.SkewAlgebra.__init__, ql._rescale
+    monkeypatch.setattr(alg.SkewAlgebra, "_of",
+                        classmethod(lambda cls, *args: constructed.append(1) or of(*args)))
     monkeypatch.setattr(alg.SkewAlgebra, "__init__",
-                        lambda self, *args: constructed.append(1) or init(self, *args))
+                        lambda self, *args: converted.append(1) or init(self, *args))
     for mod in (alg, ql, sm):
         monkeypatch.setattr(mod, "_rescale", lambda v: rescaled.append(1) or rescale(v),
                             raising=False)
     assert main(["sample", "--dim", str(dim), "--trials", "6", "--seed", "5",
                  "--json"]) == 0
     capsys.readouterr()
-    assert (len(constructed), len(rescaled)) == (6, 0)
+    assert (len(constructed), len(converted), len(rescaled)) == (6, 0, 0)
 
 
 def test_json_reports_are_byte_stable(tmp_path, capsys):

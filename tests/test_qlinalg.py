@@ -103,7 +103,7 @@ def test_echelon_matches_fraction_gauss_jordan(m):
 
 def test_elimination_stops_reading_rows_at_full_column_rank():
     # the rows after a full-column-rank block are in its span: none is read
-    ech = _eliminate([[0, 2], [3, 1], None, None], 2, 1, False)
+    ech = _eliminate([[0, 2], [3, 1], None, None], 2)
     assert (ech.rank, ech.pivot_columns, ech.determinant) == (2, (0, 1), None)
     assert ech.reduced == ExactMatrix([[1, 0], [0, 1], [0, 0], [0, 0]])
 

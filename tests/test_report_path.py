@@ -160,7 +160,7 @@ small_ints = st.integers(-4, 4)
     st.lists(small_ints, min_size=cols, max_size=cols), min_size=1, max_size=6)))
 @example([[-2, 1], [0, 0]])  # the first pivot is negative, so d < 0
 def test_eliminate_kernel_ints_match_fraction_rref(rows):
-    ech = _eliminate(rows, len(rows[0]), 1, False)
+    ech = _eliminate(rows, len(rows[0]))
     vecs, d = ech._kernel_ints()
     expected = fraction_rref(ExactMatrix(rows)).kernel()
     assert _over(vecs, d) == expected == ech.kernel()
