@@ -4,7 +4,7 @@ An algebra of dimension n is given by the coefficient vectors of the basis
 products e_i * e_j for i < j (1-based) and stores them once, as one integer
 tensor t over a common denominator den, built by ``_of`` from integer rows;
 ``product`` is a ``Fraction`` view. One integer kernel, ``_mul``, serves
-``multiply``, ``transport`` and ``subspace_product``. The double products
+``multiply``, ``transport``, ``subspace_product`` and the series. The double products
 (e_p e_q) e_l of the Lie, Hom-Lie and Lie-type identities, the Killing form and
 the derived algebra A·A read t directly. All of it is pure and exact;
 ``jacobiator`` keeps the independent route through ``multiply``.
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
-from .qlinalg import EchelonResult, ExactMatrix, _as_fraction, _eliminate, _rescale, echelonize
+from .qlinalg import ExactMatrix, _as_fraction, _Basis, _eliminate, _rescale, _rref, echelonize
 
 Vec = tuple[Fraction, ...]
 Endo = ExactMatrix
@@ -268,13 +268,12 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
     x, dx = _rescale([v for i in range(n) for v in p.column(i)])
     cols, pairs = [x[i * n:i * n + n] for i in range(n)], list(itertools.combinations(range(n), 2))
     us = [_mul(t, cols[i], cols[j]) for i, j in pairs]
-    ech = _eliminate(list(zip(*cols, *us)), n + len(us))
-    if ech.pivot_columns != tuple(range(n)):
+    b = _eliminate(list(zip(*cols, *us)), n + len(us))
+    if b.pivots != list(range(n)):
         raise SingularMapError("basis-change matrix is singular")
-    d, _, rows = ech._ints
-    s = -1 if d < 0 else 1
-    return SkewAlgebra._of(n, {ij: [s * r[m] for r in rows] for m, ij in enumerate(pairs)},
-                           den * dx * d * s)
+    s = -1 if b.d < 0 else 1
+    return SkewAlgebra._of(n, {ij: [s * r[m] for r in b.rows] for m, ij in enumerate(pairs)},
+                           den * dx * b.d * s)
 
 
 @dataclass(frozen=True)
@@ -309,16 +308,12 @@ def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
         dim = len(vecs[0])
     if any(len(v) != dim for v in vecs):
         raise DimensionMismatchError(f"spanning vectors must all have length {dim}")
-    return _subspace(echelonize(ExactMatrix(vecs, cols=dim)))
+    return _subspace(_eliminate([_rescale(v)[0] for v in vecs], dim))
 
 
-def _subspace(ech: EchelonResult) -> Subspace:
+def _subspace(b: _Basis) -> Subspace:
     """The subspace spanned by a reduction's rows: the nonzero rows of its RREF."""
-    return Subspace(ExactMatrix._of(ech.reduced._rows[:ech.rank], ech.reduced.cols), ech.rank)
-
-
-def full_space(n: int) -> Subspace:
-    return Subspace(ExactMatrix.identity(n), n)
+    return Subspace(ExactMatrix._of(_rref(b), b.rank + len(b.free)), b.rank)
 
 
 def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
@@ -328,14 +323,13 @@ def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
         raise DimensionMismatchError("subspace from a different ambient space")
     t = a._ints[0]
     xs, ys = ([_rescale(v)[0] for v in s.basis_vectors()] for s in (u, w))
-    prods = [_mul(t, x, y) for x in xs for y in ys]
-    return _subspace(_eliminate(prods, a.dim))
+    return _subspace(_eliminate([_mul(t, x, y) for x in xs for y in ys], a.dim))
 
 
-def _derived_algebra(a: SkewAlgebra) -> Subspace:
+def _derived_algebra(a: SkewAlgebra) -> _Basis:
     """A·A: the span of t's upper-half integer rows, which ignores their factor den."""
     t = a._ints[0]
-    return _subspace(_eliminate([t[i - 1][j - 1] for i, j in _pairs(a.dim)], a.dim))
+    return _eliminate([t[i - 1][j - 1] for i, j in _pairs(a.dim)], a.dim)
 
 
 @dataclass(frozen=True)
@@ -346,24 +340,33 @@ class SeriesReport:
     dims: tuple[int, ...]
 
 
-def _series(a: SkewAlgebra, kind: str) -> SeriesReport:
-    term = _derived_algebra(a)
-    dims = [a.dim, term.dim]
-    # the terms descend (A^{k+1} ⊆ A^k), so an equal dimension means an equal term
-    while 0 < dims[-1] < dims[-2]:
-        term = subspace_product(a, term, full_space(a.dim) if kind == "central" else term)
-        dims.append(term.dim)
-    return SeriesReport(kind, tuple(dims))
+def _series(a: SkewAlgebra) -> tuple[SeriesReport, SeriesReport]:
+    """The central and the derived series from one A·A: term k+1 is term k times A,
+    resp. times itself, formed by ``_mul`` on the term's integer spanning rows."""
+    t, n = a._ints[0], a.dim
+    first = _derived_algebra(a)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = []
+    for kind in ("central", "derived"):
+        term, dims = first, [n, first.rank]
+        # the terms descend (A^{k+1} ⊆ A^k), so an equal dimension means an equal term
+        while 0 < dims[-1] < dims[-2]:
+            xs = term.span_rows()
+            ys = units if kind == "central" else xs
+            term = _eliminate([_mul(t, x, y) for x in xs for y in ys], n)
+            dims.append(term.rank)
+        out.append(SeriesReport(kind, tuple(dims)))
+    return out[0], out[1]
 
 
 def central_series(a: SkewAlgebra) -> SeriesReport:
     """Descending central series: each term is (previous term) * (whole algebra)."""
-    return _series(a, "central")
+    return _series(a)[0]
 
 
 def derived_series(a: SkewAlgebra) -> SeriesReport:
     """Derived series: each term is (previous term) * (previous term)."""
-    return _series(a, "derived")
+    return _series(a)[1]
 
 
 def is_nilpotent(a: SkewAlgebra) -> bool:

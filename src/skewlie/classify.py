@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product,
-                      _mul, basis_vec, is_lie, transport, vscale, zero_vec)
+                      _mul, basis_vec, is_lie, transport, vscale)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _eliminate, _rescale
+from .qlinalg import ExactMatrix, _Basis, _eliminate
 
 ABELIAN = "Abelian"
 HEISENBERG = "HeisenbergNilpotent"
@@ -125,17 +125,17 @@ def find_regular_pair(a: SkewAlgebra, max_height: int = 4) -> tuple[Vec, Vec]:
     return found
 
 
-def _annihilator(a: SkewAlgebra) -> list[Vec]:
-    """Basis of { r : r * x = 0 for all x } (two-sided, since the product is skew)."""
+def _annihilator(a: SkewAlgebra) -> tuple[list[list[int]], int]:
+    """Basis of { r : r * x = 0 for all x } (two-sided, since the product is skew),
+    as integer vectors over q: ``kernel_ints`` of its elimination."""
     n, t = a.dim, a._ints[0]  # the kernel ignores the common factor den
     rows = [[t[i][j][m] for i in range(n)] for j in range(n) for m in range(n)]
-    return _eliminate(rows, n).kernel()
+    return _eliminate(rows, n).kernel_ints()
 
 
-def _classify_dim1_derived(a: SkewAlgebra, line) -> ClassificationResult:
-    (t, den), w = a._ints, line.basis_vectors()[0]
-    wi = _rescale(w)[0]  # k * w
-    ew = [_mul(t, e, wi) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]  # den * k * e_i w
+def _classify_dim1_derived(a: SkewAlgebra, line: _Basis) -> ClassificationResult:
+    (t, den), wi = a._ints, line.span_rows()[0]  # d * w, w the line's RREF row
+    ew = [_mul(t, e, wi) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]  # den * d * e_i w
     if not any(map(any, ew)):
         # nilpotent: pick the first basis pair with a nonzero product, which
         # together with that product forms a basis
@@ -146,8 +146,9 @@ def _classify_dim1_derived(a: SkewAlgebra, line) -> ClassificationResult:
     pivot = next(i for i, c in enumerate(wi) if c)
     lead = next(i for i, v in enumerate(ew) if v[pivot])
     f1 = vscale(Fraction(den * wi[pivot], ew[lead][pivot]), basis_vec(3, lead + 1))  # e_lead / lam
-    f2 = _annihilator(a)[0]
-    witness = ExactMatrix.from_columns([f1, f2, w])
+    vecs, q = _annihilator(a)
+    witness = ExactMatrix.from_columns([f1, [Fraction(x, q) for x in vecs[0]],
+                                        [Fraction(x, line.d) for x in wi]])
     return ClassificationResult(SOLVABLE_LIE_LINE, {}, witness, True)
 
 
@@ -157,9 +158,8 @@ def _params(den: int, **entries: int) -> dict[str, Fraction]:
     return {name: Fraction(x, den) for name, x in entries.items()}
 
 
-def _classify_dim2_derived(a: SkewAlgebra, plane) -> ClassificationResult:
-    (t, den), (f2, f3) = a._ints, plane.basis_vectors()
-    u, v = _rescale(f2)[0], _rescale(f3)[0]
+def _classify_dim2_derived(a: SkewAlgebra, plane: _Basis) -> ClassificationResult:
+    (t, den), (u, v) = a._ints, plane.span_rows()  # d times the plane's RREF rows
     w = _mul(t, u, v)  # spans the second derived term, the plane times itself
     line = any(w)  # that term is a line (SolvableNonLie) or 0 (SolvableLiePlane)
     if line:
@@ -169,6 +169,8 @@ def _classify_dim2_derived(a: SkewAlgebra, plane) -> ClassificationResult:
         f3 = tuple(Fraction(c, w[pivot]) for c in w)
         r = next(r for r in (u, v) if any(_cross(w, r)))
         f2 = tuple(Fraction(c * den * w[pivot], _mul(t, r, w)[pivot]) for c in r)
+    else:
+        f2, f3 = ([Fraction(c, plane.d) for c in r] for r in (u, v))
     tag = SOLVABLE_NON_LIE if line else SOLVABLE_LIE_PLANE
     # the first e_i off the plane: det[e_i, f2, f3] = (f2 x f3)_i, a multiple of (u x v)_i
     i = next(i for i, c in enumerate(_cross(u, v)) if c)
@@ -219,11 +221,11 @@ def classify(a: SkewAlgebra) -> ClassificationResult:
     if a.dim != 3:
         raise UnsupportedDimError("classification covers dimension 3 only")
     derived = _derived_algebra(a)
-    if derived.dim == 0:
+    if derived.rank == 0:
         return ClassificationResult(ABELIAN, {}, ExactMatrix.identity(3), True)
-    if derived.dim == 1:
+    if derived.rank == 1:
         return _classify_dim1_derived(a, derived)
-    if derived.dim == 2:
+    if derived.rank == 2:
         return _classify_dim2_derived(a, derived)
     return _classify_nonsolvable(a)
 
@@ -249,20 +251,6 @@ def _cyclic_ints(a: SkewAlgebra) -> list[tuple[int, ...]]:
     return [_double_product(a._ints[0], *p) for p in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
 
 
-def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:
-    """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2."""
-    terms, q = _cyclic_ints(a), a._ints[1] ** 2
-    return tuple(tuple(Fraction(x, q) for x in v) for v in terms)
-
-
-def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:
-    """Directly evaluate the constant-coefficient relation on (e1, e2, e3)."""
-    t1, t2, t3 = _cyclic_terms(a)
-    total = tuple(p + Fraction(coeff_a) * q + Fraction(coeff_b) * r
-                  for p, q, r in zip(t1, t2, t3))
-    return total == zero_vec(3)
-
-
 def lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:
     """Solve for constant coefficients (a, b) of the Lie-type relation on the
     basis triple, with coefficient 1 on the first cyclic term. The integer
@@ -270,8 +258,8 @@ def lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:
     t1, t2, t3 = _cyclic_ints(a)
     # the kernel of [t2 t3 | -t1]: its vectors (a, b, 0) are the homogeneous
     # pairs, and the one (-a, -b, 1), if any, is the particular pair negated
-    kernel = _eliminate([(p, q, -r) for p, q, r in zip(t2, t3, t1)], 3).kernel()
-    homogeneous = tuple((v[0], v[1]) for v in kernel if not v[2])
-    part = next(((-v[0], -v[1]) for v in kernel if v[2]), None)
+    kernel, d = _eliminate([(p, q, -r) for p, q, r in zip(t2, t3, t1)], 3).kernel_ints()
+    homogeneous = tuple((Fraction(v[0], d), Fraction(v[1], d)) for v in kernel if not v[2])
+    part = next(((Fraction(-v[0], d), Fraction(-v[1], d)) for v in kernel if v[2]), None)
     admissible = part is not None and (part[0] != 0 or any(h[0] != 0 for h in homogeneous))
     return LieTypeSolution(part, homogeneous, admissible)

@@ -166,10 +166,8 @@ def _lietype_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
 
 
 def _analyze_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
-    central = alg.central_series(a).dims
-    derived = alg.derived_series(a).dims
+    central, derived = (s.dims for s in alg._series(a))
     payload = {
-        "lie": alg.is_lie(a),
         "nilpotent": central[-1] == 0,
         "solvable": derived[-1] == 0,
         "central_series": list(central),
@@ -178,9 +176,10 @@ def _analyze_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
         "homlie": _homlie_payload(a),
         "killing": _killing_payload(a),
     }
-    if a.dim == 3:
+    if a.dim == 3:  # classify's Lie flag is is_lie(a), computed there at most once
         payload["classify"] = _classify_payload(a)
         payload["lietype"] = _lietype_payload(a)
+    payload["lie"] = payload["classify"]["lie"] if a.dim == 3 else alg.is_lie(a)
     return payload
 
 

@@ -2,11 +2,10 @@
 
 No floating point enters. One integer routine, ``_eliminate``, does all row
 reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer rows one at a
-time to a basis kept in RREF and stops at full column rank. ``echelonize``
-rescales an ``ExactMatrix``'s rows to integers for it; ``structmats`` hands it
-integer operator rows directly. Every number comes off that one run: the unique
-RREF (with rank, kernels and inverses), a square input's determinant, and the
-integer basis, whose kernel ``_kernel_ints`` reads as integer vectors over d.
+time to a basis kept in RREF and stops at full column rank. It returns that
+integer basis only (``_Basis``), whose kernel ``kernel_ints`` reads as integer
+vectors over d. Only ``echelonize``, which rescales an ``ExactMatrix``'s rows to
+integers for it, builds the ``Fraction`` RREF (with rank, kernels and inverses).
 Text holds numbers as integer pairs: ``_parse_ratio`` reads a literal as (p, q)
 and ``_format_ratio`` writes p / q in lowest terms; ``parse_rational`` and
 ``format_rational`` are their ``Fraction`` forms. ``ExactMatrix`` coerces
@@ -18,9 +17,9 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonSquareError, SingularMapError
 
@@ -47,6 +46,8 @@ def parse_rational(text: str) -> Fraction:
 
 def _format_ratio(p: int, q: int) -> str:
     """Canonical textual form of p / q, q != 0: ``p/q`` with q > 0 and gcd(p, q) = 1, or ``p``."""
+    if not p:
+        return "0"
     g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
     p, q = p // g, q // g
     try:
@@ -182,14 +183,12 @@ class ExactMatrix:
 @dataclass(frozen=True)
 class EchelonResult:
     """Unique reduced row-echelon form, rank and pivot columns, plus the
-    determinant of a square input (None for a non-square one). ``_ints`` is the
-    integer basis of ``_eliminate``: (d, free columns, d times the RREF's rows there)."""
+    determinant of a square input (None for a non-square one)."""
 
     reduced: ExactMatrix
     rank: int
     pivot_columns: tuple[int, ...]
     determinant: Fraction | None
-    _ints: tuple | None = field(default=None, compare=False, repr=False)
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """Canonical kernel basis read off the RREF.
@@ -197,25 +196,35 @@ class EchelonResult:
         One basis vector per free column, in increasing column order, with the
         free variable set to 1 and pivot variables solved from the reduced rows.
         """
-        vecs, d = self._kernel_ints()
-        return [tuple(Fraction(x, d) for x in v) for v in vecs]
+        cols, piv = self.reduced.cols, dict(zip(self.pivot_columns, self.reduced._rows))
+        return [tuple(-piv[c][fc] if c in piv else Fraction(int(c == fc)) for c in range(cols))
+                for fc in range(cols) if fc not in piv]
 
-    def _kernel_ints(self) -> tuple[list[list[int]], int]:
-        """(d times ``kernel()``, d), integer vectors off ``_ints`` (d may be negative);
-        an RREF built without ``_eliminate`` gives its own entries over d = 1."""
-        ints = self._ints
-        if ints is None:
-            free = [c for c in range(self.reduced.cols) if c not in self.pivot_columns]
-            ints = (1, free, [[r[c] for c in free] for r in self.reduced._rows])
-        d, free, rows = ints
-        basis = []
-        for f, fc in enumerate(free):
-            v = [0] * self.reduced.cols
-            v[fc] = d
-            for pc, row in zip(self.pivot_columns, rows):
-                v[pc] = -row[f]
-            basis.append(v)
-        return basis, d
+
+class _Basis(NamedTuple):
+    """What ``_eliminate`` returns: rank, sorted pivots, free columns, d times the
+    RREF rows over the free columns (in pivot order), d itself, and the
+    determinant of a square input (None for a non-square one)."""
+
+    rank: int
+    pivots: list[int]
+    free: list[int]
+    rows: list[list[int]]
+    d: int
+    determinant: Fraction | None
+
+    def kernel_ints(self) -> tuple[list[list[int]], int]:
+        """(d times ``EchelonResult.kernel``'s basis, d), d may be negative: per free
+        column f, d at f and minus the rows' entries in column f at their pivots."""
+        d, cols, piv = self.d, len(self.free) + self.rank, dict(zip(self.pivots, self.rows))
+        return [[-piv[c][f] if c in piv else d * (c == fc) for c in range(cols)]
+                for f, fc in enumerate(self.free)], d
+
+    def span_rows(self) -> list[list[int]]:
+        """d times the nonzero RREF rows, as full integer rows: d at the pivot."""
+        d, at = self.d, {c: f for f, c in enumerate(self.free)}
+        return [[row[at[c]] if c in at else d * (c == pc) for c in range(len(at) + self.rank)]
+                for pc, row in zip(self.pivots, self.rows)]
 
 
 def _rescale(v: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -224,13 +233,22 @@ def _rescale(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (k // x.denominator) for x in v], k
 
 
+def _rref(b: _Basis) -> tuple[tuple[Fraction, ...], ...]:
+    """The nonzero RREF rows that ``b`` holds over d, as ``Fraction`` tuples."""
+    zero, d = Fraction(0), b.d
+    return tuple(tuple(Fraction(x, d) if x else zero for x in v) for v in b.span_rows())
+
+
 def echelonize(m: ExactMatrix) -> EchelonResult:
-    """Rescale each row to integers by its denominator lcm, then ``_eliminate``."""
+    """Rescale each row to integers by its denominator lcm, ``_eliminate``, and
+    build the RREF: the basis rows over d, then zero rows."""
     rows = [_rescale(r) for r in m._rows]
-    return _eliminate([r for r, _ in rows], m.cols, math.prod(k for _, k in rows))
+    b = _eliminate([r for r, _ in rows], m.cols, math.prod(k for _, k in rows))
+    reduced = _rref(b) + ((Fraction(0),) * m.cols,) * (m.rows - b.rank)
+    return EchelonResult(ExactMatrix._of(reduced, m.cols), b.rank, tuple(b.pivots), b.determinant)
 
 
-def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction = 1) -> EchelonResult:
+def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction = 1) -> _Basis:
     """Fraction-free Gauss-Jordan, row by row, on integer rows: a matrix's rows
     times row factors whose product is scale (rank, pivots and RREF ignore them).
     The basis is d times the RREF of the rows read so far, over the columns not
@@ -239,9 +257,9 @@ def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction = 1) -> Eche
     Else y's first nonzero column c is a pivot, e = y[c]: c leaves every row,
     each basis row b becomes (e*b - b[c]*y) // d, exact by Sylvester's identity,
     y joins and d = e. Once no column is free, the later rows are in the span and
-    are not read. RREF row k is 1 at its pivot and x / d at each free column, then
-    zero rows; a square matrix's determinant is 0 below full rank, else sign * d /
-    scale, sign the parity of the order in which the pivots came (no rows swap).
+    are not read. RREF row k is 1 at its pivot and x / d at each free column. A
+    square matrix's determinant is 0 below full rank, else sign * d / scale, sign
+    the parity of the order in which the pivots came (no rows swap).
     """
     free = list(range(cols))
     pivots: list[int] = []
@@ -268,20 +286,11 @@ def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction = 1) -> Eche
         flips += pos  # r - c + pos earlier pivots exceed c; at full rank r and c cancel
         pivots.append(free.pop(pos))
         d = e
-    zero, one = Fraction(0), Fraction(1)
-    reduced, rows = [], [row for _, row in sorted(zip(pivots, basis))]
-    pivots.sort()
-    for pc, row in zip(pivots, rows):
-        out = [zero] * cols
-        out[pc] = one
-        for fc, x in zip(free, row):
-            out[fc] = Fraction(x, d) if x else zero
-        reduced.append(tuple(out))
-    r = len(pivots)
-    reduced.extend([(zero,) * cols] * (len(a) - r))
-    det = (Fraction(-d if flips % 2 else d, scale) if r == cols else zero) if len(a) == cols else None
-    return EchelonResult(ExactMatrix._of(tuple(reduced), cols), r, tuple(pivots), det,
-                         (d, free, rows))
+    r, det = len(pivots), None
+    if len(a) == cols:
+        det = Fraction(-d if flips % 2 else d, scale) if r == cols else Fraction(0)
+    rows = [row for _, row in sorted(zip(pivots, basis))]
+    return _Basis(r, sorted(pivots), free, rows, d, det)
 
 
 def rank(m: ExactMatrix) -> int:

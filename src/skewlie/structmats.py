@@ -32,7 +32,7 @@ from typing import Sequence
 from .algebra import (Endo, SkewAlgebra, Vec, _double_product, _pairs, _triples,
                       as_vec, basis_vec, multiply, vadd, zero_vec)
 from .errors import DimensionMismatchError, UnsupportedDimError
-from .qlinalg import EchelonResult, ExactMatrix, _eliminate
+from .qlinalg import ExactMatrix, _Basis, _eliminate
 
 
 def vec_of_endo(f: Endo) -> Vec:
@@ -136,7 +136,7 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
                            a.dim * a.dim)
 
 
-def _reduce(rows: list[list[int]], factor: int, cols: int) -> EchelonResult:
+def _reduce(rows: list[list[int]], factor: int, cols: int) -> _Basis:
     """Eliminate factor * (an operator), each row first divided by its content."""
     contents = [math.gcd(*row) or 1 for row in rows]
     rows = [[x // g for x in row] if g > 1 else row for g, row in zip(contents, rows)]
@@ -172,7 +172,7 @@ class HomLieSpace:
 
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
-    vecs, q = _reduce(*_M_rows(a), a.dim * a.dim)._kernel_ints()
+    vecs, q = _reduce(*_M_rows(a), a.dim * a.dim).kernel_ints()
     return DerivationSpace(len(vecs), (a.dim, vecs, q))
 
 
@@ -194,9 +194,9 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    ech = _reduce(*(_HL_rows(a) if n > 2 else ([], 1)), n * n)
-    vecs, q = ech._kernel_ints()
-    return HomLieSpace(len(vecs), ech.determinant, (n, vecs, q))
+    b = _reduce(*(_HL_rows(a) if n > 2 else ([], 1)), n * n)
+    vecs, q = b.kernel_ints()
+    return HomLieSpace(len(vecs), b.determinant, (n, vecs, q))
 
 
 def is_homlie(a: SkewAlgebra) -> bool:

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import itertools
 
-from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, algebra3,
+from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, Subspace, algebra3,
                      basis_vec, determinant, echelonize, inverse, left_mult,
                      multiply)
-from skewlie.algebra import Vec, _double_product, _pairs, _triples
-from skewlie.classify import LieTypeSolution, _cyclic_terms
+from skewlie.algebra import Vec, _double_product, _pairs, _triples, zero_vec
+from skewlie.classify import LieTypeSolution, _cyclic_ints
 from skewlie.errors import UnsupportedDimError
 
 
@@ -150,6 +150,11 @@ def fraction_transport(a: SkewAlgebra, p: ExactMatrix) -> SkewAlgebra:
         v = fraction_product(a, p.column(i - 1), p.column(j - 1))
         products[i, j] = [sum((q * x for q, x in zip(row, v)), Fraction(0)) for row in pinv]
     return SkewAlgebra(n, products)
+
+
+def full_space(n: int) -> Subspace:
+    """The whole space as a ``Subspace``: the identity rows."""
+    return Subspace(ExactMatrix.identity(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +428,20 @@ def fraction_ns1_witness(a: SkewAlgebra, x: Vec, y: Vec) -> ExactMatrix:
     shear = ExactMatrix.from_columns(
         [(1, -alpha2 / alpha3, 0), (0, 1, 0), (0, 0, 1)])
     return base @ shear
+
+
+def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:
+    """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2."""
+    terms, q = _cyclic_ints(a), a._ints[1] ** 2
+    return tuple(tuple(Fraction(x, q) for x in v) for v in terms)
+
+
+def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:
+    """Directly evaluate the constant-coefficient relation on (e1, e2, e3)."""
+    t1, t2, t3 = _cyclic_terms(a)
+    total = tuple(p + Fraction(coeff_a) * q + Fraction(coeff_b) * r
+                  for p, q, r in zip(t1, t2, t3))
+    return total == zero_vec(3)
 
 
 def fraction_lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:

@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
-                     central_series, derived_series, echelonize, filiform5,
-                     heisenberg, is_lie, is_nilpotent, is_solvable, jacobiator,
+                     central_series, derived_series, filiform5, heisenberg,
+                     is_lie, is_nilpotent, is_solvable, jacobiator,
                      killing_determinant, killing_matrix, left_mult, multiply,
                      span, subspace_product, transport)
-from skewlie.algebra import (_derived_algebra, _double_product, _triples,
-                             full_space, vadd, vscale)
+from skewlie.algebra import (_derived_algebra, _double_product, _subspace, _triples,
+                             vadd, vscale)
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.errors import (DimensionMismatchError, SingularMapError,
                             UnsupportedDimError)
 
+from skewlie.qlinalg import _eliminate, _rescale
 from skewlie.sampler import SampleConfig, random_algebra
 
-from helpers import (counterexample4, fraction_product, fraction_transport,
+from helpers import (counterexample4, fraction_product, fraction_transport, full_space,
                      killing_by_trace, rand_algebra, rand_fraction, rand_invertible,
                      rand_rational_invertible, rand_vec, rigid_dim4)
 
@@ -201,6 +202,11 @@ def test_transport_matches_fraction_oracle(dim):
             assert transport(a, p) == fraction_transport(a, p)
 
 
+def _scale(p):
+    """d of ``_eliminate`` on p's rows rescaled to integers, as ``echelonize`` runs it."""
+    return _eliminate([_rescale(r)[0] for r in p._rows], p.cols).d
+
+
 def negative_scale_maps(dim, rng):
     """Maps whose rows reduce to d < 0 in ``_eliminate``: diag(-1, 1, ...) alone and
     times odd permutations (a plain permutation reduces to d = 1), plus two random
@@ -213,7 +219,7 @@ def negative_scale_maps(dim, rng):
     wanted = len(maps) + 2
     while len(maps) < wanted:
         p = rand_rational_invertible(rng, dim)
-        if echelonize(p)._ints[0] < 0:
+        if _scale(p) < 0:
             maps.append(p)
     return maps
 
@@ -224,7 +230,7 @@ def test_transport_by_negative_scale_maps_matches_fraction_oracle(dim):
     # denominator, so the sign of d must move into the numerators
     rng = random.Random(300 + dim)
     for p in negative_scale_maps(dim, rng):
-        assert echelonize(p)._ints[0] < 0
+        assert _scale(p) < 0
         for a in kernel_route_algebras(dim, rng):
             b = transport(a, p)
             assert b == fraction_transport(a, p) and b._ints[1] > 0
@@ -247,7 +253,7 @@ def test_is_lie_agrees_with_jacobiator_on_random_algebras(dim):
 def test_derived_algebra_matches_subspace_product(dim):
     full = full_space(dim)
     for a in route_algebras(dim):
-        assert _derived_algebra(a) == subspace_product(a, full, full)
+        assert _subspace(_derived_algebra(a)) == subspace_product(a, full, full)
 
 
 # --- left multiplication ---

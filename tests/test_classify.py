@@ -11,14 +11,14 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
                      transport)
 from skewlie.classify import (ABELIAN, HEISENBERG, NS1, SOLVABLE_LIE_LINE,
                               SOLVABLE_LIE_PLANE, SOLVABLE_NON_LIE, TAGS,
-                              lie_type_relation_holds, ns1_family, ns2_family,
-                              sol_family)
+                              ns1_family, ns2_family, sol_family)
 from skewlie.errors import (InvariantError, RegularPairNotFoundError,
                             UnsupportedDimError)
 
-from helpers import (fraction_lie_type_constants, fraction_ns1_witness,
-                     fraction_search_pairs, fraction_vectors_up_to,
-                     greedy_extend_with_standard, normal_form_of, rand_algebra,
+from helpers import (_cyclic_terms, fraction_lie_type_constants,
+                     fraction_ns1_witness, fraction_search_pairs,
+                     fraction_vectors_up_to, greedy_extend_with_standard,
+                     lie_type_relation_holds, normal_form_of, rand_algebra,
                      rand_fraction, rand_invertible, rand_nonzero_fraction,
                      rand_rational_invertible)
 
@@ -295,7 +295,7 @@ def test_cyclic_terms_match_multiply_twice():
     cases += [transport(a, rand_invertible(rng, 3)) for a in cases[3:8]]
     e1, e2, e3 = (basis_vec(3, i) for i in (1, 2, 3))
     for a in cases:
-        assert classify_module._cyclic_terms(a) == (
+        assert _cyclic_terms(a) == (
             multiply(a, multiply(a, e1, e2), e3),
             multiply(a, multiply(a, e2, e3), e1),
             multiply(a, multiply(a, e3, e1), e2))
@@ -472,7 +472,7 @@ def _dense_algebras(constants):
 def test_nonsolvable_algebras_classify_as_ns1_with_a_height_3_pair(a):
     # scripts/ns1_certificate.py: every non-solvable algebra has an NS1 pair of
     # height <= 3, so classify never needs the second non-solvable form
-    assume(classify_module._derived_algebra(a).dim == 3)
+    assume(classify_module._derived_algebra(a).rank == 3)
     assert classify_module._search_pairs(a, True, 3) is not None
     r = classify(a)
     assert r.tag == NS1

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -78,6 +79,9 @@ def test_roundtrip_random_algebras():
 
 
 # --- command dispatch ---
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def write_doc(tmp_path, name, text):
     path = tmp_path / name
@@ -212,6 +216,27 @@ def test_analyze_builds_each_operator_once(name, tmp_path, capsys, monkeypatch):
     assert main(["analyze", path, "--json"]) == 0
     capsys.readouterr()
     assert builds == {"_M_rows": 1, "_HL_rows": 1}
+
+
+@pytest.mark.parametrize("name,derived_algebras", [
+    ("random3-0", 2), ("sol-nonlie", 2), ("random4-0", 1)])
+def test_analyze_forms_the_derived_algebra_and_the_lie_flag_once(name, derived_algebras,
+                                                                   capsys, monkeypatch):
+    # both series grow from one A·A; at dim 3 the public classify forms its own and
+    # its Lie flag (is_lie on NS1 and SolvableNonLie documents) is the report's
+    counts = {"_derived_algebra": 0, "is_lie": 0}
+    for fn in counts:
+        original = getattr(alg, fn)
+
+        def counted(a, fn=fn, original=original):
+            counts[fn] += 1
+            return original(a)
+
+        for mod in (alg, importlib.import_module("skewlie.classify")):
+            monkeypatch.setattr(mod, fn, counted)
+    assert main(["analyze", str(GOLDEN / name / "input.json"), "--json"]) == 0
+    capsys.readouterr()
+    assert counts == {"_derived_algebra": derived_algebras, "is_lie": 1}
 
 
 @pytest.mark.parametrize("dim", [3, 4])

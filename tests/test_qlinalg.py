@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from skewlie.algebra import killing_matrix
 from skewlie.errors import NonSquareError, SingularMapError
-from skewlie.qlinalg import (ExactMatrix, _eliminate, determinant, echelonize,
+from skewlie.qlinalg import (ExactMatrix, _eliminate, _rref, determinant, echelonize,
                              format_rational, inverse, kernel_basis,
                              parse_rational, rank)
 from skewlie.sampler import SampleConfig, random_algebra
@@ -103,9 +103,9 @@ def test_echelon_matches_fraction_gauss_jordan(m):
 
 def test_elimination_stops_reading_rows_at_full_column_rank():
     # the rows after a full-column-rank block are in its span: none is read
-    ech = _eliminate([[0, 2], [3, 1], None, None], 2)
-    assert (ech.rank, ech.pivot_columns, ech.determinant) == (2, (0, 1), None)
-    assert ech.reduced == ExactMatrix([[1, 0], [0, 1], [0, 0], [0, 0]])
+    b = _eliminate([[0, 2], [3, 1], None, None], 2)
+    assert (b.rank, b.pivots, b.determinant) == (2, [0, 1], None)
+    assert _rref(b) == ExactMatrix([[1, 0], [0, 1]])._rows
 
 
 @pytest.mark.parametrize("dim,seed", [(3, 1), (3, 2), (4, 3), (4, 4), (5, 5), (6, 6)])

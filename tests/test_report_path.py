@@ -17,7 +17,7 @@ from skewlie import SkewAlgebra, heisenberg, transport
 from skewlie import structmats as sm
 from skewlie.cli import _dumps, main, parse_algebra, serialize_algebra
 from skewlie.qlinalg import (ExactMatrix, _eliminate, _format_ratio, _parse_ratio,
-                             format_rational, parse_rational)
+                             echelonize, format_rational, parse_rational)
 
 from helpers import (fraction_build_HL, fraction_build_M, fraction_rref,
                      rand_rational_invertible)
@@ -59,6 +59,13 @@ def test_writer_raises_type_error_on_other_types(value):
 @example(5, 1)
 @example(5, -1)
 def test_format_ratio_matches_format_rational(p, q):
+    assert _format_ratio(p, q) == format_rational(Fraction(p, q))
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (0, -1), (0, 7), (0, -7),
+                                 (3, 1), (-3, -1), (6, -4), (-10 ** 30, 7 * 10 ** 29)])
+def test_format_ratio_returns_0_for_p_0_before_the_gcd(p, q):
+    assert (_format_ratio(p, q) == "0") == (p == 0)
     assert _format_ratio(p, q) == format_rational(Fraction(p, q))
 
 
@@ -160,10 +167,9 @@ small_ints = st.integers(-4, 4)
     st.lists(small_ints, min_size=cols, max_size=cols), min_size=1, max_size=6)))
 @example([[-2, 1], [0, 0]])  # the first pivot is negative, so d < 0
 def test_eliminate_kernel_ints_match_fraction_rref(rows):
-    ech = _eliminate(rows, len(rows[0]))
-    vecs, d = ech._kernel_ints()
+    vecs, d = _eliminate(rows, len(rows[0])).kernel_ints()
     expected = fraction_rref(ExactMatrix(rows)).kernel()
-    assert _over(vecs, d) == expected == ech.kernel()
+    assert _over(vecs, d) == expected == echelonize(ExactMatrix(rows)).kernel()
     if rows == [[-2, 1], [0, 0]]:
         assert d < 0
 

@@ -13,6 +13,7 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, aut_dimension,
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.algebra import _pairs, _triples
 from skewlie.errors import UnsupportedDimError
+from skewlie.qlinalg import _rref
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import (_HL_rows, _M_rows, _reduce, derivation_defect, endo_of_vec,
                                 hom_jacobi_defect)
@@ -392,8 +393,11 @@ def test_operator_reduction_equals_fraction_oracle(dim):
                 _rational_basis_algebra(random.Random(dim), dim))
     assert _denominator(algebras[1]) > 1
     for a in algebras:
-        assert _reduce(*_M_rows(a), dim * dim) == fraction_rref(fraction_build_M(a))
-        assert _reduce(*_HL_rows(a), dim * dim) == fraction_rref(fraction_build_HL(a))
+        for rows, m in ((_M_rows(a), fraction_build_M(a)), (_HL_rows(a), fraction_build_HL(a))):
+            b, ref = _reduce(*rows, dim * dim), fraction_rref(m)
+            assert (b.rank, tuple(b.pivots), b.determinant) == (
+                ref.rank, ref.pivot_columns, ref.determinant)
+            assert _rref(b) == ref.reduced._rows[:ref.rank]
 
 
 @pytest.mark.parametrize("seed", range(4))
