@@ -245,9 +245,9 @@ def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
 
 
 def killing_determinant(a: SkewAlgebra) -> Fraction:
-    """det of the Killing matrix: its integer form over den^2 eliminated at scale den^(2n)."""
+    """det of the Killing matrix: det of its integer form (den^2 times it) over den^(2n)."""
     rows, q = _killing_ints(a)
-    return _eliminate(rows, a.dim, q ** a.dim).determinant
+    return Fraction(_eliminate(rows, a.dim).det, q ** a.dim)
 
 
 def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
@@ -341,19 +341,19 @@ class SeriesReport:
 
 
 def _series(a: SkewAlgebra) -> tuple[SeriesReport, SeriesReport]:
-    """The central and the derived series from one A·A: term k+1 is term k times A,
-    resp. times itself, formed by ``_mul`` on the term's integer spanning rows."""
+    """The central and the derived series from one A·A: term k+1 is spanned by ``_mul``
+    of term k's integer spanning rows with the unit vectors, resp. of its pairs i < j
+    of rows (x x = 0 and y x = -x y, so these span term k times itself)."""
     t, n = a._ints[0], a.dim
     first = _derived_algebra(a)
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     out = []
-    for kind in ("central", "derived"):
+    for kind, pairs in (("central", lambda xs: itertools.product(xs, units)),
+                        ("derived", lambda xs: itertools.combinations(xs, 2))):
         term, dims = first, [n, first.rank]
         # the terms descend (A^{k+1} ⊆ A^k), so an equal dimension means an equal term
         while 0 < dims[-1] < dims[-2]:
-            xs = term.span_rows()
-            ys = units if kind == "central" else xs
-            term = _eliminate([_mul(t, x, y) for x in xs for y in ys], n)
+            term = _eliminate([_mul(t, x, y) for x, y in pairs(term.span_rows())], n)
             dims.append(term.rank)
         out.append(SeriesReport(kind, tuple(dims)))
     return out[0], out[1]

@@ -84,7 +84,7 @@ def _dot(u, v) -> int:
 
 
 def _search_pairs(a: SkewAlgebra, want_ns1: bool,
-                  max_height: int) -> tuple[Vec, Vec] | None:
+                  max_height: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     # A pair passes iff P(x, y) != 0, P = det[x, y, xy] * det[y, xy, y(xy)] of
     # degree <= 4 in each coordinate of x and <= 6 in each of y (first factor
     # alone: <= 2). A nonzero P cannot vanish on a grid of 7 points per
@@ -103,7 +103,7 @@ def _search_pairs(a: SkewAlgebra, want_ns1: bool,
                     continue
                 if want_ns1 and not _dot(y, _cross(z, _mul(t, y, z))):
                     continue
-                return tuple(map(Fraction, x)), tuple(map(Fraction, y))
+                return x, y
     return None
 
 
@@ -122,7 +122,7 @@ def find_regular_pair(a: SkewAlgebra, max_height: int = 4) -> tuple[Vec, Vec]:
         raise RegularPairNotFoundError(
             f"no regular pair up to height {max_height}; the algebra is solvable "
             f"or the bound is too small")
-    return found
+    return tuple(map(Fraction, found[0])), tuple(map(Fraction, found[1]))
 
 
 def _annihilator(a: SkewAlgebra) -> tuple[list[list[int]], int]:
@@ -193,14 +193,13 @@ def _classify_nonsolvable(a: SkewAlgebra) -> ClassificationResult:
     pair = _search_pairs(a, want_ns1=True, max_height=4)
     if pair is None:
         raise InvariantError("no NonSolvableNS1 pair up to height 4")
-    x, y = pair
-    (t, den), xi, yi = a._ints, [c.numerator for c in x], [c.numerator for c in y]
-    z = _mul(t, xi, yi)  # den * xy
+    (t, den), (x, y) = a._ints, pair
+    z = _mul(t, x, y)  # den * xy
     # Row 0 of [x, y, xy]^-1 is (y x xy) / det, so the e1-components of e1*e3 and
     # e2*e3 in the basis x, y, xy have the integer ratio below (den cancels; its
     # denominator is det[y, xy, y(xy)] != 0), which the shear x - ratio * y absorbs
-    row0 = _cross(yi, z)
-    ratio = Fraction(_dot(row0, _mul(t, xi, z)), _dot(row0, _mul(t, yi, z)))
+    row0 = _cross(y, z)
+    ratio = Fraction(_dot(row0, _mul(t, x, z)), _dot(row0, _mul(t, y, z)))
     witness = ExactMatrix.from_columns(
         [[p - ratio * q for p, q in zip(x, y)], y, [Fraction(c, den) for c in z]])
     bt, d = transport(a, witness)._ints

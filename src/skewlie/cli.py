@@ -140,9 +140,8 @@ def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
 
 def _killing_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
     rows, q = alg._killing_ints(a)
-    det = _eliminate(rows, a.dim, q ** a.dim).determinant
     return {"matrix": [[_format_ratio(x, q) for x in r] for r in rows],
-            "determinant": format_rational(det)}
+            "determinant": _format_ratio(_eliminate(rows, a.dim).det, q ** a.dim)}
 
 
 def _classify_payload(a: alg.SkewAlgebra) -> dict[str, Any]:

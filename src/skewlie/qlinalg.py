@@ -85,8 +85,8 @@ class ExactMatrix:
             cols = len(rows[0])
             if any(len(r) != cols for r in rows):
                 raise ValueError("ragged rows")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
+        elif cols is None or cols < 0:
+            raise ValueError(f"empty matrix needs an explicit column count >= 0, not {cols}")
         for name, value in zip(self.__slots__, (rows, len(rows), cols)):
             object.__setattr__(self, name, value)
 
@@ -103,8 +103,9 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> ExactMatrix:
-        zero = Fraction(0)
-        return cls([[zero] * cols for _ in range(rows)], cols=cols)
+        if rows < 0:  # a negative cols fails in the constructor
+            raise ValueError(f"negative row count {rows}")
+        return cls([[Fraction(0)] * cols] * rows, cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
@@ -202,16 +203,16 @@ class EchelonResult:
 
 
 class _Basis(NamedTuple):
-    """What ``_eliminate`` returns: rank, sorted pivots, free columns, d times the
-    RREF rows over the free columns (in pivot order), d itself, and the
-    determinant of a square input (None for a non-square one)."""
+    """What ``_eliminate`` returns, integers only: rank, sorted pivots, free
+    columns, d times the RREF rows over the free columns (in pivot order), d,
+    and det (a square input's determinant, 0 below full column rank)."""
 
     rank: int
     pivots: list[int]
     free: list[int]
     rows: list[list[int]]
     d: int
-    determinant: Fraction | None
+    det: int
 
     def kernel_ints(self) -> tuple[list[list[int]], int]:
         """(d times ``EchelonResult.kernel``'s basis, d), d may be negative: per free
@@ -240,26 +241,27 @@ def _rref(b: _Basis) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def echelonize(m: ExactMatrix) -> EchelonResult:
-    """Rescale each row to integers by its denominator lcm, ``_eliminate``, and
-    build the RREF: the basis rows over d, then zero rows."""
+    """Rescale each row to integers by its denominator lcm k, ``_eliminate``, and build
+    the RREF (the basis rows over d, then zero rows) and a square matrix's det / prod(k)."""
     rows = [_rescale(r) for r in m._rows]
-    b = _eliminate([r for r, _ in rows], m.cols, math.prod(k for _, k in rows))
+    b = _eliminate([r for r, _ in rows], m.cols)
     reduced = _rref(b) + ((Fraction(0),) * m.cols,) * (m.rows - b.rank)
-    return EchelonResult(ExactMatrix._of(reduced, m.cols), b.rank, tuple(b.pivots), b.determinant)
+    det = Fraction(b.det, math.prod(k for _, k in rows)) if m.is_square else None
+    return EchelonResult(ExactMatrix._of(reduced, m.cols), b.rank, tuple(b.pivots), det)
 
 
-def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction = 1) -> _Basis:
-    """Fraction-free Gauss-Jordan, row by row, on integer rows: a matrix's rows
-    times row factors whose product is scale (rank, pivots and RREF ignore them).
-    The basis is d times the RREF of the rows read so far, over the columns not
-    yet pivots. Row x reduces there to y = d*x - sum_k x[p_k]*B_k (B_k has pivot
-    p_k; entries of y are minors, so nothing is divided); y == 0 is in the span.
-    Else y's first nonzero column c is a pivot, e = y[c]: c leaves every row,
-    each basis row b becomes (e*b - b[c]*y) // d, exact by Sylvester's identity,
-    y joins and d = e. Once no column is free, the later rows are in the span and
-    are not read. RREF row k is 1 at its pivot and x / d at each free column. A
-    square matrix's determinant is 0 below full rank, else sign * d / scale, sign
-    the parity of the order in which the pivots came (no rows swap).
+def _eliminate(a: list[list[int]], cols: int) -> _Basis:
+    """Fraction-free Gauss-Jordan, row by row, on integer rows. The basis is d
+    times the RREF of the rows read so far, over the columns not yet pivots.
+    Row x reduces there to y = d*x - sum_k x[p_k]*B_k (B_k has pivot p_k; entries
+    of y are minors, so nothing is divided); y == 0 is in the span. Else y's first
+    nonzero column c is a pivot, e = y[c]: c leaves every row, each basis row b
+    becomes (e*b - b[c]*y) // d, exact by Sylvester's identity, y joins and d = e.
+    Once no column is free, the later rows are in the span and are not read. RREF
+    row k is 1 at its pivot and x / d at each free column. det is sign * d at full
+    column rank (sign the parity of the order in which the pivots came; no rows
+    swap), else 0: for square rows, their determinant. Rank, pivots and RREF ignore
+    row factors; a caller that scaled a matrix's rows divides det by their product.
     """
     free = list(range(cols))
     pivots: list[int] = []
@@ -286,11 +288,9 @@ def _eliminate(a: list[list[int]], cols: int, scale: int | Fraction = 1) -> _Bas
         flips += pos  # r - c + pos earlier pivots exceed c; at full rank r and c cancel
         pivots.append(free.pop(pos))
         d = e
-    r, det = len(pivots), None
-    if len(a) == cols:
-        det = Fraction(-d if flips % 2 else d, scale) if r == cols else Fraction(0)
+    det = 0 if free else -d if flips % 2 else d
     rows = [row for _, row in sorted(zip(pivots, basis))]
-    return _Basis(r, sorted(pivots), free, rows, d, det)
+    return _Basis(len(pivots), sorted(pivots), free, rows, d, det)
 
 
 def rank(m: ExactMatrix) -> int:

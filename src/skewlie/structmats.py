@@ -9,16 +9,15 @@ matrix HL do the same over basis triples i < j < k. ``_M_rows`` and
 ``_HL_rows`` assemble integer rows from the constants over one common
 denominator den, M (linear in them) scaled by den and HL (quadratic) by den^2;
 ``_reduce`` divides each row by its content (the gcd of its entries) and hands
-them to ``qlinalg._eliminate``, which takes both factors out of the determinant
-only, as rank and kernel ignore row scaling. ``build_M`` and
-``build_HL`` are ``Fraction`` views of those rows; the ``*_defect`` functions
+them to ``qlinalg._eliminate``; rank and kernel ignore row scaling. ``build_M``
+and ``build_HL`` are ``Fraction`` views of those rows; the ``*_defect`` functions
 evaluate the same expressions on vectors through ``multiply``, independently.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
 = derivation dimension, Hom-Lie iff ker HL is nonzero, rank HL = n^2 - dim ker
-HL. The square 16 x 16 HL of n = 4 yields its determinant off the same
-elimination as its kernel, divided by den^32.
+HL. The square 16 x 16 HL of n = 4, the one determinant read, comes off the same
+elimination as its kernel: times the row contents and over den^32.
 """
 
 from __future__ import annotations
@@ -37,6 +36,8 @@ from .qlinalg import ExactMatrix, _Basis, _eliminate
 
 def vec_of_endo(f: Endo) -> Vec:
     """Column-major flattening of a square matrix."""
+    if not f.is_square:
+        raise DimensionMismatchError(f"{f.rows}x{f.cols} matrix is not an endomorphism")
     n = f.rows
     return tuple(f[r, c] for c in range(n) for r in range(n))
 
@@ -73,9 +74,9 @@ def hom_jacobi_defect(a: SkewAlgebra, f: Endo,
                 multiply(a, multiply(a, z, x), f.apply(y)))
 
 
-def _M_rows(a: SkewAlgebra) -> tuple[list[list[int]], int]:
-    """Integer rows of den * M and their row factor den (M is linear in the constants)."""
-    n, (t, den) = a.dim, a._ints
+def _M_rows(a: SkewAlgebra) -> list[list[int]]:
+    """Integer rows of den * M (M is linear in the constants)."""
+    n, t = a.dim, a._ints[0]
     pairs = _pairs(n)
     grid = [[0] * (n * n) for _ in range(n * len(pairs))]
     # column c*n + k (0-based) is the unit endomorphism f: e_{c+1} -> e_{k+1}. Its
@@ -92,15 +93,14 @@ def _M_rows(a: SkewAlgebra) -> tuple[list[list[int]], int]:
             if x:
                 for k in range(n):
                     rows[k][c * n + k] -= x
-    return grid, den
+    return grid
 
 
-def _HL_rows(a: SkewAlgebra) -> tuple[list[list[int]], int]:
-    """Integer rows of den^2 * HL and their row factor den^2 (HL is quadratic)."""
-    n = a.dim
+def _HL_rows(a: SkewAlgebra) -> list[list[int]]:
+    """Integer rows of den^2 * HL (HL is quadratic in the constants)."""
+    n, t = a.dim, a._ints[0]
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
-    t, den = a._ints
     # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
     dp = {(p, q, l): _double_product(t, p, q, l) for p, q in _pairs(n) for l in range(1, n + 1)}
     dp.update({(q, p, l): tuple(-x for x in v) for (p, q, l), v in dp.items()})
@@ -114,14 +114,14 @@ def _HL_rows(a: SkewAlgebra) -> tuple[list[list[int]], int]:
                 for m, x in enumerate(dp[p, q, l]):
                     if x:
                         grid[row * n + m][col] = x
-    return grid, den * den
+    return grid
 
 
 def build_M(a: SkewAlgebra) -> ExactMatrix:
     """Matrix of f -> derivation defect, acting on flattened endomorphisms:
     (n * C(n,2)) x n^2, kernel the derivation algebra, rank the orbit dimension."""
-    rows, den = _M_rows(a)
-    return ExactMatrix._of(tuple(tuple(Fraction(x, den) for x in r) for r in rows),
+    den = a._ints[1]
+    return ExactMatrix._of(tuple(tuple(Fraction(x, den) for x in r) for r in _M_rows(a)),
                            a.dim * a.dim)
 
 
@@ -131,16 +131,15 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
     Shape is (n * C(n,3)) x n^2. Requires n >= 3: with no triples the Hom-Jacobi
     condition is vacuous and every dimension-2 algebra is Hom-Lie unconditionally.
     """
-    rows, den2 = _HL_rows(a)
+    rows, den2 = _HL_rows(a), a._ints[1] ** 2
     return ExactMatrix._of(tuple(tuple(Fraction(x, den2) for x in r) for r in rows),
                            a.dim * a.dim)
 
 
-def _reduce(rows: list[list[int]], factor: int, cols: int) -> _Basis:
-    """Eliminate factor * (an operator), each row first divided by its content."""
-    contents = [math.gcd(*row) or 1 for row in rows]
-    rows = [[x // g for x in row] if g > 1 else row for g, row in zip(contents, rows)]
-    return _eliminate(rows, cols, Fraction(factor ** len(rows), math.prod(contents)))
+def _reduce(rows: list[list[int]], cols: int) -> _Basis:
+    """Eliminate integer rows, each first divided by its content."""
+    return _eliminate([[x // g for x in row] if (g := math.gcd(*row)) > 1 else row
+                       for row in rows], cols)
 
 
 def _kernel_endos(space) -> tuple[Endo, ...]:
@@ -172,7 +171,7 @@ class HomLieSpace:
 
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
-    vecs, q = _reduce(*_M_rows(a), a.dim * a.dim).kernel_ints()
+    vecs, q = _reduce(_M_rows(a), a.dim * a.dim).kernel_ints()
     return DerivationSpace(len(vecs), (a.dim, vecs, q))
 
 
@@ -183,7 +182,7 @@ def aut_dimension(a: SkewAlgebra) -> int:
 
 def orbit_dimension(a: SkewAlgebra) -> int:
     """Dimension of the isomorphism orbit: rank of the derivation matrix."""
-    return _reduce(*_M_rows(a), a.dim * a.dim).rank
+    return _reduce(_M_rows(a), a.dim * a.dim).rank
 
 
 def homlie_space(a: SkewAlgebra) -> HomLieSpace:
@@ -194,9 +193,12 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    b = _reduce(*(_HL_rows(a) if n > 2 else ([], 1)), n * n)
+    rows = _HL_rows(a) if n > 2 else []
+    b = _reduce(rows, n * n)
     vecs, q = b.kernel_ints()
-    return HomLieSpace(len(vecs), b.determinant, (n, vecs, q))
+    det = (Fraction(b.det * math.prod(math.gcd(*r) for r in rows), a._ints[1] ** 32)
+           if n == 4 else None)  # square HL: b.det is det(den^2 HL) over the row contents
+    return HomLieSpace(len(vecs), det, (n, vecs, q))
 
 
 def is_homlie(a: SkewAlgebra) -> bool:

@@ -418,6 +418,40 @@ def test_central_series_stabilizes_nonzero():
     assert is_solvable(line)
 
 
+def series_by_subspace_product(a):
+    """Both series' dims with each term formed by ``subspace_product``: the previous
+    term times A (central) or times itself (derived), stopping as the package does."""
+    full, out = full_space(a.dim), []
+    for derived in (False, True):
+        term, dims = full, [a.dim]
+        while len(dims) < 2 or 0 < dims[-1] < dims[-2]:
+            term = subspace_product(a, term, term if derived else full)
+            dims.append(term.dim)
+        out.append(tuple(dims))
+    return out
+
+
+def strictly_upper_algebra(rng, dim):
+    """e_i e_j (i < j) in the span of e_(j+1) .. e_dim, with a share of zero
+    constants, so that the series have many terms of each dimension."""
+    return SkewAlgebra(dim, {(i, j): [rng.choice((0, 0, 1, -1, 2)) if k > j else 0
+                                      for k in range(1, dim + 1)]
+                             for i in range(1, dim + 1) for j in range(i + 1, dim + 1)})
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_series_equal_subspace_product_oracle(dim):
+    # a derived step multiplies only the pairs i < j of the term's spanning rows
+    rng = random.Random(500 + dim)
+    algebras = [strictly_upper_algebra(rng, dim) for _ in range(6)]
+    if dim == 3:
+        algebras += [sol_family(1, 0, 0, 2), sol_family(0, 1, 1, 0), sol_family(2, 3, 0, 0)]
+    if dim == 5:
+        algebras += [filiform5(0, 0, 0, 0), filiform5(1, 0, 0, 0), filiform5(1, 2, 3, 4)]
+    for a in algebras + [transport(a, rand_rational_invertible(rng, dim)) for a in algebras]:
+        assert [central_series(a).dims, derived_series(a).dims] == series_by_subspace_product(a)
+
+
 @given(algebras3, st.integers(0, 10 ** 6))
 def test_series_dims_transport_invariant(a, seed):
     p = rand_invertible(random.Random(seed), 3)

@@ -44,6 +44,19 @@ def test_matrix_rejects_rows_not_of_explicit_cols(entries, cols):
         ExactMatrix(entries, cols=cols)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ExactMatrix([], cols=-1),
+    lambda: ExactMatrix.identity(-1),
+    lambda: ExactMatrix.zeros(-2, 3),
+    lambda: ExactMatrix.zeros(0, -3),
+    lambda: ExactMatrix.zeros(2, -3),
+], ids=["empty-cols-1", "identity-1", "zeros-2x3", "zeros-0x-3", "zeros-2x-3"])
+def test_matrix_rejects_a_negative_size(build):
+    # these once built "0x-1" and 0x3 matrices
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_matrix_accepts_rows_of_explicit_cols():
     assert ExactMatrix([[1, 2]], cols=2) == ExactMatrix([[1, 2]])
     assert ExactMatrix([], cols=3).cols == 3
@@ -104,8 +117,25 @@ def test_echelon_matches_fraction_gauss_jordan(m):
 def test_elimination_stops_reading_rows_at_full_column_rank():
     # the rows after a full-column-rank block are in its span: none is read
     b = _eliminate([[0, 2], [3, 1], None, None], 2)
-    assert (b.rank, b.pivots, b.determinant) == (2, [0, 1], None)
+    assert (b.rank, b.pivots, b.det) == (2, [0, 1], cofactor_determinant([[0, 2], [3, 1]]))
     assert _rref(b) == ExactMatrix([[1, 0], [0, 1]])._rows
+
+
+def square_int_matrix():
+    return st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(square_int_matrix())
+@example([[0, 1], [1, 0]])  # pivots arrive out of order: det -1
+@example([[0, 1, 0], [0, 0, 1], [1, 0, 0]])  # 3-cycle, an even permutation
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # pivots arrive in reverse
+@example([[0, 0, 0], [0, 2, 1], [3, 1, 0]])  # zero first row
+@example([[1, 2, 3], [2, 4, 6], [0, 1, 1]])  # rank deficient: det 0
+@example([[2, 4], [1, 2]])  # rank deficient, no zero row
+@example([])  # the 0x0 determinant is 1
+def test_eliminate_det_is_the_determinant_of_square_rows(rows):
+    assert _eliminate(rows, len(rows)).det == cofactor_determinant(rows)
 
 
 @pytest.mark.parametrize("dim,seed", [(3, 1), (3, 2), (4, 3), (4, 4), (5, 5), (6, 6)])

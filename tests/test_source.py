@@ -25,5 +25,23 @@ def test_classify_imports_neither_echelonize_nor_inverse():
     assert not names & {"echelonize", "inverse"}, sorted(names & {"echelonize", "inverse"})
 
 
+INTEGER_CORE = {"_eliminate", "_reduce", "_M_rows", "_HL_rows", "_search_pairs", "_series"}
+
+
+def test_integer_core_names_no_fraction():
+    """The elimination, the operator rows and their reduction, the pair search and
+    the series carry integers only: ``Fraction``s are made where a public value leaves."""
+    found = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in INTEGER_CORE:
+                found[fn.name] = sorted({node.lineno for node in ast.walk(fn)
+                                         if isinstance(node, ast.Name) and node.id == "Fraction"
+                                         or isinstance(node, ast.Attribute)
+                                         and node.attr == "Fraction"})
+    assert found == dict.fromkeys(INTEGER_CORE, []), found
+
+
 def test_sources_found():
     assert len(SOURCES) >= 8

@@ -12,7 +12,7 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, aut_dimension,
                      orbit_dimension, rank, span, transport, vec_of_endo)
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.algebra import _pairs, _triples
-from skewlie.errors import UnsupportedDimError
+from skewlie.errors import DimensionMismatchError, UnsupportedDimError
 from skewlie.qlinalg import _rref
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import (_HL_rows, _M_rows, _reduce, derivation_defect, endo_of_vec,
@@ -40,6 +40,14 @@ def test_vec_is_column_major():
     f = ExactMatrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # single entry at row 2, col 1
     v = vec_of_endo(f)
     assert v[1] == 1 and sum(1 for x in v if x != 0) == 1
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_vec_of_endo_rejects_a_non_square_matrix(shape):
+    # a 2x3 matrix once flattened to 4 entries, dropping column 3; a 3x2 one
+    # raised a bare IndexError
+    with pytest.raises(DimensionMismatchError):
+        vec_of_endo(ExactMatrix.zeros(*shape))
 
 
 def test_endo_of_vec_roundtrip():
@@ -393,10 +401,16 @@ def test_operator_reduction_equals_fraction_oracle(dim):
                 _rational_basis_algebra(random.Random(dim), dim))
     assert _denominator(algebras[1]) > 1
     for a in algebras:
-        for rows, m in ((_M_rows(a), fraction_build_M(a)), (_HL_rows(a), fraction_build_HL(a))):
-            b, ref = _reduce(*rows, dim * dim), fraction_rref(m)
-            assert (b.rank, tuple(b.pivots), b.determinant) == (
-                ref.rank, ref.pivot_columns, ref.determinant)
+        den = _denominator(a)
+        for rows, factor, m in ((_M_rows(a), den, fraction_build_M(a)),
+                                (_HL_rows(a), den * den, fraction_build_HL(a))):
+            b, ref = _reduce(rows, dim * dim), fraction_rref(m)
+            assert (b.rank, tuple(b.pivots)) == (ref.rank, ref.pivot_columns)
+            # det is that of the content-divided rows of factor * (the operator)
+            contents = math.prod(math.gcd(*row) for row in rows)
+            det = Fraction(b.det * contents, factor ** len(rows)) if m.is_square else None
+            assert det == ref.determinant
+            assert (b.det != 0) == (ref.rank == dim * dim)
             assert _rref(b) == ref.reduced._rows[:ref.rank]
 
 
