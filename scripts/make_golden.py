@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Write the golden corpus of ``--json`` reports under ``tests/golden/``.
+"""Write the golden corpus of reports under ``tests/golden/``.
 
 The corpus holds one document per case (named fixtures, seeded random
 algebras of dimensions 2-6, the same moved to a rational basis) with the
-``--json`` report of every subcommand that applies to it, plus two ``sample``
-runs. ``MANIFEST.json`` lists each command line and the file holding its
-expected stdout; ``tests/test_golden.py`` replays it and compares byte for
+``--json`` report (``<command>.json``) and the plain-text report
+(``<command>.txt``) of every subcommand that applies to it, plus two ``sample``
+runs in both forms. ``MANIFEST.json`` lists each command line and the file
+holding its expected stdout; ``tests/test_golden.py`` replays it and compares byte for
 byte. That test never writes the corpus: regenerating it is a deliberate act,
 committed on its own with the reason for the change.
 
@@ -35,9 +36,10 @@ GOLDEN = ROOT / "tests" / "golden"
 EVERY_DIM = ("analyze", "derivations", "homlie", "killing")
 DIM3_ONLY = ("classify", "lietype")
 SAMPLES = {
-    "sample-d3": ["sample", "--dim", "3", "--trials", "200", "--seed", "42", "--json"],
-    "sample-d4": ["sample", "--dim", "4", "--trials", "200", "--seed", "42", "--json"],
+    "sample-d3": ["sample", "--dim", "3", "--trials", "200", "--seed", "42"],
+    "sample-d4": ["sample", "--dim", "4", "--trials", "200", "--seed", "42"],
 }
+REPORTS = ((".json", ["--json"]), (".txt", []))  # file suffix, extra arguments
 
 
 def rational_basis(rng, n: int) -> ExactMatrix:
@@ -104,15 +106,17 @@ def main_() -> int:
         doc.write_text(json.dumps(serialize_algebra(a), indent=2, sort_keys=True) + "\n",
                        encoding="utf-8")
         for cmd in commands:
-            rel = f"{name}/{cmd}.json"
-            (GOLDEN / rel).write_text(run([cmd, str(doc), "--json"]), encoding="utf-8")
-            manifest.append({"argv": [cmd, f"{name}/input.json", "--json"],
-                             "expected": rel})
+            for suffix, flags in REPORTS:
+                rel = f"{name}/{cmd}{suffix}"
+                (GOLDEN / rel).write_text(run([cmd, str(doc), *flags]), encoding="utf-8")
+                manifest.append({"argv": [cmd, f"{name}/input.json", *flags],
+                                 "expected": rel})
     (GOLDEN / "sample").mkdir()
     for name, argv in SAMPLES.items():
-        rel = f"sample/{name}.json"
-        (GOLDEN / rel).write_text(run(argv), encoding="utf-8")
-        manifest.append({"argv": argv, "expected": rel})
+        for suffix, flags in REPORTS:
+            rel = f"sample/{name}{suffix}"
+            (GOLDEN / rel).write_text(run(argv + flags), encoding="utf-8")
+            manifest.append({"argv": argv + flags, "expected": rel})
     (GOLDEN / "MANIFEST.json").write_text(json.dumps(manifest, indent=1) + "\n",
                                           encoding="utf-8")
     size = sum(p.stat().st_size for p in GOLDEN.rglob("*") if p.is_file())

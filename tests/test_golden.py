@@ -1,5 +1,5 @@
-"""The golden corpus: every ``--json`` report in ``tests/golden/`` is replayed
-and compared byte for byte. The files are written only by
+"""The golden corpus: every report in ``tests/golden/``, ``--json`` (``.json``) and
+plain text (``.txt``), is replayed and compared byte for byte. The files are written only by
 ``scripts/make_golden.py``, never by a test run."""
 
 import contextlib
@@ -18,10 +18,10 @@ MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text(encoding="utf-8"))
 def test_manifest_covers_the_corpus():
     listed = {entry["expected"] for entry in MANIFEST}
     listed |= {arg for entry in MANIFEST for arg in entry["argv"] if arg.endswith(".json")}
-    on_disk = {p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*.json")}
-    assert on_disk - {"MANIFEST.json"} == listed
-    assert len(MANIFEST) == 153
-    assert sum(p.stat().st_size for p in GOLDEN.rglob("*.json")) < 1_000_000
+    files = [p for p in GOLDEN.rglob("*") if p.suffix in (".json", ".txt")]
+    assert {p.relative_to(GOLDEN).as_posix() for p in files} - {"MANIFEST.json"} == listed
+    assert len(MANIFEST) == 306
+    assert sum(p.stat().st_size for p in files) < 1_000_000
 
 
 @pytest.mark.parametrize("entry", MANIFEST, ids=[e["expected"] for e in MANIFEST])
