@@ -8,9 +8,8 @@ from .algebra import (SkewAlgebra, Subspace, SeriesReport, abelian, algebra3,
 from .classify import (ClassificationResult, LieTypeSolution, classify,
                        find_regular_pair, lie_type_constants, ns1_family,
                        ns2_family, sol_family)
-from .qlinalg import (EchelonResult, ExactMatrix, Rational, determinant,
-                      echelonize, format_rational, inverse, kernel_basis,
-                      parse_rational, rank)
+from .qlinalg import (EchelonResult, ExactMatrix, determinant, echelonize,
+                      format_rational, inverse, kernel_basis, parse_rational, rank)
 from .sampler import GenericityReport, SampleConfig, random_algebra, run_experiment
 from .structmats import (DerivationSpace, HomLieSpace, aut_dimension, build_HL,
                          build_M, derivation_defect, derivation_space,

@@ -1,13 +1,16 @@
 """Skew-symmetric algebras with exact rational structure constants.
 
 An algebra of dimension n is given by the coefficient vectors of the basis
-products e_i * e_j for i < j (1-based) and stores them once, as one integer
-tensor t over a common denominator den, built by ``_of`` from integer rows;
-``product`` is a ``Fraction`` view. One integer kernel, ``_mul``, serves
-``multiply``, ``transport``, ``subspace_product`` and the series. The double products
-(e_p e_q) e_l of the Lie, Hom-Lie and Lie-type identities, the Killing form and
-the derived algebra A·A read t directly. All of it is pure and exact;
-``jacobiator`` keeps the independent route through ``multiply``.
+products e_i * e_j for i < j and stores them once, as one integer tensor t over
+a common denominator den, built by ``_of`` from integer rows; ``product`` is a
+``Fraction`` view. Basis indices are 1-based at the public boundary and 0-based
+inside (index p is position p in t), where basis pairs and triples come from
+``itertools.combinations(range(n), k)`` in lexicographic order. One integer
+kernel, ``_mul``, serves ``multiply``, ``transport``, ``subspace_product`` and
+the series. The double products (e_p e_q) e_l of the Lie, Hom-Lie and Lie-type
+identities, the Killing form and the derived algebra A·A read t directly. All
+of it is pure and exact; ``jacobiator`` keeps the independent route through
+``multiply``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _as_fraction, _Basis, _eliminate, _rescale, _rref, echelonize
+from .qlinalg import ExactMatrix, _as_fraction, _Basis, _eliminate, _rescale, _rref
 
 Vec = tuple[Fraction, ...]
 Endo = ExactMatrix
@@ -32,33 +35,15 @@ def as_vec(coords: Sequence) -> Vec:
     return tuple(_as_fraction(x) for x in coords)
 
 
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def basis_vec(n: int, i: int) -> Vec:
-    """Standard basis vector e_i, 1-based."""
+    """Standard basis vector e_i for 1-based i in 1..n."""
+    if not 1 <= i <= n:
+        raise IndexError(f"basis index {i} outside 1..{n}")
     return tuple(Fraction(int(k == i - 1)) for k in range(n))
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c, v: Vec) -> Vec:
-    f = _as_fraction(c)
-    return tuple(f * a for a in v)
-
-
-def _pairs(n: int) -> list[tuple[int, int]]:
-    """1-based basis pairs i < j in lexicographic order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def _triples(n: int) -> list[tuple[int, int, int]]:
-    """1-based basis triples i < j < k in lexicographic order."""
-    return [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            for k in range(j + 1, n + 1)]
 
 
 class SkewAlgebra:
@@ -111,7 +96,8 @@ class SkewAlgebra:
     def products(self) -> dict[tuple[int, int], Vec]:
         """Nonzero product vectors, keyed by 1-based pairs i < j in lexicographic order."""
         t = self._ints[0]
-        return {(i, j): self.product(i, j) for i, j in _pairs(self.dim) if any(t[i - 1][j - 1])}
+        return {(i + 1, j + 1): self.product(i + 1, j + 1)
+                for i, j in itertools.combinations(range(self.dim), 2) if any(t[i][j])}
 
     def product(self, i: int, j: int) -> Vec:
         """Coefficient vector of e_i * e_j for 1-based i, j in 1..dim."""
@@ -176,14 +162,12 @@ def _check_vec(a: SkewAlgebra, v: Sequence) -> Vec:
 def _mul(t, x: Sequence[int], y: Sequence[int]) -> list[int]:
     """den * (x*y) for integer vectors x, y: the sum over pairs r < s of
     (x_r y_s - x_s y_r) t[r][s], skipping zeros."""
-    n = len(t)
-    out = [0] * n
-    for r in range(n):
-        for s in range(r + 1, n):
-            if c := x[r] * y[s] - x[s] * y[r]:
-                for k, v in enumerate(t[r][s]):
-                    if v:
-                        out[k] += c * v
+    out = [0] * len(t)
+    for r, s in itertools.combinations(range(len(t)), 2):
+        if c := x[r] * y[s] - x[s] * y[r]:
+            for k, v in enumerate(t[r][s]):
+                if v:
+                    out[k] += c * v
     return out
 
 
@@ -203,12 +187,12 @@ def jacobiator(a: SkewAlgebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
 
 
 def _double_product(table, p: int, q: int, l: int) -> tuple:
-    """(e_p e_q) e_l for 1-based p, q, l: the sum over s of c_pq^s e_s e_l,
+    """(e_p e_q) e_l for 0-based p, q, l: the sum over s of c_pq^s e_s e_l,
     contracted from an n x n table of product vectors (the integer t) skipping zeros."""
     out = [0] * len(table)
-    for c, row in zip(table[p - 1][q - 1], table):
+    for c, row in zip(table[p][q], table):
         if c != 0:
-            for m, x in enumerate(row[l - 1]):
+            for m, x in enumerate(row[l]):
                 if x != 0:
                     out[m] += c * x
     return tuple(out)
@@ -219,7 +203,7 @@ def is_lie(a: SkewAlgebra) -> bool:
     integer table scales it by den^2, which leaves the zero test alone."""
     t, dp = a._ints[0], _double_product
     return all(not any(map(sum, zip(dp(t, i, j, k), dp(t, j, k, i), dp(t, k, i, j))))
-               for (i, j, k) in _triples(a.dim))
+               for i, j, k in itertools.combinations(range(a.dim), 3))
 
 
 def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
@@ -286,12 +270,6 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.basis.cols
 
-    def contains(self, v: Sequence) -> bool:
-        vec = as_vec(v)
-        stacked = ExactMatrix(list(self.basis.row_list()) + [list(vec)],
-                              cols=self.basis.cols)
-        return echelonize(stacked).rank == self.dim
-
     def basis_vectors(self) -> list[Vec]:
         return [self.basis.row(i) for i in range(self.dim)]
 
@@ -308,6 +286,8 @@ def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
         dim = len(vecs[0])
     if any(len(v) != dim for v in vecs):
         raise DimensionMismatchError(f"spanning vectors must all have length {dim}")
+    if dim < 0:  # reached only with no vectors
+        raise ValueError(f"negative ambient dimension {dim}")
     return _subspace(_eliminate([_rescale(v)[0] for v in vecs], dim))
 
 
@@ -329,7 +309,7 @@ def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
 def _derived_algebra(a: SkewAlgebra) -> _Basis:
     """A·A: the span of t's upper-half integer rows, which ignores their factor den."""
     t = a._ints[0]
-    return _eliminate([t[i - 1][j - 1] for i, j in _pairs(a.dim)], a.dim)
+    return _eliminate([t[i][j] for i, j in itertools.combinations(range(a.dim), 2)], a.dim)
 
 
 @dataclass(frozen=True)

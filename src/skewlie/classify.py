@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product,
-                      _mul, basis_vec, is_lie, transport, vscale)
+                      _mul, is_lie, transport)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
 from .qlinalg import ExactMatrix, _Basis, _eliminate
 
@@ -31,6 +31,8 @@ NS2 = "NonSolvableNS2"
 
 TAGS = (ABELIAN, HEISENBERG, SOLVABLE_LIE_LINE, SOLVABLE_LIE_PLANE,
         SOLVABLE_NON_LIE, NS1, NS2)
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the basis vectors e_0, e_1, e_2 as integers
 
 
 @dataclass(frozen=True)
@@ -135,17 +137,18 @@ def _annihilator(a: SkewAlgebra) -> tuple[list[list[int]], int]:
 
 def _classify_dim1_derived(a: SkewAlgebra, line: _Basis) -> ClassificationResult:
     (t, den), wi = a._ints, line.span_rows()[0]  # d * w, w the line's RREF row
-    ew = [_mul(t, e, wi) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]  # den * d * e_i w
+    ew = [_mul(t, e, wi) for e in _UNITS]  # den * d * e_i w
     if not any(map(any, ew)):
         # nilpotent: pick the first basis pair with a nonzero product, which
         # together with that product forms a basis
-        (i, j), uv = next(iter(a.products.items()))
-        witness = ExactMatrix.from_columns([basis_vec(3, i), basis_vec(3, j), uv])
+        i, j = next((i, j) for i, j in itertools.combinations(range(3), 2) if any(t[i][j]))
+        witness = ExactMatrix.from_columns(
+            [_UNITS[i], _UNITS[j], [Fraction(x, den) for x in t[i][j]]])
         return ClassificationResult(HEISENBERG, {}, witness, True)
     # not nilpotent: products span the line, e_lead w = lam w for the first lam != 0
     pivot = next(i for i, c in enumerate(wi) if c)
     lead = next(i for i, v in enumerate(ew) if v[pivot])
-    f1 = vscale(Fraction(den * wi[pivot], ew[lead][pivot]), basis_vec(3, lead + 1))  # e_lead / lam
+    f1 = [c * Fraction(den * wi[pivot], ew[lead][pivot]) for c in _UNITS[lead]]  # e_lead / lam
     vecs, q = _annihilator(a)
     witness = ExactMatrix.from_columns([f1, [Fraction(x, q) for x in vecs[0]],
                                         [Fraction(x, line.d) for x in wi]])
@@ -174,7 +177,7 @@ def _classify_dim2_derived(a: SkewAlgebra, plane: _Basis) -> ClassificationResul
     tag = SOLVABLE_NON_LIE if line else SOLVABLE_LIE_PLANE
     # the first e_i off the plane: det[e_i, f2, f3] = (f2 x f3)_i, a multiple of (u x v)_i
     i = next(i for i, c in enumerate(_cross(u, v)) if c)
-    witness = ExactMatrix.from_columns([basis_vec(3, i + 1), f2, f3])
+    witness = ExactMatrix.from_columns([_UNITS[i], f2, f3])
     bt, d = transport(a, witness)._ints
     p12, p13, p23 = bt[0][1], bt[0][2], bt[1][2]
     if not (p12[0] == p13[0] == 0 and p23 == (0, 0, d if line else 0) and (p12[1] or p13[1])):
@@ -247,7 +250,7 @@ def _cyclic_ints(a: SkewAlgebra) -> list[tuple[int, ...]]:
     """den² times the cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2, off the integer t."""
     if a.dim != 3:
         raise UnsupportedDimError("the Lie-type relation lives in dimension 3")
-    return [_double_product(a._ints[0], *p) for p in ((1, 2, 3), (2, 3, 1), (3, 1, 2))]
+    return [_double_product(a._ints[0], *p) for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
 
 
 def lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:

@@ -19,6 +19,7 @@ import, and ``main`` only parses and dispatches.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -91,8 +92,8 @@ def serialize_algebra(a: alg.SkewAlgebra) -> dict[str, Any]:
     return {
         "dim": a.dim,
         "products": [
-            {"i": i, "j": j, "c": [_format_ratio(x, den) for x in t[i - 1][j - 1]]}
-            for i, j in alg._pairs(a.dim) if any(t[i - 1][j - 1])
+            {"i": i + 1, "j": j + 1, "c": [_format_ratio(x, den) for x in t[i][j]]}
+            for i, j in itertools.combinations(range(a.dim), 2) if any(t[i][j])
         ],
     }
 

@@ -23,8 +23,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonSquareError, SingularMapError
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")  # ASCII digits only
 
 

@@ -8,9 +8,10 @@ parallel) and the aggregate report never changes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .algebra import SkewAlgebra, _pairs, is_lie
+from .algebra import SkewAlgebra, is_lie
 from .structmats import is_homlie, orbit_dimension
 
 _MASK = (1 << 64) - 1
@@ -69,7 +70,8 @@ def random_algebra(cfg: SampleConfig, index: int) -> SkewAlgebra:
         raise ValueError(f"index {index} outside 0..{cfg.trials - 1}")
     rng = SplitMix64(cfg.seed ^ index)
     n, h = cfg.dim, cfg.height
-    table = {(i - 1, j - 1): [rng.randint(-h, h) for _ in range(n)] for i, j in _pairs(n)}
+    table = {ij: [rng.randint(-h, h) for _ in range(n)]
+             for ij in itertools.combinations(range(n), 2)}
     return SkewAlgebra._of(n, table, 1)
 
 

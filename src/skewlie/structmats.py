@@ -2,10 +2,12 @@
 Hom-Jacobi operator as matrices acting on flattened endomorphisms.
 
 Endomorphisms are flattened column-major: ``vec_of_endo`` lists the first
-column of f, then the second, and so on. Rows of the derivation matrix M are
-the components of the derivation defect on basis pairs (i, j), pairs in
-lexicographic order with i < j, components innermost; rows of the Hom-Jacobi
-matrix HL do the same over basis triples i < j < k. ``_M_rows`` and
+column of f, then the second, and so on, so with 0-based basis indices column
+c*n + k of M and HL is the unit endomorphism e_c -> e_k. Rows of the derivation
+matrix M are the components of the derivation defect on basis pairs (i, j),
+pairs i < j in lexicographic order (``itertools.combinations``), components
+innermost; rows of the Hom-Jacobi matrix HL do the same over basis triples
+i < j < k. ``_M_rows`` and
 ``_HL_rows`` assemble integer rows from the constants over one common
 denominator den, M (linear in them) scaled by den and HL (quadratic) by den^2;
 ``_reduce`` divides each row by its content (the gcd of its entries) and hands
@@ -23,13 +25,14 @@ elimination as its kernel: times the row contents and over den^32.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, _double_product, _pairs, _triples,
-                      as_vec, basis_vec, multiply, vadd, zero_vec)
+from .algebra import (Endo, SkewAlgebra, Vec, _double_product, as_vec, basis_vec,
+                      multiply, vadd)
 from .errors import DimensionMismatchError, UnsupportedDimError
 from .qlinalg import ExactMatrix, _Basis, _eliminate
 
@@ -44,6 +47,8 @@ def vec_of_endo(f: Endo) -> Vec:
 
 def endo_of_vec(n: int, v: Sequence) -> Endo:
     """Inverse of ``vec_of_endo``."""
+    if n < 0:
+        raise ValueError(f"negative dimension {n}")
     if len(v) != n * n:
         raise DimensionMismatchError(f"vector of length {len(v)} is not n^2 for n={n}")
     v = as_vec(v)  # column c is v[c*n : c*n + n]
@@ -77,19 +82,19 @@ def hom_jacobi_defect(a: SkewAlgebra, f: Endo,
 def _M_rows(a: SkewAlgebra) -> list[list[int]]:
     """Integer rows of den * M (M is linear in the constants)."""
     n, t = a.dim, a._ints[0]
-    pairs = _pairs(n)
+    pairs = list(itertools.combinations(range(n), 2))
     grid = [[0] * (n * n) for _ in range(n * len(pairs))]
-    # column c*n + k (0-based) is the unit endomorphism f: e_{c+1} -> e_{k+1}. Its
-    # defect f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_{k+1} e_j if c+1 = i, plus
-    # e_i e_{k+1} if c+1 = j (never both, as i != j), minus (e_i e_j)_c e_{k+1}.
+    # column c*n + k is the unit endomorphism f: e_c -> e_k. Its defect
+    # f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_k e_j if c = i, plus e_i e_k if
+    # c = j (never both, as i != j), minus (e_i e_j)_c e_k.
     for p, (i, j) in enumerate(pairs):
         rows = grid[p * n:(p + 1) * n]
         for k in range(n):
-            for c, prod in ((i - 1, t[k][j - 1]), (j - 1, t[i - 1][k])):
+            for c, prod in ((i, t[k][j]), (j, t[i][k])):
                 for m, x in enumerate(prod):
                     if x:
                         rows[m][c * n + k] = x
-        for c, x in enumerate(t[i - 1][j - 1]):
+        for c, x in enumerate(t[i][j]):
             if x:
                 for k in range(n):
                     rows[k][c * n + k] -= x
@@ -102,15 +107,16 @@ def _HL_rows(a: SkewAlgebra) -> list[list[int]]:
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
     # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
-    dp = {(p, q, l): _double_product(t, p, q, l) for p, q in _pairs(n) for l in range(1, n + 1)}
+    dp = {(p, q, l): _double_product(t, p, q, l)
+          for p, q in itertools.combinations(range(n), 2) for l in range(n)}
     dp.update({(q, p, l): tuple(-x for x in v) for (p, q, l), v in dp.items()})
-    triples = _triples(n)
+    triples = list(itertools.combinations(range(n), 3))
     grid = [[0] * (n * n) for _ in range(n * len(triples))]
     for row, (i, j, k) in enumerate(triples):
         # the three cyclic terms hit distinct r, so no column gets two terms
         for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-            for l in range(1, n + 1):
-                col = (r - 1) * n + l - 1  # unit endomorphism e_r -> e_l
+            for l in range(n):
+                col = r * n + l  # unit endomorphism e_r -> e_l
                 for m, x in enumerate(dp[p, q, l]):
                     if x:
                         grid[row * n + m][col] = x
@@ -217,9 +223,5 @@ def hom_check(a: SkewAlgebra, f: Endo) -> bool:
     """
     _check_endo(a, f)
     n = a.dim
-    zero = zero_vec(n)
-    for (i, j, k) in _triples(n):
-        if hom_jacobi_defect(a, f, basis_vec(n, i), basis_vec(n, j),
-                             basis_vec(n, k)) != zero:
-            return False
-    return True
+    return not any(any(hom_jacobi_defect(a, f, *(basis_vec(n, i) for i in ijk)))
+                   for ijk in itertools.combinations(range(1, n + 1), 3))

@@ -8,7 +8,7 @@ import itertools
 from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, Subspace, algebra3,
                      basis_vec, determinant, echelonize, inverse, left_mult,
                      multiply)
-from skewlie.algebra import Vec, _double_product, _pairs, _triples, zero_vec
+from skewlie.algebra import Vec, _double_product
 from skewlie.classify import LieTypeSolution, _cyclic_ints
 from skewlie.errors import UnsupportedDimError
 
@@ -62,7 +62,7 @@ def fraction_rref(m: ExactMatrix) -> EchelonResult:
 
 def fraction_build_M(a: SkewAlgebra) -> ExactMatrix:
     n = a.dim
-    pairs = _pairs(n)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))  # 1-based, as a.product
     grid = [[Fraction(0)] * (n * n) for _ in range(n * len(pairs))]
     # column c*n + k (0-based) is the unit endomorphism f: e_{c+1} -> e_{k+1}. Its
     # defect f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_{k+1} e_j if c+1 = i, plus
@@ -86,19 +86,20 @@ def fraction_build_HL(a: SkewAlgebra) -> ExactMatrix:
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
     # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
+    # (0-based indices: table[i][j] is a.product(i + 1, j + 1))
     table = [[a.product(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
     dp = {}
-    for p, q in _pairs(n):
-        for l in range(1, n + 1):
+    for p, q in itertools.combinations(range(n), 2):
+        for l in range(n):
             dp[p, q, l] = v = _double_product(table, p, q, l)
             dp[q, p, l] = tuple(-x for x in v)
-    triples = _triples(n)
+    triples = list(itertools.combinations(range(n), 3))
     grid = [[Fraction(0)] * (n * n) for _ in range(n * len(triples))]
     for t, (i, j, k) in enumerate(triples):
         # the three cyclic terms hit distinct r, so no column gets two terms
         for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-            for l in range(1, n + 1):
-                col = (r - 1) * n + l - 1  # unit endomorphism e_r -> e_l
+            for l in range(n):
+                col = r * n + l  # unit endomorphism e_r -> e_l
                 for m, x in enumerate(dp[p, q, l]):
                     if x != 0:
                         grid[t * n + m][col] = x
@@ -146,7 +147,7 @@ def fraction_transport(a: SkewAlgebra, p: ExactMatrix) -> SkewAlgebra:
     aug = ExactMatrix([list(p.row(r)) + [int(r == c) for c in range(n)] for r in range(n)])
     pinv = [row[n:] for row in fraction_rref(aug).reduced.row_list()]
     products = {}
-    for i, j in _pairs(n):
+    for i, j in itertools.combinations(range(1, n + 1), 2):
         v = fraction_product(a, p.column(i - 1), p.column(j - 1))
         products[i, j] = [sum((q * x for q, x in zip(row, v)), Fraction(0)) for row in pinv]
     return SkewAlgebra(n, products)
@@ -441,7 +442,7 @@ def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:
     t1, t2, t3 = _cyclic_terms(a)
     total = tuple(p + Fraction(coeff_a) * q + Fraction(coeff_b) * r
                   for p, q, r in zip(t1, t2, t3))
-    return total == zero_vec(3)
+    return not any(total)
 
 
 def fraction_lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:

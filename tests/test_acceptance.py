@@ -7,6 +7,7 @@ statistical criteria use thresholds frozen from a pilot calibration run.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from skewlie import (ExactMatrix, SampleConfig, SkewAlgebra, abelian, algebra3,
                      aut_dimension, basis_vec, build_HL, build_M, classify,
@@ -16,7 +17,6 @@ from skewlie import (ExactMatrix, SampleConfig, SkewAlgebra, abelian, algebra3,
                      rank, run_experiment, transport, vec_of_endo)
 from skewlie.classify import (HEISENBERG, TAGS, ns1_family, ns2_family,
                               sol_family)
-from skewlie.algebra import _pairs, _triples
 from skewlie.errors import UnsupportedDimError
 from skewlie.structmats import derivation_defect, hom_jacobi_defect
 
@@ -232,14 +232,14 @@ def test_c12_matrix_vs_direct_oracle():
             f = rand_endo(rng, dim, height=2)
             image = build_M(a).apply(vec_of_endo(f))
             direct = []
-            for (i, j) in _pairs(dim):
+            for (i, j) in combinations(range(1, dim + 1), 2):
                 direct.extend(derivation_defect(a, f, basis_vec(dim, i),
                                                 basis_vec(dim, j)))
             m_ok &= list(image) == direct
             if dim >= 3:
                 image = build_HL(a).apply(vec_of_endo(f))
                 direct = []
-                for (i, j, k) in _triples(dim):
+                for (i, j, k) in combinations(range(1, dim + 1), 3):
                     direct.extend(hom_jacobi_defect(
                         a, f, basis_vec(dim, i), basis_vec(dim, j),
                         basis_vec(dim, k)))

@@ -43,5 +43,42 @@ def test_integer_core_names_no_fraction():
     assert found == dict.fromkeys(INTEGER_CORE, []), found
 
 
+# the functions that take or give public 1-based basis indices
+BOUNDARY = {("algebra.py", name) for name in ("__init__", "product", "products", "basis_vec")}
+BOUNDARY |= {("cli.py", "parse_algebra"), ("cli.py", "serialize_algebra")}
+
+
+def _plus_or_minus_one(node) -> bool:
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+            and isinstance(node.right, ast.Constant) and node.right.value == 1)
+
+
+def _indexed_by_plus_or_minus_one(node) -> bool:
+    """t[i - 1], t[i + 1], or d[i - 1, j - 1]."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    keys = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any(map(_plus_or_minus_one, keys))
+
+
+def test_indices_are_0_based_inside_the_public_boundary():
+    """Inside the package a basis index is its position in the tensor, and pairs and
+    triples come from ``itertools.combinations``: only the boundary functions index
+    by i ± 1, and no loop starts at ``range(i + 1, ...)``."""
+    shifted, loops = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) not in BOUNDARY:
+                shifted += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                            if _indexed_by_plus_or_minus_one(node)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "range" and len(node.args) > 1
+                    and _plus_or_minus_one(node.args[0])):
+                loops.append(f"{path.name}:{node.lineno}")
+    assert (shifted, loops) == ([], [])
+
+
 def test_sources_found():
     assert len(SOURCES) >= 8

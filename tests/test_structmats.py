@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, aut_dimension,
                      is_homlie, is_lie, killing_matrix, left_mult,
                      orbit_dimension, rank, span, transport, vec_of_endo)
 from skewlie.classify import ns1_family, ns2_family, sol_family
-from skewlie.algebra import _pairs, _triples
 from skewlie.errors import DimensionMismatchError, UnsupportedDimError
 from skewlie.qlinalg import _rref
 from skewlie.sampler import SampleConfig, random_algebra
@@ -55,6 +55,12 @@ def test_endo_of_vec_roundtrip():
     for n in (2, 3, 4):
         f = rand_endo(rng, n)
         assert endo_of_vec(n, vec_of_endo(f)) == f
+
+
+def test_endo_of_vec_rejects_a_negative_size():
+    # (-2)^2 = 4 entries once passed the length check and gave a 0x-2 matrix
+    with pytest.raises(ValueError):
+        endo_of_vec(-2, [1, 2, 3, 4])
 
 
 # --- derivation matrix ---
@@ -117,7 +123,7 @@ def test_derivation_basis_members_have_zero_defect():
     for _ in range(10):
         a = rand_algebra(rng, dim=3)
         for f in derivation_space(a).basis:
-            for (i, j) in _pairs(3):
+            for (i, j) in combinations(range(1, 4), 2):
                 assert derivation_defect(a, f, basis_vec(3, i),
                                          basis_vec(3, j)) == (0, 0, 0)
 
@@ -334,7 +340,7 @@ def test_matrix_vs_direct_derivation_defect(dim):
         f = rand_endo(rng, dim)
         image = build_M(a).apply(vec_of_endo(f))
         direct = []
-        for (i, j) in _pairs(dim):
+        for (i, j) in combinations(range(1, dim + 1), 2):
             direct.extend(derivation_defect(a, f, basis_vec(dim, i),
                                             basis_vec(dim, j)))
         assert list(image) == direct
@@ -348,7 +354,7 @@ def test_matrix_vs_direct_hom_jacobi(dim):
         f = rand_endo(rng, dim)
         image = build_HL(a).apply(vec_of_endo(f))
         direct = []
-        for (i, j, k) in _triples(dim):
+        for (i, j, k) in combinations(range(1, dim + 1), 3):
             direct.extend(hom_jacobi_defect(a, f, basis_vec(dim, i),
                                             basis_vec(dim, j), basis_vec(dim, k)))
         assert list(image) == direct
