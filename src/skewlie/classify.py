@@ -32,7 +32,7 @@ NS2 = "NonSolvableNS2"
 TAGS = (ABELIAN, HEISENBERG, SOLVABLE_LIE_LINE, SOLVABLE_LIE_PLANE,
         SOLVABLE_NON_LIE, NS1, NS2)
 
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the basis vectors e_0, e_1, e_2 as integers
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the standard basis, as integer vectors
 
 
 @dataclass(frozen=True)

@@ -4,16 +4,16 @@ Hom-Jacobi operator as matrices acting on flattened endomorphisms.
 Endomorphisms are flattened column-major: ``vec_of_endo`` lists the first
 column of f, then the second, and so on, so with 0-based basis indices column
 c*n + k of M and HL is the unit endomorphism e_c -> e_k. Rows of the derivation
-matrix M are the components of the derivation defect on basis pairs (i, j),
-pairs i < j in lexicographic order (``itertools.combinations``), components
-innermost; rows of the Hom-Jacobi matrix HL do the same over basis triples
-i < j < k. ``_M_rows`` and
-``_HL_rows`` assemble integer rows from the constants over one common
-denominator den, M (linear in them) scaled by den and HL (quadratic) by den^2;
-``_reduce`` divides each row by its content (the gcd of its entries) and hands
-them to ``qlinalg._eliminate``; rank and kernel ignore row scaling. ``build_M``
-and ``build_HL`` are ``Fraction`` views of those rows; the ``*_defect`` functions
-evaluate the same expressions on vectors through ``multiply``, independently.
+matrix M are the components of the derivation defect on basis pairs i < j in
+lexicographic order (``itertools.combinations``), components innermost; rows
+of the Hom-Jacobi matrix HL do the same over basis triples i < j < k.
+``_M_rows`` and ``_HL_rows`` assemble integer rows from the constants over one
+common denominator den, M (linear in them) scaled by den and HL (quadratic) by
+den^2; ``_reduce`` divides each row by its content (the gcd of its entries) and
+hands them to ``qlinalg._eliminate``; rank and kernel ignore row scaling.
+``build_M`` and ``build_HL`` are ``Fraction`` views of those rows; the
+``*_defect`` functions evaluate the same expressions on vectors through
+``multiply``, independently.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
