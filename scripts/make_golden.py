@@ -6,9 +6,9 @@ algebras of dimensions 2-6, the same moved to a rational basis) with the
 ``--json`` report (``<command>.json``) and the plain-text report
 (``<command>.txt``) of every subcommand that applies to it, plus two ``sample``
 runs in both forms. ``MANIFEST.json`` lists each command line and the file
-holding its expected stdout; ``tests/test_golden.py`` replays it and compares byte for
-byte. That test never writes the corpus: regenerating it is a deliberate act,
-committed on its own with the reason for the change.
+holding its expected stdout; ``tests/test_golden.py`` replays it and compares
+byte for byte. That test never writes the corpus: regenerating it is a
+deliberate act, committed on its own with the reason for the change.
 
     PYTHONPATH=src python scripts/make_golden.py
 """

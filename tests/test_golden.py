@@ -1,6 +1,6 @@
-"""The golden corpus: every report in ``tests/golden/``, ``--json`` (``.json``) and
-plain text (``.txt``), is replayed and compared byte for byte. The files are written only by
-``scripts/make_golden.py``, never by a test run."""
+"""The golden corpus: every report in ``tests/golden/``, ``--json`` (``.json``)
+and plain text (``.txt``), is replayed and compared byte for byte. The files are
+written only by ``scripts/make_golden.py``, never by a test run."""
 
 import contextlib
 import io
