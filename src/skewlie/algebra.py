@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _as_fraction, _Basis, _eliminate, _rescale, _rref
+from .qlinalg import ExactMatrix, _as_fraction, _Basis, _eliminate, _rescale, determinant
 
 Vec = tuple[Fraction, ...]
 Endo = ExactMatrix
@@ -35,8 +35,16 @@ def as_vec(coords: Sequence) -> Vec:
     return tuple(_as_fraction(x) for x in coords)
 
 
+def _check_index(*values) -> None:
+    """A basis index or size is an int, and no ``bool`` (which Python counts as one)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"a basis index or size must be an int, not {type(v).__name__}")
+
+
 def basis_vec(n: int, i: int) -> Vec:
     """Standard basis vector e_i for 1-based i in 1..n."""
+    _check_index(n, i)
     if not 1 <= i <= n:
         raise IndexError(f"basis index {i} outside 1..{n}")
     return tuple(Fraction(int(k == i - 1)) for k in range(n))
@@ -59,6 +67,7 @@ class SkewAlgebra:
     def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence] | None = None):
         given = {}
         for (i, j), coeffs in (products or {}).items():
+            _check_index(i, j)
             if not (1 <= i < j <= dim):
                 raise ValueError(f"pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
             vec = as_vec(coeffs)
@@ -101,6 +110,7 @@ class SkewAlgebra:
 
     def product(self, i: int, j: int) -> Vec:
         """Coefficient vector of e_i * e_j for 1-based i, j in 1..dim."""
+        _check_index(i, j)
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise IndexError(f"basis indices ({i},{j}) outside 1..{self.dim}")
         t, den = self._ints
@@ -214,24 +224,17 @@ def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
         [multiply(a, x, basis_vec(n, j)) for j in range(1, n + 1)])
 
 
-def _killing_ints(a: SkewAlgebra) -> tuple[list[list[int]], int]:
-    """(den^2 times the Killing matrix, den^2): entry (i, j) = trace(L_{e_i} L_{e_j}) =
-    sum over k, l of c_il^k c_jk^l for e_i e_l = sum_k c_il^k e_k, on the integer table."""
-    n, (c, den) = a.dim, a._ints
-    return [[sum(c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n))
-             for j in range(n)] for i in range(n)], den * den
-
-
 def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
-    """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j})."""
-    rows, q = _killing_ints(a)
-    return ExactMatrix._of(tuple(tuple(Fraction(x, q) for x in r) for r in rows), a.dim)
+    """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j}) = sum over k, l of
+    c_il^k c_jk^l for e_i e_l = sum_k c_il^k e_k: the integer table's sums over den^2."""
+    n, (c, den) = a.dim, a._ints
+    return ExactMatrix._of([[sum(c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n))
+                             for j in range(n)] for i in range(n)], n, den * den)
 
 
 def killing_determinant(a: SkewAlgebra) -> Fraction:
-    """det of the Killing matrix: det of its integer form (den^2 times it) over den^(2n)."""
-    rows, q = _killing_ints(a)
-    return Fraction(_eliminate(rows, a.dim).det, q ** a.dim)
+    """det of the Killing matrix."""
+    return determinant(killing_matrix(a))
 
 
 def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
@@ -239,7 +242,7 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
 
     The new product is x, y -> p^{-1} (p(x) * p(y)); transport by the
     identity is the identity, and transports compose contravariantly. With p's
-    columns X_i/dx and u_ij = ``_mul`` of X_i and X_j, all integer, one
+    integer columns X_i over its den dx and u_ij = ``_mul`` of X_i and X_j, one
     ``_eliminate`` of the rows [X | u_12 ... u_(n-1)n] has pivots 0..n-1 iff p is
     invertible, and its basis over the u columns is d X^{-1} u_ij. So c'_ij =
     X^{-1} u_ij / (den dx) is that basis over den dx d, with the sign of d moved
@@ -248,9 +251,8 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
     if not (p.is_square and p.rows == a.dim):
         raise DimensionMismatchError(f"transport of dim-{a.dim} algebra by "
                                      f"{p.rows}x{p.cols} map")
-    (t, den), n = a._ints, a.dim
-    x, dx = _rescale([v for i in range(n) for v in p.column(i)])
-    cols, pairs = [x[i * n:i * n + n] for i in range(n)], list(itertools.combinations(range(n), 2))
+    (t, den), (x, dx), n = a._ints, p._ints, a.dim
+    cols, pairs = list(zip(*x)), list(itertools.combinations(range(n), 2))
     us = [_mul(t, cols[i], cols[j]) for i, j in pairs]
     b = _eliminate(list(zip(*cols, *us)), n + len(us))
     if b.pivots != list(range(n)):
@@ -266,6 +268,10 @@ class Subspace:
 
     basis: ExactMatrix
     dim: int
+
+    def __post_init__(self):
+        if self.dim != self.basis.rows:
+            raise ValueError(f"dim {self.dim} against a basis of {self.basis.rows} rows")
 
     def ambient_dim(self) -> int:
         return self.basis.cols
@@ -293,16 +299,16 @@ def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
 
 def _subspace(b: _Basis) -> Subspace:
     """The subspace spanned by a reduction's rows: the nonzero rows of its RREF."""
-    return Subspace(ExactMatrix._of(_rref(b), b.rank + len(b.free)), b.rank)
+    return Subspace(ExactMatrix._of(b.span_rows(), b.rank + len(b.free), b.d), b.rank)
 
 
 def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
-    """span{ x*y : x a basis vector of u, y a basis vector of w }: ``_mul`` of their
-    integer rescalings, whose factors the span ignores."""
+    """span{ x*y : x a basis vector of u, y a basis vector of w }: ``_mul`` of the
+    bases' integer rows, whose common factors the span ignores."""
     if u.ambient_dim() != a.dim or w.ambient_dim() != a.dim:
         raise DimensionMismatchError("subspace from a different ambient space")
     t = a._ints[0]
-    xs, ys = ([_rescale(v)[0] for v in s.basis_vectors()] for s in (u, w))
+    xs, ys = u.basis._ints[0], w.basis._ints[0]
     return _subspace(_eliminate([_mul(t, x, y) for x in xs for y in ys], a.dim))
 
 

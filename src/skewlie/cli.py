@@ -7,8 +7,8 @@ Reports are plain text by default or a single JSON object with ``--json``;
 every number is serialized as an exact rational literal, and identical input
 always produces byte-identical JSON. Numbers stay integers over a denominator
 from input to output: ``parse_algebra`` puts the literals over their lcm for
-``SkewAlgebra._of``, the payloads format the integer tensor, kernels and Killing
-matrix with ``_format_ratio``, and ``_dumps`` writes the bytes that ``json.dumps``
+``SkewAlgebra._of``, the payloads format the integer tensor, kernels and matrices
+with ``_format_ratio``, and ``_dumps`` writes the bytes that ``json.dumps``
 with ``indent=2, sort_keys=True`` would, through the C string encoder.
 
 One table, ``_COMMANDS``, maps each document subcommand to its help text and
@@ -30,7 +30,7 @@ from . import structmats as sm
 from .classify import classify as classify_algebra
 from .classify import lie_type_constants
 from .errors import InvariantError, ParseError, SkewlieError
-from .qlinalg import ExactMatrix, _eliminate, _format_ratio, _parse_ratio, format_rational
+from .qlinalg import ExactMatrix, _format_ratio, _parse_ratio, determinant, format_rational
 from .sampler import SampleConfig, run_experiment
 
 
@@ -99,7 +99,8 @@ def serialize_algebra(a: alg.SkewAlgebra) -> dict[str, Any]:
 
 
 def _matrix_rows(m: ExactMatrix) -> list[list[str]]:
-    return [[format_rational(x) for x in m.row(i)] for i in range(m.rows)]
+    rows, den = m._ints
+    return [[_format_ratio(x, den) for x in r] for r in rows]
 
 
 def _endo_rows(kernel: tuple) -> list[list[list[str]]]:
@@ -140,9 +141,8 @@ def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
 
 
 def _killing_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
-    rows, q = alg._killing_ints(a)
-    return {"matrix": [[_format_ratio(x, q) for x in r] for r in rows],
-            "determinant": _format_ratio(_eliminate(rows, a.dim).det, q ** a.dim)}
+    k = alg.killing_matrix(a)
+    return {"matrix": _matrix_rows(k), "determinant": format_rational(determinant(k))}
 
 
 def _classify_payload(a: alg.SkewAlgebra) -> dict[str, Any]:

@@ -1,15 +1,17 @@
-"""Exact rational linear algebra: dense matrices over ``fractions.Fraction``.
+"""Exact rational linear algebra: dense matrices held as integer rows over one
+denominator, read as ``fractions.Fraction`` at the public boundary.
 
 No floating point enters. One integer routine, ``_eliminate``, does all row
 reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer rows one at a
 time to a basis kept in RREF and stops at full column rank. It returns that
 integer basis only (``_Basis``), whose kernel ``kernel_ints`` reads as integer
-vectors over d. Only ``echelonize``, which rescales an ``ExactMatrix``'s rows to
-integers for it, builds the ``Fraction`` RREF (with rank, kernels and inverses).
+vectors over d. ``ExactMatrix`` holds ``_ints = (rows, den)`` in lowest terms with
+den > 0: its public constructor coerces entries, and ``_of`` is the one way in for
+integer rows the package built. ``rank``, ``determinant`` and ``inverse`` eliminate
+those rows directly; ``echelonize`` wraps the RREF they reduce to.
 Text holds numbers as integer pairs: ``_parse_ratio`` reads a literal as (p, q)
 and ``_format_ratio`` writes p / q in lowest terms; ``parse_rational`` and
-``format_rational`` are their ``Fraction`` forms. ``ExactMatrix`` coerces
-entries at its public constructor only; ``_of`` wraps the package's tuples.
+``format_rational`` are their ``Fraction`` forms.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ def _format_ratio(p: int, q: int) -> str:
 
 def format_rational(value: Fraction) -> str:
     """Canonical textual form: ``p/q`` with q > 0 and gcd(p, q) = 1, or ``p``."""
+    value = _as_fraction(value)
     return _format_ratio(value.numerator, value.denominator)
 
 
@@ -71,12 +74,14 @@ def _as_fraction(x) -> Fraction:
 
 
 class ExactMatrix:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals, held as ``_ints = (rows, den)``:
+    integer rows over den > 0, the lcm of the entries' reduced denominators. That
+    form is canonical, so equality and hashing compare it; entries read as ``Fraction``."""
 
-    __slots__ = ("_rows", "rows", "cols")
+    __slots__ = ("_ints", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable], *, cols: int | None = None):
-        rows = tuple(tuple(_as_fraction(x) for x in row) for row in entries)
+        rows = [[_as_fraction(x) for x in row] for row in entries]
         if rows:
             if cols is not None and len(rows[0]) != cols:
                 raise ValueError(f"rows of length {len(rows[0])} against cols={cols}")
@@ -85,29 +90,34 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         elif cols is None or cols < 0:
             raise ValueError(f"empty matrix needs an explicit column count >= 0, not {cols}")
-        for name, value in zip(self.__slots__, (rows, len(rows), cols)):
+        den = math.lcm(*(x.denominator for r in rows for x in r))
+        self._set([[x.numerator * (den // x.denominator) for x in r] for r in rows], cols, den)
+
+    def _set(self, rows: Sequence[Sequence[int]], cols: int, den: int) -> None:
+        for name, value in zip(self.__slots__, ((tuple(map(tuple, rows)), den), len(rows), cols)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def _of(cls, rows: tuple[tuple[Fraction, ...], ...], cols: int) -> ExactMatrix:
-        """Wrap tuple rows of ``Fraction`` the package made; the constructor coerces."""
+    def _of(cls, rows: Sequence[Sequence[int]], cols: int, den: int = 1) -> ExactMatrix:
+        """The matrix rows / den for integer rows the package built and den != 0; one
+        gcd takes them to the canonical ``_ints`` (the constructor coerces entries)."""
+        g = math.gcd(den, *(x for r in rows for x in r)) * (-1 if den < 0 else 1)
         m = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (rows, len(rows), cols)):
-            object.__setattr__(m, name, value)
+        m._set(rows if g == 1 else [[x // g for x in r] for r in rows], cols, den // g)
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> ExactMatrix:
         if rows < 0:  # a negative cols fails in the constructor
             raise ValueError(f"negative row count {rows}")
-        return cls([[Fraction(0)] * cols] * rows, cols=cols)
+        return cls([[0] * cols] * rows, cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], cols=n)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> ExactMatrix:
@@ -117,65 +127,70 @@ class ExactMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        rows, den = self._ints
+        return Fraction(rows[i][j], den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
+        rows, den = self._ints
+        return tuple(Fraction(x, den) for x in rows[i])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._rows)
+        rows, den = self._ints
+        return tuple(Fraction(r[j], den) for r in rows)
 
     def row_list(self) -> list[list[Fraction]]:
         """Mutable copy of the entries, row major."""
-        return [list(r) for r in self._rows]
+        return [list(self.row(i)) for i in range(self.rows)]
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> ExactMatrix:
-        return ExactMatrix(zip(*self._rows), cols=self.rows) if self.rows else \
-            ExactMatrix([[Fraction(0)] * 0 for _ in range(self.cols)], cols=0)
+        rows, den = self._ints
+        return ExactMatrix._of(list(zip(*rows)) if rows else [()] * self.cols, self.rows, den)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
-        v = [_as_fraction(x) for x in vec]
+        v, k = _rescale([_as_fraction(x) for x in vec])
         if len(v) != self.cols:
             raise ValueError(f"vector of length {len(v)} against {self.cols} columns")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), Fraction(0))
-                     for r in self._rows)
+        rows, den = self._ints
+        return tuple(Fraction(sum(x * y for x, y in zip(r, v)), den * k) for r in rows)
 
     def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [other.column(j) for j in range(other.cols)]
-        return ExactMatrix(
-            [[sum((r[k] * c[k] for k in range(self.cols)), Fraction(0)) for c in cols]
-             for r in self._rows],
-            cols=other.cols)
+        (a, da), (b, db) = self._ints, other._ints
+        cols = list(zip(*b)) if b else [()] * other.cols
+        return ExactMatrix._of([[sum(x * y for x, y in zip(r, c)) for c in cols] for r in a],
+                               other.cols, da * db)
 
     def __add__(self, other: ExactMatrix) -> ExactMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return ExactMatrix([[a + b for a, b in zip(r, s)]
-                            for r, s in zip(self._rows, other._rows)], cols=self.cols)
+        (a, da), (b, db) = self._ints, other._ints
+        return ExactMatrix._of([[x * db + y * da for x, y in zip(r, s)] for r, s in zip(a, b)],
+                               self.cols, da * db)
 
     def scale(self, factor) -> ExactMatrix:
-        f = _as_fraction(factor)
-        return ExactMatrix([[f * x for x in r] for r in self._rows], cols=self.cols)
+        f, (rows, den) = _as_fraction(factor), self._ints
+        return ExactMatrix._of([[f.numerator * x for x in r] for r in rows], self.cols,
+                               f.denominator * den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._rows for x in r)
+        return not any(map(any, self._ints[0]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix)
-                and self.cols == other.cols and self._rows == other._rows)
+                and self.cols == other.cols and self._ints == other._ints)
 
     def __hash__(self) -> int:
-        return hash((self.cols, self._rows))
+        return hash((self.cols, self._ints))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self._rows)
+        rows, den = self._ints
+        body = "; ".join(" ".join(_format_ratio(x, den) for x in r) for r in rows)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
@@ -195,9 +210,10 @@ class EchelonResult:
         One basis vector per free column, in increasing column order, with the
         free variable set to 1 and pivot variables solved from the reduced rows.
         """
-        cols, piv = self.reduced.cols, dict(zip(self.pivot_columns, self.reduced._rows))
-        return [tuple(-piv[c][fc] if c in piv else Fraction(int(c == fc)) for c in range(cols))
-                for fc in range(cols) if fc not in piv]
+        (rows, den), cols = self.reduced._ints, self.reduced.cols
+        piv = dict(zip(self.pivot_columns, rows))
+        return [tuple(Fraction(-piv[c][fc], den) if c in piv else Fraction(int(c == fc))
+                      for c in range(cols)) for fc in range(cols) if fc not in piv]
 
 
 class _Basis(NamedTuple):
@@ -232,20 +248,14 @@ def _rescale(v: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (k // x.denominator) for x in v], k
 
 
-def _rref(b: _Basis) -> tuple[tuple[Fraction, ...], ...]:
-    """The nonzero RREF rows that ``b`` holds over d, as ``Fraction`` tuples."""
-    zero, d = Fraction(0), b.d
-    return tuple(tuple(Fraction(x, d) if x else zero for x in v) for v in b.span_rows())
-
-
 def echelonize(m: ExactMatrix) -> EchelonResult:
-    """Rescale each row to integers by its denominator lcm k, ``_eliminate``, and build
-    the RREF (the basis rows over d, then zero rows) and a square matrix's det / prod(k)."""
-    rows = [_rescale(r) for r in m._rows]
-    b = _eliminate([r for r, _ in rows], m.cols)
-    reduced = _rref(b) + ((Fraction(0),) * m.cols,) * (m.rows - b.rank)
-    det = Fraction(b.det, math.prod(k for _, k in rows)) if m.is_square else None
-    return EchelonResult(ExactMatrix._of(reduced, m.cols), b.rank, tuple(b.pivots), det)
+    """``_eliminate`` the integer rows, and build the RREF (the basis rows over d, then
+    zero rows) and a square matrix's det / den^n."""
+    (rows, den), cols = m._ints, m.cols
+    b = _eliminate(rows, cols)
+    reduced = ExactMatrix._of(b.span_rows() + [[0] * cols] * (m.rows - b.rank), cols, b.d)
+    det = Fraction(b.det, den ** m.rows) if m.is_square else None
+    return EchelonResult(reduced, b.rank, tuple(b.pivots), det)
 
 
 def _eliminate(a: list[list[int]], cols: int) -> _Basis:
@@ -292,7 +302,7 @@ def _eliminate(a: list[list[int]], cols: int) -> _Basis:
 
 
 def rank(m: ExactMatrix) -> int:
-    return echelonize(m).rank
+    return _eliminate(m._ints[0], m.cols).rank
 
 
 def kernel_basis(m: ExactMatrix) -> list[tuple[Fraction, ...]]:
@@ -301,19 +311,20 @@ def kernel_basis(m: ExactMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def determinant(m: ExactMatrix) -> Fraction:
-    """Exact determinant, read off ``echelonize``."""
+    """Exact determinant: that of the integer rows, over den^n."""
     if not m.is_square:
         raise NonSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
-    return echelonize(m).determinant
+    rows, den = m._ints
+    return Fraction(_eliminate(rows, m.cols).det, den ** m.rows)
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan on the augmented matrix."""
+    """Exact inverse: one ``_eliminate`` of the integer rows [R | den I] of m = R / den.
+    It has pivots 0..n-1 iff m is invertible, and its basis is then d m^-1 over d."""
     if not m.is_square:
         raise NonSquareError(f"inverse of a {m.rows}x{m.cols} matrix")
-    n = m.rows
-    aug = [list(m.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    ech = echelonize(ExactMatrix(aug, cols=2 * n))
-    if ech.pivot_columns[:n] != tuple(range(n)):
+    (rows, den), n = m._ints, m.rows
+    b = _eliminate([[*r, *(den * (i == j) for j in range(n))] for i, r in enumerate(rows)], 2 * n)
+    if b.pivots != list(range(n)):
         raise SingularMapError("matrix is not invertible")
-    return ExactMatrix._of(tuple(row[n:] for row in ech.reduced._rows), n)
+    return ExactMatrix._of(b.rows, n, b.d)

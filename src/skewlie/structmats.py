@@ -11,7 +11,7 @@ of the Hom-Jacobi matrix HL do the same over basis triples i < j < k.
 common denominator den, M (linear in them) scaled by den and HL (quadratic) by
 den^2; ``_reduce`` divides each row by its content (the gcd of its entries) and
 hands them to ``qlinalg._eliminate``; rank and kernel ignore row scaling.
-``build_M`` and ``build_HL`` are ``Fraction`` views of those rows; the
+``build_M`` and ``build_HL`` wrap those rows as ``ExactMatrix``; the
 ``*_defect`` functions evaluate the same expressions on vectors through
 ``multiply``, independently.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, _double_product, as_vec, basis_vec,
+from .algebra import (Endo, SkewAlgebra, Vec, _check_index, _double_product, basis_vec,
                       multiply, vadd)
 from .errors import DimensionMismatchError, UnsupportedDimError
 from .qlinalg import ExactMatrix, _Basis, _eliminate
@@ -47,12 +47,12 @@ def vec_of_endo(f: Endo) -> Vec:
 
 def endo_of_vec(n: int, v: Sequence) -> Endo:
     """Inverse of ``vec_of_endo``."""
+    _check_index(n)
     if n < 0:
         raise ValueError(f"negative dimension {n}")
     if len(v) != n * n:
         raise DimensionMismatchError(f"vector of length {len(v)} is not n^2 for n={n}")
-    v = as_vec(v)  # column c is v[c*n : c*n + n]
-    return ExactMatrix._of(tuple(zip(*(v[c * n:c * n + n] for c in range(n)))), n)
+    return ExactMatrix([v[r::n] for r in range(n)], cols=n)  # v is column-major
 
 
 def _check_endo(a: SkewAlgebra, f: Endo) -> None:
@@ -126,9 +126,7 @@ def _HL_rows(a: SkewAlgebra) -> list[list[int]]:
 def build_M(a: SkewAlgebra) -> ExactMatrix:
     """Matrix of f -> derivation defect, acting on flattened endomorphisms:
     (n * C(n,2)) x n^2, kernel the derivation algebra, rank the orbit dimension."""
-    den = a._ints[1]
-    return ExactMatrix._of(tuple(tuple(Fraction(x, den) for x in r) for r in _M_rows(a)),
-                           a.dim * a.dim)
+    return ExactMatrix._of(_M_rows(a), a.dim * a.dim, a._ints[1])
 
 
 def build_HL(a: SkewAlgebra) -> ExactMatrix:
@@ -137,9 +135,7 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
     Shape is (n * C(n,3)) x n^2. Requires n >= 3: with no triples the Hom-Jacobi
     condition is vacuous and every dimension-2 algebra is Hom-Lie unconditionally.
     """
-    rows, den2 = _HL_rows(a), a._ints[1] ** 2
-    return ExactMatrix._of(tuple(tuple(Fraction(x, den2) for x in r) for r in rows),
-                           a.dim * a.dim)
+    return ExactMatrix._of(_HL_rows(a), a.dim * a.dim, a._ints[1] ** 2)
 
 
 def _reduce(rows: list[list[int]], cols: int) -> _Basis:
@@ -149,9 +145,10 @@ def _reduce(rows: list[list[int]], cols: int) -> _Basis:
 
 
 def _kernel_endos(space) -> tuple[Endo, ...]:
-    """The integer kernel ``space._kernel = (n, vectors, q)`` as endomorphisms v / q."""
+    """The integer kernel ``space._kernel = (n, vectors, q)`` as endomorphisms v / q:
+    row r of v (column-major) is v[r::n]."""
     n, vecs, q = space._kernel
-    return tuple(endo_of_vec(n, [Fraction(x, q) for x in v]) for v in vecs)
+    return tuple(ExactMatrix._of([v[r::n] for r in range(n)], n, q) for v in vecs)
 
 
 @dataclass(frozen=True)

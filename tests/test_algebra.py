@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
-                     central_series, derived_series, filiform5, heisenberg,
+from skewlie import (ExactMatrix, SkewAlgebra, Subspace, abelian, algebra3, basis_vec,
+                     central_series, derived_series, endo_of_vec, filiform5, heisenberg,
                      is_lie, is_nilpotent, is_solvable, jacobiator,
                      killing_determinant, killing_matrix, left_mult, multiply,
                      span, subspace_product, transport)
@@ -15,7 +15,7 @@ from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.errors import (DimensionMismatchError, SingularMapError,
                             UnsupportedDimError)
 
-from skewlie.qlinalg import _eliminate, _rescale
+from skewlie.qlinalg import _eliminate
 from skewlie.sampler import SampleConfig, random_algebra
 
 from helpers import (counterexample4, fraction_product, fraction_transport, full_space,
@@ -58,6 +58,29 @@ def test_basis_vec_rejects_indices_outside_basis(i):
     # each of these once returned (0, 0, 0), which is no basis vector
     with pytest.raises(IndexError):
         basis_vec(3, i)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SkewAlgebra(3, {(True, 2): (0, 0, 1)}),
+    lambda: SkewAlgebra(3, {(1, True): (0, 0, 1)}),
+    lambda: heisenberg().product(True, 2),
+    lambda: heisenberg().product(1, True),
+    lambda: basis_vec(3, True),
+    lambda: basis_vec(True, 1),
+    lambda: endo_of_vec(True, [1]),
+    lambda: basis_vec(3, False),
+    lambda: basis_vec(3, 1.5),
+    lambda: SkewAlgebra(3, {(1.0, 2): (0, 0, 1)}),
+    lambda: heisenberg().product(1, 2.0),
+    lambda: endo_of_vec(1.0, [1]),
+], ids=["init-i", "init-j", "product-i", "product-j", "basis_vec-i", "basis_vec-n",
+        "endo_of_vec-n", "basis_vec-false", "basis_vec-float", "init-float", "product-float",
+        "endo_of_vec-float"])
+def test_bool_or_float_is_no_basis_index_or_size(call):
+    # each bool once answered as for index or size 1 (False: 0), basis_vec(3, 1.5) as
+    # the zero vector, and the other floats raised an internal indexing error
+    with pytest.raises(TypeError, match="must be an int"):
+        call()
 
 
 def test_equal_constants_compare_and_hash_equal():
@@ -209,7 +232,7 @@ def test_transport_matches_fraction_oracle(dim):
 
 def _scale(p):
     """d of ``_eliminate`` on p's rows rescaled to integers, as ``echelonize`` runs it."""
-    return _eliminate([_rescale(r)[0] for r in p._rows], p.cols).d
+    return _eliminate(p._ints[0], p.cols).d
 
 
 def negative_scale_maps(dim, rng):
@@ -383,6 +406,14 @@ def test_span_rejects_a_negative_ambient_dimension():
 def test_span_rejects_vectors_not_of_explicit_dim(vectors, dim):
     with pytest.raises(DimensionMismatchError):
         span(vectors, dim=dim)
+
+
+@pytest.mark.parametrize("dim", [0, 5])
+def test_subspace_rejects_a_dim_that_disagrees_with_its_basis(dim):
+    # dim 0 once made subspace_product of two whole spaces 0, and dim 5 made
+    # basis_vectors raise a bare IndexError
+    with pytest.raises(ValueError):
+        Subspace(ExactMatrix.identity(3), dim)
 
 
 def test_subspace_product_heisenberg():

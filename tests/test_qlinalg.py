@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from skewlie.algebra import killing_matrix
 from skewlie.errors import NonSquareError, SingularMapError
-from skewlie.qlinalg import (ExactMatrix, _eliminate, _rref, determinant, echelonize,
+from skewlie.qlinalg import (ExactMatrix, _eliminate, determinant, echelonize,
                              format_rational, inverse, kernel_basis,
                              parse_rational, rank)
 from skewlie.sampler import SampleConfig, random_algebra
@@ -118,7 +119,7 @@ def test_elimination_stops_reading_rows_at_full_column_rank():
     # the rows after a full-column-rank block are in its span: none is read
     b = _eliminate([[0, 2], [3, 1], None, None], 2)
     assert (b.rank, b.pivots, b.det) == (2, [0, 1], cofactor_determinant([[0, 2], [3, 1]]))
-    assert _rref(b) == ExactMatrix([[1, 0], [0, 1]])._rows
+    assert ExactMatrix._of(b.span_rows(), 2, b.d) == ExactMatrix([[1, 0], [0, 1]])
 
 
 def square_int_matrix():
@@ -146,11 +147,65 @@ def test_echelon_of_operators_matches_fraction_gauss_jordan(dim, seed):
 
 
 def assert_package_built(m):
-    """Rows are tuples of Fraction, and m is equal to, and hashes like, the same
-    entries passed through the public constructor."""
-    assert all(type(row) is tuple and all(type(x) is Fraction for x in row) for row in m._rows)
-    public = ExactMatrix([list(row) for row in m._rows], cols=m.cols)
+    """``_ints`` holds tuple rows of int over a positive den in lowest terms, and m is
+    equal to, and hashes like, the same entries passed through the public constructor."""
+    rows, den = m._ints
+    assert type(den) is int and den > 0 and type(rows) is tuple and len(rows) == m.rows
+    assert all(type(row) is tuple and len(row) == m.cols and all(type(x) is int for x in row)
+               for row in rows)
+    assert math.gcd(den, *(x for row in rows for x in row)) == 1
+    public = ExactMatrix(m.row_list(), cols=m.cols)
     assert m == public and hash(m) == hash(public)
+
+
+def int_matrix(rows, cols):
+    return st.lists(st.lists(st.integers(-40, 40), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def exact_matrix(rows, cols):
+    return st.lists(st.lists(fractions, min_size=cols, max_size=cols), min_size=rows,
+                    max_size=rows).map(lambda entries: ExactMatrix(entries, cols=cols))
+
+
+shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@given(shapes.flatmap(lambda rc: st.tuples(int_matrix(*rc), st.just(rc[1]))),
+       st.integers(-12, 12).filter(bool), st.integers(1, 6))
+@example(([], 3), -4, 1)  # no rows
+@example(([[0, 0], [0, 0]], 2), -6, 1)  # zero rows over a negative den
+@example(([[2, -4], [6, 8]], 2), -2, 3)  # a common factor and a negative den
+@example(([[], []], 0), 5, 1)  # rows of no entries
+def test_of_equals_the_public_constructor(shaped, den, factor):
+    (rows, cols) = shaped
+    rows, den = [[factor * x for x in row] for row in rows], factor * den
+    m = ExactMatrix._of(rows, cols, den)
+    public = ExactMatrix([[Fraction(x, den) for x in row] for row in rows], cols=cols)
+    assert m == public and hash(m) == hash(public) and repr(m) == repr(public)
+    assert_package_built(m)
+
+
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda rkc: st.tuples(exact_matrix(*rkc[:2]), exact_matrix(*rkc[:2]),
+                          exact_matrix(*rkc[1:]), st.lists(fractions, min_size=rkc[1],
+                                                           max_size=rkc[1]))),
+       fractions)
+def test_arithmetic_matches_entrywise_fractions(matrices, f):
+    a, b, c, v = matrices
+    (r, k), x, y, z = (a.rows, a.cols), a.row_list(), b.row_list(), c.row_list()
+    zero = Fraction(0)
+    assert a @ c == ExactMatrix([[sum((x[i][t] * z[t][j] for t in range(k)), zero)
+                                  for j in range(c.cols)] for i in range(r)], cols=c.cols)
+    assert a + b == ExactMatrix([[p + q for p, q in zip(s, u)] for s, u in zip(x, y)], cols=k)
+    assert a.scale(f) == ExactMatrix([[f * p for p in s] for s in x], cols=k)
+    assert a.transpose() == ExactMatrix([[x[i][j] for i in range(r)] for j in range(k)], cols=r)
+    product = a.apply(v)
+    assert product == tuple(sum((s[j] * v[j] for j in range(k)), zero) for s in x)
+    assert all(type(p) is Fraction for p in product)
+    assert a.is_zero() == all(p == 0 for s in x for p in s)
+    for m in (a @ c, a + b, a.scale(f), a.transpose()):
+        assert_package_built(m)
 
 
 @given(sparse_matrix())
@@ -312,6 +367,13 @@ def test_parse_rational(text, value):
 def test_parse_rational_rejects_non_rationals(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, None, [1]])
+def test_format_rational_rejects_what_is_no_exact_rational(value):
+    # a float once raised AttributeError
+    with pytest.raises(TypeError):
+        format_rational(value)
 
 
 @given(fractions)
