@@ -168,17 +168,15 @@ def exact_matrix(rows, cols):
                     max_size=rows).map(lambda entries: ExactMatrix(entries, cols=cols))
 
 
-shapes = st.tuples(st.integers(0, 4), st.integers(0, 4))
-
-
-@given(shapes.flatmap(lambda rc: st.tuples(int_matrix(*rc), st.just(rc[1]))),
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda rc: st.tuples(int_matrix(*rc), st.just(rc[1]))),
        st.integers(-12, 12).filter(bool), st.integers(1, 6))
 @example(([], 3), -4, 1)  # no rows
 @example(([[0, 0], [0, 0]], 2), -6, 1)  # zero rows over a negative den
 @example(([[2, -4], [6, 8]], 2), -2, 3)  # a common factor and a negative den
 @example(([[], []], 0), 5, 1)  # rows of no entries
 def test_of_equals_the_public_constructor(shaped, den, factor):
-    (rows, cols) = shaped
+    rows, cols = shaped
     rows, den = [[factor * x for x in row] for row in rows], factor * den
     m = ExactMatrix._of(rows, cols, den)
     public = ExactMatrix([[Fraction(x, den) for x in row] for row in rows], cols=cols)
