@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _as_fraction, _Basis, _eliminate, _rescale, determinant
+from .qlinalg import (ExactMatrix, _as_fraction, _Basis, _check_index, _eliminate, _rescale,
+                      determinant)
 
 Vec = tuple[Fraction, ...]
 Endo = ExactMatrix
@@ -33,13 +34,6 @@ MAX_DIM = 6
 
 def as_vec(coords: Sequence) -> Vec:
     return tuple(_as_fraction(x) for x in coords)
-
-
-def _check_index(*values) -> None:
-    """A basis index or size is an int, and no ``bool`` (which Python counts as one)."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise TypeError(f"a basis index or size must be an int, not {type(v).__name__}")
 
 
 def basis_vec(n: int, i: int) -> Vec:
@@ -196,23 +190,25 @@ def jacobiator(a: SkewAlgebra, x: Sequence, y: Sequence, z: Sequence) -> Vec:
                 multiply(a, multiply(a, z, x), y))
 
 
-def _double_product(table, p: int, q: int, l: int) -> tuple:
-    """(e_p e_q) e_l for 0-based p, q, l: the sum over s of c_pq^s e_s e_l,
-    contracted from an n x n table of product vectors (the integer t) skipping zeros."""
-    out = [0] * len(table)
-    for c, row in zip(table[p][q], table):
-        if c != 0:
-            for m, x in enumerate(row[l]):
-                if x != 0:
-                    out[m] += c * x
-    return tuple(out)
+def _double_product(c: Sequence[int], rows: Sequence[Sequence[int]]) -> list[int]:
+    """The sum over s of c[s] rows[s], zero weights skipped: the one double-product
+    contraction. With c = t[p][q] and rows[s] = t[s][l] it is den^2 (e_p e_q) e_l; with
+    rows[s] = t[s] read row by row, the block ((e_p e_q) e_l)_m at l*n + m, all l at once."""
+    out = None
+    for x, row in zip(c, rows):
+        if x:
+            out = [x * v for v in row] if out is None else [u + x * v for u, v in zip(out, row)]
+    return [0] * len(rows[0]) if out is None else out
 
 
 def is_lie(a: SkewAlgebra) -> bool:
     """True iff the Jacobiator vanishes on all basis triples i < j < k; the
-    integer table scales it by den^2, which leaves the zero test alone."""
-    t, dp = a._ints[0], _double_product
-    return all(not any(map(sum, zip(dp(t, i, j, k), dp(t, j, k, i), dp(t, k, i, j))))
+    integer table scales it by den^2, which leaves the zero test alone. Its three
+    double products at (i, j, k) are one contraction: the weights t[i][j], t[j][k],
+    t[k][i] against the rows t[s][k], t[s][i], t[s][j]."""
+    t = a._ints[0]
+    return all(not any(_double_product(t[i][j] + t[j][k] + t[k][i],
+                                       [row[l] for l in (k, i, j) for row in t]))
                for i, j, k in itertools.combinations(range(a.dim), 3))
 
 
@@ -272,6 +268,9 @@ class Subspace:
     def __post_init__(self):
         if self.dim != self.basis.rows:
             raise ValueError(f"dim {self.dim} against a basis of {self.basis.rows} rows")
+        b = _eliminate(self.basis._ints[0], self.basis.cols)
+        if ExactMatrix._of(b.span_rows(), self.basis.cols, b.d) != self.basis:
+            raise ValueError("basis is not the RREF of its own rows")
 
     def ambient_dim(self) -> int:
         return self.basis.cols

@@ -246,11 +246,13 @@ class LieTypeSolution:
     admissible: bool
 
 
-def _cyclic_ints(a: SkewAlgebra) -> list[tuple[int, ...]]:
+def _cyclic_ints(a: SkewAlgebra) -> list[list[int]]:
     """den² times the cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2, off the integer t."""
     if a.dim != 3:
         raise UnsupportedDimError("the Lie-type relation lives in dimension 3")
-    return [_double_product(a._ints[0], *p) for p in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    t = a._ints[0]
+    return [_double_product(t[p][q], [row[l] for row in t])
+            for p, q, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
 
 
 def lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:

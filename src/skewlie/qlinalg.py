@@ -73,6 +73,14 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
 
 
+def _check_index(*values) -> None:
+    """An index or size (of a basis or a matrix) is an int, and no ``bool`` (which Python
+    counts as one)."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"an index or size must be an int, not {type(v).__name__}")
+
+
 class ExactMatrix:
     """Immutable dense matrix of exact rationals, held as ``_ints = (rows, den)``:
     integer rows over den > 0, the lcm of the entries' reduced denominators. That
@@ -111,12 +119,14 @@ class ExactMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> ExactMatrix:
+        _check_index(rows, cols)
         if rows < 0:  # a negative cols fails in the constructor
             raise ValueError(f"negative row count {rows}")
         return cls([[0] * cols] * rows, cols=cols)
 
     @classmethod
     def identity(cls, n: int) -> ExactMatrix:
+        _check_index(n)
         return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
     @classmethod
@@ -258,7 +268,7 @@ def echelonize(m: ExactMatrix) -> EchelonResult:
     return EchelonResult(reduced, b.rank, tuple(b.pivots), det)
 
 
-def _eliminate(a: list[list[int]], cols: int) -> _Basis:
+def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
     """Fraction-free Gauss-Jordan, row by row, on integer rows. The basis is d
     times the RREF of the rows read so far, over the columns not yet pivots.
     Row x reduces there to y = d*x - sum_k x[p_k]*B_k (B_k has pivot p_k; entries
@@ -275,9 +285,8 @@ def _eliminate(a: list[list[int]], cols: int) -> _Basis:
     pivots: list[int] = []
     basis: list[list[int]] = []
     d, flips = 1, 0
-    for x in a:
-        if not free:
-            break
+    rows = iter(a)
+    while free and (x := next(rows, None)) is not None:
         y = [d * x[c] for c in free] if pivots else list(x)
         for p, b in zip(pivots, basis):
             if g := x[p]:

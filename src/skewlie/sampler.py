@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import SkewAlgebra, is_lie
+from .qlinalg import _check_index
 from .structmats import is_homlie, orbit_dimension
 
 _MASK = (1 << 64) - 1
@@ -53,6 +54,9 @@ class SampleConfig:
     height: int = 2
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if not 2 <= self.dim <= 6:
             raise ValueError(f"dim {self.dim} outside 2..6")
         if self.trials < 1:
@@ -66,6 +70,7 @@ class SampleConfig:
 
 def random_algebra(cfg: SampleConfig, index: int) -> SkewAlgebra:
     """Deterministic trial: the same (seed, index) always yields the same algebra."""
+    _check_index(index)
     if not 0 <= index < cfg.trials:
         raise ValueError(f"index {index} outside 0..{cfg.trials - 1}")
     rng = SplitMix64(cfg.seed ^ index)

@@ -29,12 +29,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, _check_index, _double_product, basis_vec,
-                      multiply, vadd)
+from .algebra import Endo, SkewAlgebra, Vec, _double_product, basis_vec, multiply, vadd
 from .errors import DimensionMismatchError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _Basis, _eliminate
+from .qlinalg import ExactMatrix, _Basis, _check_index, _eliminate
 
 
 def vec_of_endo(f: Endo) -> Vec:
@@ -79,54 +78,48 @@ def hom_jacobi_defect(a: SkewAlgebra, f: Endo,
                 multiply(a, multiply(a, z, x), f.apply(y)))
 
 
-def _M_rows(a: SkewAlgebra) -> list[list[int]]:
-    """Integer rows of den * M (M is linear in the constants)."""
+def _M_rows(a: SkewAlgebra) -> Iterator[list[int]]:
+    """Integer rows of den * M (M is linear in the constants), one at a time."""
     n, t = a.dim, a._ints[0]
-    pairs = list(itertools.combinations(range(n), 2))
-    grid = [[0] * (n * n) for _ in range(n * len(pairs))]
     # column c*n + k is the unit endomorphism f: e_c -> e_k. Its defect
     # f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_k e_j if c = i, plus e_i e_k if
-    # c = j (never both, as i != j), minus (e_i e_j)_c e_k.
-    for p, (i, j) in enumerate(pairs):
-        rows = grid[p * n:(p + 1) * n]
-        for k in range(n):
-            for c, prod in ((i, t[k][j]), (j, t[i][k])):
-                for m, x in enumerate(prod):
-                    if x:
-                        rows[m][c * n + k] = x
-        for c, x in enumerate(t[i][j]):
-            if x:
-                for k in range(n):
-                    rows[k][c * n + k] -= x
-    return grid
+    # c = j (never both, as i != j), minus (e_i e_j)_c e_k. At l*n + m, left[s]
+    # holds (e_s e_l)_m and right[s] holds (e_l e_s)_m, so their slices [m::n] run over l.
+    left = [list(itertools.chain.from_iterable(row)) for row in t]
+    right, zeros = [[-x for x in v] for v in left], [[0] * (w * n) for w in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        z0, z1, z2 = (zeros[w] for w in (i, j - i - 1, n - j - 1))
+        for m in range(n):
+            row = [*z0, *right[j][m::n], *z1, *left[i][m::n], *z2]
+            for c, x in enumerate(t[i][j]):
+                if x:
+                    row[c * n + m] -= x
+            yield row
 
 
-def _HL_rows(a: SkewAlgebra) -> list[list[int]]:
-    """Integer rows of den^2 * HL (HL is quadratic in the constants)."""
+def _HL_rows(a: SkewAlgebra) -> Iterator[list[int]]:
+    """Integer rows of den^2 * HL (HL is quadratic in the constants), one at a time."""
     n, t = a.dim, a._ints[0]
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
-    # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
-    dp = {(p, q, l): _double_product(t, p, q, l)
-          for p, q in itertools.combinations(range(n), 2) for l in range(n)}
-    dp.update({(q, p, l): tuple(-x for x in v) for (p, q, l), v in dp.items()})
-    triples = list(itertools.combinations(range(n), 3))
-    grid = [[0] * (n * n) for _ in range(n * len(triples))]
-    for row, (i, j, k) in enumerate(triples):
-        # the three cyclic terms hit distinct r, so no column gets two terms
-        for (p, q, r) in ((i, j, k), (j, k, i), (k, i, j)):
-            for l in range(n):
-                col = r * n + l  # unit endomorphism e_r -> e_l
-                for m, x in enumerate(dp[p, q, l]):
-                    if x:
-                        grid[row * n + m][col] = x
-    return grid
+    # dp[p, q][l*n + m] = ((e_p e_q) e_l)_m, once per pair p < q; the reversed pair negates it
+    left = [list(itertools.chain.from_iterable(row)) for row in t]
+    dp = {(p, q): _double_product(t[p][q], left) for p, q in itertools.combinations(range(n), 2)}
+    dp.update({(q, p): [-x for x in v] for (p, q), v in dp.items()})
+    zeros = [[0] * (w * n) for w in range(n)]
+    for i, j, k in itertools.combinations(range(n), 3):
+        # the cyclic terms (e_j e_k) f(e_i), (e_k e_i) f(e_j), (e_i e_j) f(e_k) fill the
+        # column blocks i < j < k of the unit endomorphisms e_r -> e_l, over l
+        z0, z1, z2, z3 = (zeros[w] for w in (i, j - i - 1, k - j - 1, n - k - 1))
+        jk, ki, ij = dp[j, k], dp[k, i], dp[i, j]
+        for m in range(n):
+            yield [*z0, *jk[m::n], *z1, *ki[m::n], *z2, *ij[m::n], *z3]
 
 
 def build_M(a: SkewAlgebra) -> ExactMatrix:
     """Matrix of f -> derivation defect, acting on flattened endomorphisms:
     (n * C(n,2)) x n^2, kernel the derivation algebra, rank the orbit dimension."""
-    return ExactMatrix._of(_M_rows(a), a.dim * a.dim, a._ints[1])
+    return ExactMatrix._of(list(_M_rows(a)), a.dim * a.dim, a._ints[1])
 
 
 def build_HL(a: SkewAlgebra) -> ExactMatrix:
@@ -135,13 +128,19 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
     Shape is (n * C(n,3)) x n^2. Requires n >= 3: with no triples the Hom-Jacobi
     condition is vacuous and every dimension-2 algebra is Hom-Lie unconditionally.
     """
-    return ExactMatrix._of(_HL_rows(a), a.dim * a.dim, a._ints[1] ** 2)
+    return ExactMatrix._of(list(_HL_rows(a)), a.dim * a.dim, a._ints[1] ** 2)
 
 
-def _reduce(rows: list[list[int]], cols: int) -> _Basis:
-    """Eliminate integer rows, each first divided by its content."""
-    return _eliminate([[x // g for x in row] if (g := math.gcd(*row)) > 1 else row
-                       for row in rows], cols)
+def _reduce(rows: Iterable[list[int]], cols: int) -> tuple[_Basis, int]:
+    """Eliminate integer rows as it reads them, each first divided by its content (the
+    gcd of its entries); also return the product of the contents of the rows read."""
+    contents = []
+
+    def primitive(row: list[int]) -> list[int]:
+        contents.append(g := math.gcd(*row))
+        return [x // g for x in row] if g > 1 else row
+
+    return _eliminate(map(primitive, rows), cols), math.prod(contents)
 
 
 def _kernel_endos(space) -> tuple[Endo, ...]:
@@ -174,7 +173,7 @@ class HomLieSpace:
 
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
-    vecs, q = _reduce(_M_rows(a), a.dim * a.dim).kernel_ints()
+    vecs, q = _reduce(_M_rows(a), a.dim * a.dim)[0].kernel_ints()
     return DerivationSpace(len(vecs), (a.dim, vecs, q))
 
 
@@ -185,7 +184,7 @@ def aut_dimension(a: SkewAlgebra) -> int:
 
 def orbit_dimension(a: SkewAlgebra) -> int:
     """Dimension of the isomorphism orbit: rank of the derivation matrix."""
-    return _reduce(_M_rows(a), a.dim * a.dim).rank
+    return _reduce(_M_rows(a), a.dim * a.dim)[0].rank
 
 
 def homlie_space(a: SkewAlgebra) -> HomLieSpace:
@@ -196,11 +195,10 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    rows = _HL_rows(a) if n > 2 else []
-    b = _reduce(rows, n * n)
+    b, contents = _reduce(_HL_rows(a) if n > 2 else [], n * n)
     vecs, q = b.kernel_ints()
-    det = (Fraction(b.det * math.prod(math.gcd(*r) for r in rows), a._ints[1] ** 32)
-           if n == 4 else None)  # square HL: b.det is det(den^2 HL) over the row contents
+    # square HL: b.det is det(den^2 HL) over the row contents, all read when it is nonzero
+    det = Fraction(b.det * contents, a._ints[1] ** 32) if n == 4 else None
     return HomLieSpace(len(vecs), det, (n, vecs, q))
 
 

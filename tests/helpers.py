@@ -8,7 +8,7 @@ import itertools
 from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, Subspace, algebra3,
                      basis_vec, determinant, echelonize, inverse, left_mult,
                      multiply)
-from skewlie.algebra import Vec, _double_product
+from skewlie.algebra import Vec
 from skewlie.classify import LieTypeSolution, _cyclic_ints
 from skewlie.errors import UnsupportedDimError
 
@@ -85,14 +85,10 @@ def fraction_build_HL(a: SkewAlgebra) -> ExactMatrix:
     n = a.dim
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
-    # dp[p, q, l] = (e_p e_q) e_l, once per pair p < q; the reversed pair negates it
-    # (0-based indices: table[i][j] is a.product(i + 1, j + 1))
-    table = [[a.product(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    dp = {}
-    for p, q in itertools.combinations(range(n), 2):
-        for l in range(n):
-            dp[p, q, l] = v = _double_product(table, p, q, l)
-            dp[q, p, l] = tuple(-x for x in v)
+    # dp[p, q, l] = (e_p e_q) e_l through multiply twice, for 0-based p != q
+    e = [basis_vec(n, i) for i in range(1, n + 1)]
+    dp = {(p, q, l): multiply(a, multiply(a, e[p], e[q]), e[l])
+          for p, q in itertools.permutations(range(n), 2) for l in range(n)}
     triples = list(itertools.combinations(range(n), 3))
     grid = [[Fraction(0)] * (n * n) for _ in range(n * len(triples))]
     for t, (i, j, k) in enumerate(triples):

@@ -197,11 +197,17 @@ def jacobiator_vanishes(a):
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_double_product_matches_multiply_twice(dim):
     for a in route_algebras(dim):
-        # _double_product reads 0-based indices, basis_vec 1-based ones
+        # table[p][q] is e_{p+1} e_{q+1}; the block of (p, q) holds ((e_p e_q) e_l)_m at
+        # l*n + m, and the rows table[s][l] alone give its slice l
         table = [[a.product(i, j) for j in range(1, dim + 1)] for i in range(1, dim + 1)]
-        for p, q, l in itertools.product(range(dim), repeat=3):
+        flat = [list(itertools.chain.from_iterable(row)) for row in table]
+        for p, q in itertools.product(range(dim), repeat=2):
+            block = _double_product(table[p][q], flat)
             pq = multiply(a, basis_vec(dim, p + 1), basis_vec(dim, q + 1))
-            assert _double_product(table, p, q, l) == multiply(a, pq, basis_vec(dim, l + 1))
+            for l in range(dim):
+                expected = list(multiply(a, pq, basis_vec(dim, l + 1)))
+                assert block[l * dim:(l + 1) * dim] == expected
+                assert _double_product(table[p][q], [row[l] for row in table]) == expected
 
 
 def kernel_route_algebras(dim, rng):
@@ -414,6 +420,16 @@ def test_subspace_rejects_a_dim_that_disagrees_with_its_basis(dim):
     # basis_vectors raise a bare IndexError
     with pytest.raises(ValueError):
         Subspace(ExactMatrix.identity(3), dim)
+
+
+@pytest.mark.parametrize("rows", [[[1, 0], [2, 0]], [[1, 2], [0, 1]], [[2, 0]], [[0, 1], [1, 0]],
+                                  [[0, 0]]], ids=["dependent", "unreduced", "unscaled",
+                                                  "unsorted", "zero-row"])
+def test_subspace_rejects_a_basis_that_is_not_the_rref_of_its_rows(rows):
+    # the dependent basis once gave dim 2, though span of the same rows has dim 1
+    with pytest.raises(ValueError, match="RREF"):
+        Subspace(ExactMatrix(rows), len(rows))
+    assert span(rows).basis != ExactMatrix(rows)
 
 
 def test_subspace_product_heisenberg():

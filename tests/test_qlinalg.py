@@ -58,6 +58,20 @@ def test_matrix_rejects_a_negative_size(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ExactMatrix.zeros(2, 1.5),
+    lambda: ExactMatrix.zeros(True, 2),
+    lambda: ExactMatrix.zeros(2, False),
+    lambda: ExactMatrix.identity(True),
+    lambda: ExactMatrix.identity(2.0),
+], ids=["zeros-float-cols", "zeros-bool-rows", "zeros-bool-cols", "identity-bool",
+        "identity-float"])
+def test_matrix_rejects_a_bool_or_non_int_size(build):
+    # zeros(2, 1.5) once failed inside a list build and zeros(True, 2) gave a 1x2 matrix
+    with pytest.raises(TypeError, match="must be an int"):
+        build()
+
+
 def test_matrix_accepts_rows_of_explicit_cols():
     assert ExactMatrix([[1, 2]], cols=2) == ExactMatrix([[1, 2]])
     assert ExactMatrix([], cols=3).cols == 3

@@ -15,6 +15,24 @@ def test_config_validation():
         SampleConfig(dim=3, trials=1, seed=1 << 64)
 
 
+@pytest.mark.parametrize("fields", [(4, True, 0), (4, 1.5, 0), (True, 2, 0), (4, 2, False),
+                                    (4, 2, 0.0), (4, 2, 0, True), (4, 2, 0, 2.0), (4, 2, "1")],
+                         ids=["trials-bool", "trials-float", "dim-bool", "seed-bool", "seed-float",
+                              "height-bool", "height-float", "seed-str"])
+def test_config_rejects_a_bool_or_non_int_field(fields):
+    # SampleConfig(4, True, 0) once ran and reported trials=True, and a float trials
+    # count failed later inside range
+    with pytest.raises(TypeError, match="must be an int"):
+        SampleConfig(*fields)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0])
+def test_random_algebra_rejects_a_bool_or_non_int_index(index):
+    # random_algebra(cfg, True) once answered as index 1
+    with pytest.raises(TypeError, match="must be an int"):
+        random_algebra(SampleConfig(dim=4, trials=2, seed=0), index)
+
+
 def test_height_must_fit_one_64_bit_draw():
     # 2*height + 1 values must fit in 2**64, or rejection sampling never ends
     with pytest.raises(ValueError, match="64-bit"):

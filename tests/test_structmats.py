@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 from itertools import combinations
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, aut_dimension,
                      heisenberg, filiform5, hom_check, homlie_space, inverse,
                      is_homlie, is_lie, killing_matrix, left_mult,
                      orbit_dimension, rank, span, transport, vec_of_endo)
+from skewlie import structmats as sm
 from skewlie.classify import ns1_family, ns2_family, sol_family
+from skewlie.cli import parse_algebra
 from skewlie.errors import DimensionMismatchError, UnsupportedDimError
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import (_HL_rows, _M_rows, _reduce, derivation_defect, endo_of_vec,
@@ -22,6 +25,8 @@ from helpers import (COUNTEREXAMPLE4_HL_DET, cofactor_determinant,
                      fraction_rref, gamma2_family, rand_algebra, rand_endo,
                      rand_fraction, rand_invertible, rand_nonzero_fraction,
                      reference_derivation_matrix3, rigid_dim4)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # --- flattening conventions ---
@@ -398,6 +403,12 @@ def test_public_builders_equal_fraction_oracles(dim):
                 fraction_build_HL(a)
 
 
+def _golden_algebras(dim):
+    """The inputs of the golden corpus of one dimension."""
+    docs = (path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*/input.json")))
+    return [a for a in map(parse_algebra, docs) if a.dim == dim]
+
+
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_operator_reduction_equals_fraction_oracle(dim):
     # the integer route divides rows by den (or den^2) and by their contents;
@@ -405,19 +416,52 @@ def test_operator_reduction_equals_fraction_oracle(dim):
     algebras = (random_algebra(SampleConfig(dim=dim, trials=1, seed=dim), 0),
                 _rational_basis_algebra(random.Random(dim), dim))
     assert _denominator(algebras[1]) > 1
-    for a in algebras:
+    golden = _golden_algebras(dim)
+    assert golden
+    for a in algebras + tuple(golden):
         den = _denominator(a)
         for rows, factor, m in ((_M_rows(a), den, fraction_build_M(a)),
                                 (_HL_rows(a), den * den, fraction_build_HL(a))):
-            b, ref = _reduce(rows, dim * dim), fraction_rref(m)
+            rows = list(rows)
+            assert ExactMatrix._of(rows, dim * dim, factor) == m
+            if a not in algebras:
+                continue
+            (b, contents), ref = _reduce(rows, dim * dim), fraction_rref(m)
             assert (b.rank, tuple(b.pivots)) == (ref.rank, ref.pivot_columns)
-            # det is that of the content-divided rows of factor * (the operator)
-            contents = math.prod(math.gcd(*row) for row in rows)
+            # det is that of the content-divided rows of factor * (the operator), and
+            # a nonzero det reads every row
             det = Fraction(b.det * contents, factor ** len(rows)) if m.is_square else None
             assert det == ref.determinant
             assert (b.det != 0) == (ref.rank == dim * dim)
             assert (ExactMatrix._of(b.span_rows(), dim * dim, b.d)
                     == ExactMatrix(ref.reduced.row_list()[:ref.rank], cols=dim * dim))
+
+
+@pytest.mark.parametrize("dim,trials", [(4, 6), (6, 3)])
+def test_operators_build_only_the_rows_the_elimination_reads(dim, trials, monkeypatch):
+    # at full column rank the elimination stops at the shortest row prefix of rank n^2,
+    # so no row past it is built; below full rank every row is read
+    originals = {"_M_rows": sm._M_rows, "_HL_rows": sm._HL_rows}
+    yielded = dict.fromkeys(originals, 0)
+    for fn, original in originals.items():
+        def counted(a, fn=fn, original=original):
+            for row in original(a):
+                yielded[fn] += 1
+                yield row
+
+        monkeypatch.setattr(sm, fn, counted)
+    cfg = SampleConfig(dim=dim, trials=trials, seed=42)
+    for index in range(trials):
+        a = random_algebra(cfg, index)
+        for fn, read in (("_M_rows", orbit_dimension), ("_HL_rows", is_homlie)):
+            yielded[fn] = 0
+            read(a)
+            rows, k = list(originals[fn](a)), yielded[fn]
+            if rank(ExactMatrix(rows[:k], cols=dim * dim)) == dim * dim:
+                assert rank(ExactMatrix(rows[:k - 1], cols=dim * dim)) < dim * dim
+                assert k < len(rows) or (fn, dim) == ("_HL_rows", 4)
+            else:
+                assert k == len(rows)
 
 
 @pytest.mark.parametrize("seed", range(4))
