@@ -7,19 +7,23 @@ c*n + k of M and HL is the unit endomorphism e_c -> e_k. Rows of the derivation
 matrix M are the components of the derivation defect on basis pairs i < j in
 lexicographic order (``itertools.combinations``), components innermost; rows
 of the Hom-Jacobi matrix HL do the same over basis triples i < j < k.
-``_M_rows`` and ``_HL_rows`` assemble integer rows from the constants over one
-common denominator den, M (linear in them) scaled by den and HL (quadratic) by
-den^2; ``_reduce`` divides each row by its content (the gcd of its entries) and
-hands them to ``qlinalg._eliminate``; rank and kernel ignore row scaling.
-``build_M`` and ``build_HL`` wrap those rows as ``ExactMatrix``; the
-``*_defect`` functions evaluate the same expressions on vectors through
-``multiply``, independently.
+``_M_rows`` and ``_HL_rows`` yield integer rows one at a time from the constants
+over one common denominator den, M (linear in them) scaled by den and HL
+(quadratic) by den^2: an M row is slices of the flattened rows of t, their
+negation and zero blocks, an HL row stride slices of three per-pair blocks
+((e_p e_q) e_l)_m, made once per algebra by ``_double_product``, and zero blocks.
+``_reduce`` divides each row by its content (the gcd of its entries) as
+``qlinalg._eliminate`` reads it, and that stops reading at full column rank, so
+no later row is built; rank and kernel ignore row scaling. ``build_M`` and
+``build_HL`` wrap all the rows as ``ExactMatrix``; the ``*_defect`` functions
+evaluate the same expressions on vectors through ``multiply``, independently.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
 = derivation dimension, Hom-Lie iff ker HL is nonzero, rank HL = n^2 - dim ker
 HL. The square 16 x 16 HL of n = 4, the one determinant read, comes off the same
-elimination as its kernel: times the row contents and over den^32.
+elimination as its kernel: times the contents of the rows read (all of them when
+it is nonzero) and over den^32.
 """
 
 from __future__ import annotations
@@ -206,9 +210,11 @@ def is_homlie(a: SkewAlgebra) -> bool:
     """True iff some nonzero endomorphism satisfies the Hom-Jacobi identity.
 
     The zero map always satisfies it vacuously, so the test is that the
-    solution space has dimension at least 1.
+    solution space has dimension at least 1: HL has rank below n^2 (for n = 2 it
+    has no rows).
     """
-    return homlie_space(a).dim >= 1
+    n = a.dim
+    return n < 3 or _reduce(_HL_rows(a), n * n)[0].rank < n * n
 
 
 def hom_check(a: SkewAlgebra, f: Endo) -> bool:
