@@ -275,18 +275,18 @@ def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
     of y are minors, so nothing is divided); y == 0 is in the span. Else y's first
     nonzero column c is a pivot, e = y[c]: c leaves every row, each basis row b
     becomes (e*b - b[c]*y) // d, exact by Sylvester's identity, y joins and d = e.
-    Once no column is free, the later rows are in the span and are not read. RREF
-    row k is 1 at its pivot and x / d at each free column. det is sign * d at full
-    column rank (sign the parity of the order in which the pivots came; no rows
-    swap), else 0: for square rows, their determinant. Rank, pivots and RREF ignore
-    row factors; a caller that scaled a matrix's rows divides det by their product.
+    Once no column is free, the later rows are in the span: the loop stops before
+    it takes one, so a lazy iterable builds none of them. RREF row k is 1 at its
+    pivot and x / d at each free column. det is sign * d at full column rank (sign
+    the parity of the order in which the pivots came; no rows swap), else 0: for
+    square rows, their determinant. Rank, pivots and RREF ignore row factors; a
+    caller that scaled a matrix's rows divides det by their product.
     """
     free = list(range(cols))
     pivots: list[int] = []
     basis: list[list[int]] = []
     d, flips = 1, 0
-    rows = iter(a)
-    while free and (x := next(rows, None)) is not None:
+    for x in a:
         y = [d * x[c] for c in free] if pivots else list(x)
         for p, b in zip(pivots, basis):
             if g := x[p]:
@@ -305,6 +305,8 @@ def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
         flips += pos  # r - c + pos earlier pivots exceed c; at full rank r and c cancel
         pivots.append(free.pop(pos))
         d = e
+        if not free:
+            break
     det = 0 if free else -d if flips % 2 else d
     rows = [row for _, row in sorted(zip(pivots, basis))]
     return _Basis(len(pivots), sorted(pivots), free, rows, d, det)

@@ -87,14 +87,14 @@ def _M_rows(a: SkewAlgebra) -> Iterator[list[int]]:
     n, t = a.dim, a._ints[0]
     # column c*n + k is the unit endomorphism f: e_c -> e_k. Its defect
     # f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_k e_j if c = i, plus e_i e_k if
-    # c = j (never both, as i != j), minus (e_i e_j)_c e_k. At l*n + m, left[s]
-    # holds (e_s e_l)_m and right[s] holds (e_l e_s)_m, so their slices [m::n] run over l.
-    left = [list(itertools.chain.from_iterable(row)) for row in t]
-    right, zeros = [[-x for x in v] for v in left], [[0] * (w * n) for w in range(n)]
+    # c = j (never both, as i != j), minus (e_i e_j)_c e_k. At l*n + m, flat[s]
+    # holds (e_s e_l)_m and neg[s] holds (e_l e_s)_m, so their slices [m::n] run over l.
+    flat = [list(itertools.chain.from_iterable(row)) for row in t]
+    neg, zeros = [[-x for x in v] for v in flat], [[0] * (w * n) for w in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         z0, z1, z2 = (zeros[w] for w in (i, j - i - 1, n - j - 1))
         for m in range(n):
-            row = [*z0, *right[j][m::n], *z1, *left[i][m::n], *z2]
+            row = [*z0, *neg[j][m::n], *z1, *flat[i][m::n], *z2]
             for c, x in enumerate(t[i][j]):
                 if x:
                     row[c * n + m] -= x
@@ -106,9 +106,10 @@ def _HL_rows(a: SkewAlgebra) -> Iterator[list[int]]:
     n, t = a.dim, a._ints[0]
     if n < 3:
         raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
-    # dp[p, q][l*n + m] = ((e_p e_q) e_l)_m, once per pair p < q; the reversed pair negates it
-    left = [list(itertools.chain.from_iterable(row)) for row in t]
-    dp = {(p, q): _double_product(t[p][q], left) for p, q in itertools.combinations(range(n), 2)}
+    # dp[p, q][l*n + m] = ((e_p e_q) e_l)_m, the rows of t flattened and weighted by
+    # t[p][q], once per pair p < q; the reversed pair negates it
+    flat = [list(itertools.chain.from_iterable(row)) for row in t]
+    dp = {(p, q): _double_product(t[p][q], flat) for p, q in itertools.combinations(range(n), 2)}
     dp.update({(q, p): [-x for x in v] for (p, q), v in dp.items()})
     zeros = [[0] * (w * n) for w in range(n)]
     for i, j, k in itertools.combinations(range(n), 3):
