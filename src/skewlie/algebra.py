@@ -268,8 +268,11 @@ class Subspace:
     def __post_init__(self):
         if self.dim != self.basis.rows:
             raise ValueError(f"dim {self.dim} against a basis of {self.basis.rows} rows")
-        b = _eliminate(self.basis._ints[0], self.basis.cols)
-        if ExactMatrix._of(b.span_rows(), self.basis.cols, b.d) != self.basis:
+        # RREF: each row leads with a 1, right of the row above's, alone in its column
+        rows, den = self.basis._ints
+        pivots = [next((c for c, x in enumerate(r) if x), None) for r in rows]
+        if None in pivots or pivots != sorted(set(pivots)) or any(
+                r[p] != den * (i == k) for i, p in enumerate(pivots) for k, r in enumerate(rows)):
             raise ValueError("basis is not the RREF of its own rows")
 
     def ambient_dim(self) -> int:
