@@ -275,12 +275,6 @@ class Subspace:
                 r[p] != den * (i == k) for i, p in enumerate(pivots) for k, r in enumerate(rows)):
             raise ValueError("basis is not the RREF of its own rows")
 
-    def ambient_dim(self) -> int:
-        return self.basis.cols
-
-    def basis_vectors(self) -> list[Vec]:
-        return [self.basis.row(i) for i in range(self.dim)]
-
 
 def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
     """Canonical subspace spanned by the given vectors.
@@ -307,7 +301,7 @@ def _subspace(b: _Basis) -> Subspace:
 def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
     """span{ x*y : x a basis vector of u, y a basis vector of w }: ``_mul`` of the
     bases' integer rows, whose common factors the span ignores."""
-    if u.ambient_dim() != a.dim or w.ambient_dim() != a.dim:
+    if u.basis.cols != a.dim or w.basis.cols != a.dim:
         raise DimensionMismatchError("subspace from a different ambient space")
     t = a._ints[0]
     xs, ys = u.basis._ints[0], w.basis._ints[0]

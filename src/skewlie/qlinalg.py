@@ -148,17 +148,9 @@ class ExactMatrix:
         rows, den = self._ints
         return tuple(Fraction(r[j], den) for r in rows)
 
-    def row_list(self) -> list[list[Fraction]]:
-        """Mutable copy of the entries, row major."""
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> ExactMatrix:
-        rows, den = self._ints
-        return ExactMatrix._of(list(zip(*rows)) if rows else [()] * self.cols, self.rows, den)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
@@ -167,29 +159,6 @@ class ExactMatrix:
             raise ValueError(f"vector of length {len(v)} against {self.cols} columns")
         rows, den = self._ints
         return tuple(Fraction(sum(x * y for x, y in zip(r, v)), den * k) for r in rows)
-
-    def __matmul__(self, other: ExactMatrix) -> ExactMatrix:
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        (a, da), (b, db) = self._ints, other._ints
-        cols = list(zip(*b)) if b else [()] * other.cols
-        return ExactMatrix._of([[sum(x * y for x, y in zip(r, c)) for c in cols] for r in a],
-                               other.cols, da * db)
-
-    def __add__(self, other: ExactMatrix) -> ExactMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        (a, da), (b, db) = self._ints, other._ints
-        return ExactMatrix._of([[x * db + y * da for x, y in zip(r, s)] for r, s in zip(a, b)],
-                               self.cols, da * db)
-
-    def scale(self, factor) -> ExactMatrix:
-        f, (rows, den) = _as_fraction(factor), self._ints
-        return ExactMatrix._of([[f.numerator * x for x in r] for r in rows], self.cols,
-                               f.denominator * den)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self._ints[0]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ExactMatrix)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import SkewAlgebra, is_lie
+from .algebra import MAX_DIM, MIN_DIM, SkewAlgebra, is_lie
 from .qlinalg import _check_index
 from .structmats import is_homlie, orbit_dimension
 
@@ -57,8 +57,8 @@ class SampleConfig:
         for name, value in vars(self).items():
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-        if not 2 <= self.dim <= 6:
-            raise ValueError(f"dim {self.dim} outside 2..6")
+        if not MIN_DIM <= self.dim <= MAX_DIM:
+            raise ValueError(f"dim {self.dim} outside {MIN_DIM}..{MAX_DIM}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 1 <= self.height < (1 << 63):

@@ -102,10 +102,9 @@ def _M_rows(a: SkewAlgebra) -> Iterator[list[int]]:
 
 
 def _HL_rows(a: SkewAlgebra) -> Iterator[list[int]]:
-    """Integer rows of den^2 * HL (HL is quadratic in the constants), one at a time."""
+    """Integer rows of den^2 * HL (HL is quadratic in the constants), one at a time;
+    none below dimension 3, which has no basis triples."""
     n, t = a.dim, a._ints[0]
-    if n < 3:
-        raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
     # dp[p, q][l*n + m] = ((e_p e_q) e_l)_m, the rows of t flattened and weighted by
     # t[p][q], once per pair p < q; the reversed pair negates it
     flat = [list(itertools.chain.from_iterable(row)) for row in t]
@@ -133,6 +132,8 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
     Shape is (n * C(n,3)) x n^2. Requires n >= 3: with no triples the Hom-Jacobi
     condition is vacuous and every dimension-2 algebra is Hom-Lie unconditionally.
     """
+    if a.dim < 3:
+        raise UnsupportedDimError("Hom-Jacobi matrix needs dimension >= 3")
     return ExactMatrix._of(list(_HL_rows(a)), a.dim * a.dim, a._ints[1] ** 2)
 
 
@@ -200,7 +201,7 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    b, contents = _reduce(_HL_rows(a) if n > 2 else [], n * n)
+    b, contents = _reduce(_HL_rows(a), n * n)
     vecs, q = b.kernel_ints()
     # square HL: b.det is det(den^2 HL) over the row contents, all read when it is nonzero
     det = Fraction(b.det * contents, a._ints[1] ** 32) if n == 4 else None
@@ -215,7 +216,7 @@ def is_homlie(a: SkewAlgebra) -> bool:
     has no rows).
     """
     n = a.dim
-    return n < 3 or _reduce(_HL_rows(a), n * n)[0].rank < n * n
+    return _reduce(_HL_rows(a), n * n)[0].rank < n * n
 
 
 def hom_check(a: SkewAlgebra, f: Endo) -> bool:

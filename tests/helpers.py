@@ -14,6 +14,22 @@ from skewlie.errors import UnsupportedDimError
 
 
 # ---------------------------------------------------------------------------
+# Fraction tools on ExactMatrix entries, which the package does not need
+# ---------------------------------------------------------------------------
+
+def rows_of(m: ExactMatrix) -> list[list[Fraction]]:
+    """The entries of m as mutable rows."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def fraction_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The matrix product a b, summed over Fraction entries."""
+    cols = [b.column(j) for j in range(b.cols)]
+    return ExactMatrix([[sum((x * y for x, y in zip(a.row(i), c)), Fraction(0)) for c in cols]
+                        for i in range(a.rows)], cols=b.cols)
+
+
+# ---------------------------------------------------------------------------
 # reference elimination: plain rational Gauss-Jordan on Fraction entries,
 # independent of the package's fraction-free integer routine
 # ---------------------------------------------------------------------------
@@ -24,7 +40,7 @@ def fraction_rref(m: ExactMatrix) -> EchelonResult:
     The determinant of a square input is the product of the pivots with the
     sign of the row swaps, 0 below full rank; it is None for a non-square one.
     """
-    a = m.row_list()
+    a = rows_of(m)
     rows, cols = m.rows, m.cols
     pivots: list[int] = []
     det = Fraction(1)
@@ -110,14 +126,8 @@ def fraction_build_HL(a: SkewAlgebra) -> ExactMatrix:
 def killing_by_trace(a: SkewAlgebra) -> ExactMatrix:
     n = a.dim
     ops = [left_mult(a, basis_vec(n, i)) for i in range(1, n + 1)]
-    entries = []
-    for li in ops:
-        row = []
-        for lj in ops:
-            prod = li @ lj
-            row.append(sum((prod[k, k] for k in range(n)), Fraction(0)))
-        entries.append(row)
-    return ExactMatrix(entries)
+    return ExactMatrix([[sum((li[k, l] * lj[l, k] for k in range(n) for l in range(n)),
+                             Fraction(0)) for lj in ops] for li in ops])
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +151,7 @@ def fraction_transport(a: SkewAlgebra, p: ExactMatrix) -> SkewAlgebra:
     rational RREF of [p | I]."""
     n = a.dim
     aug = ExactMatrix([list(p.row(r)) + [int(r == c) for c in range(n)] for r in range(n)])
-    pinv = [row[n:] for row in fraction_rref(aug).reduced.row_list()]
+    pinv = [row[n:] for row in rows_of(fraction_rref(aug).reduced)]
     products = {}
     for i, j in itertools.combinations(range(1, n + 1), 2):
         v = fraction_product(a, p.column(i - 1), p.column(j - 1))
@@ -223,7 +233,7 @@ def rand_invertible(rng, n, height=3) -> ExactMatrix:
 def rand_rational_invertible(rng, n) -> ExactMatrix:
     while True:
         p = ExactMatrix([[rand_fraction(rng, 4, 3) for _ in range(n)] for _ in range(n)])
-        if cofactor_determinant(p.row_list()) != 0:
+        if cofactor_determinant(rows_of(p)) != 0:
             return p
 
 
@@ -372,8 +382,8 @@ def greedy_extend_with_standard(cols: list[Vec], n: int) -> list[Vec]:
 
 # Reference dim-3 classification steps on Fraction vectors: the regular-pair
 # search by ExactMatrix determinants, the first non-solvable witness through
-# inverse, apply and @, and the Lie-type solver by echelonize. These are the
-# bodies classify had before it worked on the integer tensor.
+# inverse, apply and a matrix product, and the Lie-type solver by echelonize.
+# These are the bodies classify had before it worked on the integer tensor.
 
 def fraction_vectors_up_to(n: int, height: int) -> list[Vec]:
     """Integer vectors of max-norm 1..height, heights ascending; within one
@@ -424,7 +434,7 @@ def fraction_ns1_witness(a: SkewAlgebra, x: Vec, y: Vec) -> ExactMatrix:
     alpha2, alpha3 = (binv.apply(multiply(a, w, z))[0] for w in (x, y))
     shear = ExactMatrix.from_columns(
         [(1, -alpha2 / alpha3, 0), (0, 1, 0), (0, 0, 1)])
-    return base @ shear
+    return fraction_matmul(base, shear)
 
 
 def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:

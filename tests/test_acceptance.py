@@ -55,9 +55,9 @@ def test_c01_heisenberg_profile():
 def test_c02_rank8_algebra_with_diagonal_derivation():
     a = algebra3(0, 1, 0, 0, 0, 2, 1, 0, 0)
     ders = derivation_space(a)
-    target = ExactMatrix([[0, 0, 0], [0, 1, 0], [0, 0, -1]])
-    spans_target = (ders.dim == 1 and ders.basis[0][1, 1] != 0
-                    and ders.basis[0] == target.scale(ders.basis[0][1, 1]))
+    c = ders.basis[0][1, 1] if ders.dim else 0
+    spans_target = (ders.dim == 1 and c != 0
+                    and ders.basis[0] == ExactMatrix([[0, 0, 0], [0, c, 0], [0, 0, -c]]))
     report("criterion 2: rank-8 algebra, derivation line diag(0,1,-1)", [
         ("rank 8", orbit_dimension(a) == 8),
         ("derivation space is the stated line", spans_target),

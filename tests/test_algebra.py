@@ -18,9 +18,9 @@ from skewlie.errors import (DimensionMismatchError, SingularMapError,
 from skewlie.qlinalg import _eliminate
 from skewlie.sampler import SampleConfig, random_algebra
 
-from helpers import (counterexample4, fraction_product, fraction_transport, full_space,
-                     killing_by_trace, rand_algebra, rand_fraction, rand_invertible,
-                     rand_rational_invertible, rand_vec, rigid_dim4)
+from helpers import (counterexample4, fraction_matmul, fraction_product, fraction_transport,
+                     full_space, killing_by_trace, rand_algebra, rand_fraction,
+                     rand_invertible, rand_rational_invertible, rand_vec, rigid_dim4, rows_of)
 
 algebras3 = st.builds(lambda cs: algebra3(*cs),
                       st.tuples(*([st.integers(-3, 3)] * 9)))
@@ -293,11 +293,11 @@ def test_derived_algebra_matches_subspace_product(dim):
 # --- left multiplication ---
 
 def test_left_mult_abelian_is_zero():
-    assert left_mult(abelian(3), e(1)).is_zero()
+    assert left_mult(abelian(3), e(1)) == ExactMatrix.zeros(3, 3)
 
 
 def test_left_mult_central_element():
-    assert left_mult(heisenberg(), e(3)).is_zero()
+    assert left_mult(heisenberg(), e(3)) == ExactMatrix.zeros(3, 3)
 
 
 def test_left_mult_generic_columns():
@@ -312,7 +312,7 @@ def test_left_mult_generic_columns():
 
 def test_killing_abelian_zero():
     k = killing_matrix(abelian(3))
-    assert k.is_zero()
+    assert k == ExactMatrix.zeros(3, 3)
     assert killing_determinant(abelian(3)) == 0
 
 
@@ -336,7 +336,7 @@ def test_killing_determinant_examples():
 @given(algebras3)
 def test_killing_matrix_symmetric(a):
     k = killing_matrix(a)
-    assert k == k.transpose()
+    assert k == ExactMatrix.from_columns(rows_of(k))
 
 
 KILLING_FIXTURES = {
@@ -386,7 +386,7 @@ def test_transport_composes():
     rng = random.Random(11)
     a = rand_algebra(rng)
     p, q = rand_invertible(rng, 3), rand_invertible(rng, 3)
-    assert transport(transport(a, p), q) == transport(a, p @ q)
+    assert transport(transport(a, p), q) == transport(a, fraction_matmul(p, q))
 
 
 @given(algebras3, st.integers(0, 10 ** 6))
@@ -417,7 +417,7 @@ def test_span_rejects_vectors_not_of_explicit_dim(vectors, dim):
 @pytest.mark.parametrize("dim", [0, 5])
 def test_subspace_rejects_a_dim_that_disagrees_with_its_basis(dim):
     # dim 0 once made subspace_product of two whole spaces 0, and dim 5 made
-    # basis_vectors raise a bare IndexError
+    # reading its basis vectors raise a bare IndexError
     with pytest.raises(ValueError):
         Subspace(ExactMatrix.identity(3), dim)
 

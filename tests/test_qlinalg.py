@@ -13,8 +13,8 @@ from skewlie.qlinalg import (ExactMatrix, _eliminate, determinant, echelonize,
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import build_HL, build_M
 
-from helpers import (HL16_TABLE, HL16_TABLE_DET, cofactor_determinant,
-                     fraction_rref, rand_algebra)
+from helpers import (HL16_TABLE, HL16_TABLE_DET, cofactor_determinant, fraction_matmul,
+                     fraction_rref, rand_algebra, rows_of)
 
 fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
 
@@ -168,7 +168,7 @@ def assert_package_built(m):
     assert all(type(row) is tuple and len(row) == m.cols and all(type(x) is int for x in row)
                for row in rows)
     assert math.gcd(den, *(x for row in rows for x in row)) == 1
-    public = ExactMatrix(m.row_list(), cols=m.cols)
+    public = ExactMatrix(rows_of(m), cols=m.cols)
     assert m == public and hash(m) == hash(public)
 
 
@@ -198,26 +198,15 @@ def test_of_equals_the_public_constructor(shaped, den, factor):
     assert_package_built(m)
 
 
-@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
-    lambda rkc: st.tuples(exact_matrix(*rkc[:2]), exact_matrix(*rkc[:2]),
-                          exact_matrix(*rkc[1:]), st.lists(fractions, min_size=rkc[1],
-                                                           max_size=rkc[1]))),
-       fractions)
-def test_arithmetic_matches_entrywise_fractions(matrices, f):
-    a, b, c, v = matrices
-    (r, k), x, y, z = (a.rows, a.cols), a.row_list(), b.row_list(), c.row_list()
-    zero = Fraction(0)
-    assert a @ c == ExactMatrix([[sum((x[i][t] * z[t][j] for t in range(k)), zero)
-                                  for j in range(c.cols)] for i in range(r)], cols=c.cols)
-    assert a + b == ExactMatrix([[p + q for p, q in zip(s, u)] for s, u in zip(x, y)], cols=k)
-    assert a.scale(f) == ExactMatrix([[f * p for p in s] for s in x], cols=k)
-    assert a.transpose() == ExactMatrix([[x[i][j] for i in range(r)] for j in range(k)], cols=r)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda rk: st.tuples(exact_matrix(*rk), st.lists(fractions, min_size=rk[1],
+                                                     max_size=rk[1]))))
+def test_arithmetic_matches_entrywise_fractions(matrix_and_vector):
+    a, v = matrix_and_vector
     product = a.apply(v)
-    assert product == tuple(sum((s[j] * v[j] for j in range(k)), zero) for s in x)
+    assert product == tuple(sum((s[j] * v[j] for j in range(a.cols)), Fraction(0))
+                            for s in rows_of(a))
     assert all(type(p) is Fraction for p in product)
-    assert a.is_zero() == all(p == 0 for s in x for p in s)
-    for m in (a @ c, a + b, a.scale(f), a.transpose()):
-        assert_package_built(m)
 
 
 @given(sparse_matrix())
@@ -292,7 +281,7 @@ def test_determinant_of_reference_16x16_table():
 @example(ExactMatrix([[0, 0, 0], [0, 2, 1], [3, 1, 0]]))  # zero first row
 @example(ExactMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]]))  # dependent middle row
 def test_determinant_matches_cofactor_expansion(m):
-    assert determinant(m) == cofactor_determinant(m.row_list())
+    assert determinant(m) == cofactor_determinant(rows_of(m))
 
 
 @given(st.integers(1, 4).flatmap(lambda n: frac_matrix(n, n)))
@@ -320,8 +309,8 @@ def test_rank_rref_determinant_match_sympy(seed):
     ech = echelonize(m)
     assert ech.rank == ref.rank()
     assert ech.pivot_columns == ref_pivots
-    assert ech.reduced.row_list() == [[Fraction(int(x.p), int(x.q)) for x in ref_rref.row(i)]
-                                      for i in range(n)]
+    assert rows_of(ech.reduced) == [[Fraction(int(x.p), int(x.q)) for x in ref_rref.row(i)]
+                                    for i in range(n)]
     det = ref.det()
     assert determinant(m) == Fraction(int(det.p), int(det.q))
 
@@ -334,8 +323,8 @@ def test_inverse_roundtrip():
         m = ExactMatrix([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
         if determinant(m) == 0:
             continue
-        assert m @ inverse(m) == ExactMatrix.identity(3)
-        assert inverse(m) @ m == ExactMatrix.identity(3)
+        assert fraction_matmul(m, inverse(m)) == ExactMatrix.identity(3)
+        assert fraction_matmul(inverse(m), m) == ExactMatrix.identity(3)
 
 
 def test_empty_matrix_identity_inverse_and_determinant():
@@ -400,5 +389,4 @@ def test_matrix_shape_and_access():
     assert (m.rows, m.cols) == (2, 3)
     assert m[1, 2] == 6
     assert m.column(1) == (2, 5)
-    assert m.transpose().row(2) == (3, 6)
     assert rank(m) == 2
