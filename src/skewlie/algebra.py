@@ -59,6 +59,7 @@ class SkewAlgebra:
     __slots__ = ("dim", "_ints")
 
     def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence] | None = None):
+        _check_index(dim)
         given = {}
         for (i, j), coeffs in (products or {}).items():
             _check_index(i, j)
@@ -266,6 +267,7 @@ class Subspace:
     dim: int
 
     def __post_init__(self):
+        _check_index(self.dim)
         if self.dim != self.basis.rows:
             raise ValueError(f"dim {self.dim} against a basis of {self.basis.rows} rows")
         # RREF: each row leads with a 1, right of the row above's, alone in its column
@@ -286,6 +288,7 @@ def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
         if not vecs:
             raise ValueError("empty span needs an explicit ambient dimension")
         dim = len(vecs[0])
+    _check_index(dim)
     if any(len(v) != dim for v in vecs):
         raise DimensionMismatchError(f"spanning vectors must all have length {dim}")
     if dim < 0:  # reached only with no vectors

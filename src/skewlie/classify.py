@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product,
                       _mul, is_lie, transport)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _Basis, _eliminate
+from .qlinalg import ExactMatrix, _Basis, _check_index, _eliminate
 
 ABELIAN = "Abelian"
 HEISENBERG = "HeisenbergNilpotent"
@@ -117,6 +117,7 @@ def find_regular_pair(a: SkewAlgebra, max_height: int = 4) -> tuple[Vec, Vec]:
     (Heisenberg: e1, e2), and then one of height 1 does; raises
     RegularPairNotFoundError once the height bound is exhausted.
     """
+    _check_index(max_height)
     if a.dim != 3:
         raise UnsupportedDimError("regular-pair search is a dimension-3 operation")
     found = _search_pairs(a, want_ns1=False, max_height=max_height)

@@ -3,12 +3,14 @@ denominator, read as ``fractions.Fraction`` at the public boundary.
 
 No floating point enters. One integer routine, ``_eliminate``, does all row
 reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer rows one at a
-time to a basis kept in RREF and stops at full column rank. It returns that
-integer basis only (``_Basis``), whose kernel ``kernel_ints`` reads as integer
-vectors over d. ``ExactMatrix`` holds ``_ints = (rows, den)`` in lowest terms with
-den > 0: its public constructor coerces entries, and ``_of`` is the one way in for
-integer rows the package built. ``rank``, ``determinant`` and ``inverse`` eliminate
-those rows directly; ``echelonize`` wraps the RREF they reduce to.
+time, each divided by its content, to a basis kept in RREF and stops at full
+column rank. It returns that integer basis only (``_Basis``), whose kernel
+``kernel_ints`` reads as integer vectors over d and whose det is that of the rows
+as given, so no caller undoes a row scaling. ``ExactMatrix`` holds ``_ints =
+(rows, den)`` in lowest terms with den > 0: its public constructor coerces
+entries, and ``_of`` is the one way in for integer rows the package built.
+``rank``, ``determinant`` and ``inverse`` eliminate those rows directly;
+``echelonize`` wraps the RREF they reduce to.
 Text holds numbers as integer pairs: ``_parse_ratio`` reads a literal as (p, q)
 and ``_format_ratio`` writes p / q in lowest terms; ``parse_rational`` and
 ``format_rational`` are their ``Fraction`` forms.
@@ -89,6 +91,8 @@ class ExactMatrix:
     __slots__ = ("_ints", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable], *, cols: int | None = None):
+        if cols is not None:
+            _check_index(cols)
         rows = [[_as_fraction(x) for x in row] for row in entries]
         if rows:
             if cols is not None and len(rows[0]) != cols:
@@ -238,24 +242,29 @@ def echelonize(m: ExactMatrix) -> EchelonResult:
 
 
 def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
-    """Fraction-free Gauss-Jordan, row by row, on integer rows. The basis is d
-    times the RREF of the rows read so far, over the columns not yet pivots.
-    Row x reduces there to y = d*x - sum_k x[p_k]*B_k (B_k has pivot p_k; entries
-    of y are minors, so nothing is divided); y == 0 is in the span. Else y's first
-    nonzero column c is a pivot, e = y[c]: c leaves every row, each basis row b
-    becomes (e*b - b[c]*y) // d, exact by Sylvester's identity, y joins and d = e.
-    Once no column is free, the later rows are in the span: the loop stops before
-    it takes one, so a lazy iterable builds none of them. RREF row k is 1 at its
-    pivot and x / d at each free column. det is sign * d at full column rank (sign
-    the parity of the order in which the pivots came; no rows swap), else 0: for
-    square rows, their determinant. Rank, pivots and RREF ignore row factors; a
-    caller that scaled a matrix's rows divides det by their product.
+    """Fraction-free Gauss-Jordan, row by row, on integer rows. Each row x is
+    divided by its content (the gcd of its entries) as it is read, which keeps
+    the minors small when rows share a wide factor such as a common denominator.
+    The basis is d times the RREF of the rows read so far, over the columns not
+    yet pivots. Row x reduces there to y = d*x - sum_k x[p_k]*B_k (B_k has pivot
+    p_k; entries of y are minors, so nothing is divided); y == 0 is in the span.
+    Else y's first nonzero column c is a pivot, e = y[c]: c leaves every row, each
+    basis row b becomes (e*b - b[c]*y) // d, exact by Sylvester's identity, y joins
+    and d = e. Once no column is free, the later rows are in the span: the loop
+    stops before it takes one, so a lazy iterable builds none of them. RREF row k
+    is 1 at its pivot and x / d at each free column. det is sign * d times the
+    product of the contents at full column rank (sign the parity of the order in
+    which the pivots came; no rows swap), else 0: for square rows, the
+    determinant of the rows as given. Rank, pivots and RREF ignore row factors.
     """
     free = list(range(cols))
     pivots: list[int] = []
     basis: list[list[int]] = []
-    d, flips = 1, 0
+    d, flips, contents = 1, 0, 1
     for x in a:
+        if (g := math.gcd(*x)) > 1:
+            x = [v // g for v in x]
+            contents *= g
         y = [d * x[c] for c in free] if pivots else list(x)
         for p, b in zip(pivots, basis):
             if g := x[p]:
@@ -276,7 +285,7 @@ def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
         d = e
         if not free:
             break
-    det = 0 if free else -d if flips % 2 else d
+    det = 0 if free else (-d if flips % 2 else d) * contents
     rows = [row for _, row in sorted(zip(pivots, basis))]
     return _Basis(len(pivots), sorted(pivots), free, rows, d, det)
 

@@ -12,9 +12,8 @@ over one common denominator den, M (linear in them) scaled by den and HL
 (quadratic) by den^2: an M row is slices of the flattened rows of t, their
 negation and zero blocks, an HL row stride slices of three per-pair blocks
 ((e_p e_q) e_l)_m, made once per algebra by ``_double_product``, and zero blocks.
-``_reduce`` divides each row by its content (the gcd of its entries) as
-``qlinalg._eliminate`` reads it, and that stops reading at full column rank, so
-no later row is built; rank and kernel ignore row scaling. ``build_M`` and
+``qlinalg._eliminate`` reads them directly and stops reading at full column rank,
+so no later row is built; rank and kernel ignore row scaling. ``build_M`` and
 ``build_HL`` wrap all the rows as ``ExactMatrix``; the ``*_defect`` functions
 evaluate the same expressions on vectors through ``multiply``, independently.
 
@@ -22,22 +21,20 @@ By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
 = derivation dimension, Hom-Lie iff ker HL is nonzero, rank HL = n^2 - dim ker
 HL. The square 16 x 16 HL of n = 4, the one determinant read, comes off the same
-elimination as its kernel: times the contents of the rows read (all of them when
-it is nonzero) and over den^32.
+elimination as its kernel, over den^32.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import Endo, SkewAlgebra, Vec, _double_product, basis_vec, multiply, vadd
 from .errors import DimensionMismatchError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _Basis, _check_index, _eliminate
+from .qlinalg import ExactMatrix, _check_index, _eliminate
 
 
 def vec_of_endo(f: Endo) -> Vec:
@@ -137,18 +134,6 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
     return ExactMatrix._of(list(_HL_rows(a)), a.dim * a.dim, a._ints[1] ** 2)
 
 
-def _reduce(rows: Iterable[list[int]], cols: int) -> tuple[_Basis, int]:
-    """Eliminate integer rows as it reads them, each first divided by its content (the
-    gcd of its entries); also return the product of the contents of the rows read."""
-    contents = []
-
-    def primitive(row: list[int]) -> list[int]:
-        contents.append(g := math.gcd(*row))
-        return [x // g for x in row] if g > 1 else row
-
-    return _eliminate(map(primitive, rows), cols), math.prod(contents)
-
-
 def _kernel_endos(space) -> tuple[Endo, ...]:
     """The integer kernel ``space._kernel = (n, vectors, q)`` as endomorphisms v / q:
     row r of v (column-major) is v[r::n]."""
@@ -179,7 +164,7 @@ class HomLieSpace:
 
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
-    vecs, q = _reduce(_M_rows(a), a.dim * a.dim)[0].kernel_ints()
+    vecs, q = _eliminate(_M_rows(a), a.dim * a.dim).kernel_ints()
     return DerivationSpace(len(vecs), (a.dim, vecs, q))
 
 
@@ -190,7 +175,7 @@ def aut_dimension(a: SkewAlgebra) -> int:
 
 def orbit_dimension(a: SkewAlgebra) -> int:
     """Dimension of the isomorphism orbit: rank of the derivation matrix."""
-    return _reduce(_M_rows(a), a.dim * a.dim)[0].rank
+    return _eliminate(_M_rows(a), a.dim * a.dim).rank
 
 
 def homlie_space(a: SkewAlgebra) -> HomLieSpace:
@@ -201,10 +186,10 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    b, contents = _reduce(_HL_rows(a), n * n)
+    b = _eliminate(_HL_rows(a), n * n)
     vecs, q = b.kernel_ints()
-    # square HL: b.det is det(den^2 HL) over the row contents, all read when it is nonzero
-    det = Fraction(b.det * contents, a._ints[1] ** 32) if n == 4 else None
+    # square HL: b.det is det(den^2 HL)
+    det = Fraction(b.det, a._ints[1] ** 32) if n == 4 else None
     return HomLieSpace(len(vecs), det, (n, vecs, q))
 
 
@@ -216,7 +201,7 @@ def is_homlie(a: SkewAlgebra) -> bool:
     has no rows).
     """
     n = a.dim
-    return _reduce(_HL_rows(a), n * n)[0].rank < n * n
+    return _eliminate(_HL_rows(a), n * n).rank < n * n
 
 
 def hom_check(a: SkewAlgebra, f: Endo) -> bool:

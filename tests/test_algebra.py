@@ -11,7 +11,7 @@ from skewlie import (ExactMatrix, SkewAlgebra, Subspace, abelian, algebra3, basi
                      killing_determinant, killing_matrix, left_mult, multiply,
                      span, subspace_product, transport)
 from skewlie.algebra import _derived_algebra, _double_product, _subspace, vadd
-from skewlie.classify import ns1_family, ns2_family, sol_family
+from skewlie.classify import find_regular_pair, ns1_family, ns2_family, sol_family
 from skewlie.errors import (DimensionMismatchError, SingularMapError,
                             UnsupportedDimError)
 
@@ -73,12 +73,22 @@ def test_basis_vec_rejects_indices_outside_basis(i):
     lambda: SkewAlgebra(3, {(1.0, 2): (0, 0, 1)}),
     lambda: heisenberg().product(1, 2.0),
     lambda: endo_of_vec(1.0, [1]),
+    lambda: SkewAlgebra(True, {}),
+    lambda: SkewAlgebra(3.0, {}),
+    lambda: span([], dim=True),
+    lambda: Subspace(ExactMatrix([[1, 0]]), True),
+    lambda: Subspace(ExactMatrix([[1, 0]]), 1.0),
+    lambda: find_regular_pair(heisenberg(), True),
 ], ids=["init-i", "init-j", "product-i", "product-j", "basis_vec-i", "basis_vec-n",
         "endo_of_vec-n", "basis_vec-false", "basis_vec-float", "init-float", "product-float",
-        "endo_of_vec-float"])
+        "endo_of_vec-float", "init-dim-bool", "init-dim-float", "span-dim-bool",
+        "subspace-dim-bool", "subspace-dim-float", "max_height-bool"])
 def test_bool_or_float_is_no_basis_index_or_size(call):
     # each bool once answered as for index or size 1 (False: 0), basis_vec(3, 1.5) as
-    # the zero vector, and the other floats raised an internal indexing error
+    # the zero vector, and the other floats raised an internal indexing error; of the
+    # sizes, SkewAlgebra(True, {}) raised UnsupportedDimError, span([], dim=True) gave a
+    # 0x1 basis, Subspace took True and 1.0 as dim 1, and find_regular_pair searched
+    # to height 1
     with pytest.raises(TypeError, match="must be an int"):
         call()
 

@@ -64,10 +64,13 @@ def test_matrix_rejects_a_negative_size(build):
     lambda: ExactMatrix.zeros(2, False),
     lambda: ExactMatrix.identity(True),
     lambda: ExactMatrix.identity(2.0),
+    lambda: ExactMatrix([], cols=2.5),
+    lambda: ExactMatrix([], cols=True),
 ], ids=["zeros-float-cols", "zeros-bool-rows", "zeros-bool-cols", "identity-bool",
-        "identity-float"])
+        "identity-float", "empty-float-cols", "empty-bool-cols"])
 def test_matrix_rejects_a_bool_or_non_int_size(build):
-    # zeros(2, 1.5) once failed inside a list build and zeros(True, 2) gave a 1x2 matrix
+    # zeros(2, 1.5) once failed inside a list build, zeros(True, 2) gave a 1x2 matrix, and
+    # an empty matrix kept cols=2.5 or cols=True
     with pytest.raises(TypeError, match="must be an int"):
         build()
 
@@ -151,6 +154,35 @@ def square_int_matrix():
 @example([])  # the 0x0 determinant is 1
 def test_eliminate_det_is_the_determinant_of_square_rows(rows):
     assert _eliminate(rows, len(rows)).det == cofactor_determinant(rows)
+
+
+@st.composite
+def rows_and_factors(draw):
+    """Integer rows, square about half the time, and a nonzero integer factor per row."""
+    cols = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.just(cols), st.integers(0, 8)))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                         min_size=n, max_size=n))
+    factors = draw(st.lists(st.integers(-40, 40).filter(bool), min_size=n, max_size=n))
+    return rows, cols, factors
+
+
+@given(rows_and_factors())
+@example(([[1, 2], [3, 4]], 2, [2, 3]))  # both rows become pivots
+@example(([[2, 4], [0, 3]], 2, [-5, 7]))  # a row with content 2, a negative factor
+@example(([[0, 0], [1, 1]], 2, [9, 4]))  # a zero row
+def test_eliminate_divides_each_row_by_its_content(case):
+    # contents are divided as rows are read, so positive row factors change nothing the
+    # basis holds, d included; det stays that of the rows as given, signs included
+    rows, cols, factors = case
+    b = _eliminate(rows, cols)
+    scaled = _eliminate([[abs(k) * x for x in r] for k, r in zip(factors, rows)], cols)
+    assert (scaled.rank, scaled.pivots, scaled.free, scaled.rows, scaled.d) == (
+        b.rank, b.pivots, b.free, b.rows, b.d)
+    signed = _eliminate([[k * x for x in r] for k, r in zip(factors, rows)], cols)
+    assert (signed.rank, signed.pivots, signed.free) == (b.rank, b.pivots, b.free)
+    if len(rows) == cols:
+        assert signed.det == math.prod(factors) * b.det
 
 
 @pytest.mark.parametrize("dim,seed", [(3, 1), (3, 2), (4, 3), (4, 4), (5, 5), (6, 6)])

@@ -16,8 +16,9 @@ from skewlie import structmats as sm
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.cli import parse_algebra
 from skewlie.errors import DimensionMismatchError, UnsupportedDimError
+from skewlie.qlinalg import _eliminate
 from skewlie.sampler import SampleConfig, random_algebra
-from skewlie.structmats import (_HL_rows, _M_rows, _reduce, derivation_defect, endo_of_vec,
+from skewlie.structmats import (_HL_rows, _M_rows, derivation_defect, endo_of_vec,
                                 hom_jacobi_defect)
 
 from helpers import (COUNTEREXAMPLE4_HL_DET, cofactor_determinant,
@@ -412,8 +413,8 @@ def _golden_algebras(dim):
 
 @pytest.mark.parametrize("dim", [3, 4, 5, 6])
 def test_operator_reduction_equals_fraction_oracle(dim):
-    # the integer route divides rows by den (or den^2) and by their contents;
-    # the Fraction route does neither, so the determinant checks the scale fold
+    # the integer route scales rows by den (or den^2) and the elimination divides them
+    # by their contents; the Fraction route does neither, so the determinant checks both
     algebras = (random_algebra(SampleConfig(dim=dim, trials=1, seed=dim), 0),
                 _rational_basis_algebra(random.Random(dim), dim))
     assert _denominator(algebras[1]) > 1
@@ -427,11 +428,11 @@ def test_operator_reduction_equals_fraction_oracle(dim):
             assert ExactMatrix._of(rows, dim * dim, factor) == m
             if a not in algebras:
                 continue
-            (b, contents), ref = _reduce(rows, dim * dim), fraction_rref(m)
+            b, ref = _eliminate(rows, dim * dim), fraction_rref(m)
             assert (b.rank, tuple(b.pivots)) == (ref.rank, ref.pivot_columns)
-            # det is that of the content-divided rows of factor * (the operator), and
-            # a nonzero det reads every row
-            det = Fraction(b.det * contents, factor ** len(rows)) if m.is_square else None
+            # det is that of the rows of factor * (the operator), and a nonzero det
+            # reads every row
+            det = Fraction(b.det, factor ** len(rows)) if m.is_square else None
             assert det == ref.determinant
             assert (b.det != 0) == (ref.rank == dim * dim)
             assert (ExactMatrix._of(b.span_rows(), dim * dim, b.d)
