@@ -4,7 +4,7 @@
 The corpus holds one document per case (named fixtures, seeded random
 algebras of dimensions 2-6, the same moved to a rational basis) with the
 ``--json`` report (``<command>.json``) and the plain-text report
-(``<command>.txt``) of every subcommand that applies to it, plus two ``sample``
+(``<command>.txt``) of every subcommand that applies to it, plus four ``sample``
 runs in both forms. ``MANIFEST.json`` lists each command line and the file
 holding its expected stdout; ``tests/test_golden.py`` replays it and compares
 byte for byte. That test never writes the corpus: regenerating it is a
@@ -38,6 +38,8 @@ DIM3_ONLY = ("classify", "lietype")
 SAMPLES = {
     "sample-d3": ["sample", "--dim", "3", "--trials", "200", "--seed", "42"],
     "sample-d4": ["sample", "--dim", "4", "--trials", "200", "--seed", "42"],
+    "sample-d5": ["sample", "--dim", "5", "--trials", "100", "--seed", "42"],
+    "sample-d6": ["sample", "--dim", "6", "--trials", "50", "--seed", "42"],
 }
 REPORTS = ((".json", ["--json"]), (".txt", []))  # file suffix, extra arguments
 

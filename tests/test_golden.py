@@ -20,7 +20,7 @@ def test_manifest_covers_the_corpus():
     listed |= {arg for entry in MANIFEST for arg in entry["argv"] if arg.endswith(".json")}
     files = [p for p in GOLDEN.rglob("*") if p.suffix in (".json", ".txt")]
     assert {p.relative_to(GOLDEN).as_posix() for p in files} - {"MANIFEST.json"} == listed
-    assert len(MANIFEST) == 306
+    assert len(MANIFEST) == 310
     assert sum(p.stat().st_size for p in files) < 1_000_000
 
 
