@@ -1,16 +1,16 @@
 """Exact rational linear algebra: dense matrices held as integer rows over one
 denominator, read as ``fractions.Fraction`` at the public boundary.
 
-No floating point enters. One integer routine, ``_eliminate``, does all row
-reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer rows one at a
-time, each divided by its content, to a basis kept in RREF and stops at full
-column rank. It returns that integer basis only (``_Basis``), whose kernel
-``kernel_ints`` reads as integer vectors over d and whose det is that of the rows
-as given, so no caller undoes a row scaling. ``ExactMatrix`` holds ``_ints =
-(rows, den)`` in lowest terms with den > 0: its public constructor coerces
-entries, and ``_of`` is the one way in for integer rows the package built.
-``rank``, ``determinant`` and ``inverse`` eliminate those rows directly;
-``echelonize`` wraps the RREF they reduce to.
+No floating point enters. One integer routine, ``_eliminate``, does all exact row
+reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer rows one at a time, each
+divided by its content, to a basis kept in RREF and stops at full column rank. It returns
+that integer basis only (``_Basis``), whose kernel ``kernel_ints`` reads as integer vectors
+over d and whose det is that of the rows as given, so no caller undoes a row scaling.
+``_full_rank_mod_p`` reduces mod a prime: its True proves full column rank over Q with no
+exact reduction, its False nothing. ``ExactMatrix`` holds ``_ints = (rows, den)`` in lowest
+terms with den > 0: its public constructor coerces entries, and ``_of`` is the one way in
+for integer rows the package built. ``rank``, ``determinant`` and ``inverse`` eliminate
+those rows directly; ``echelonize`` wraps the RREF they reduce to.
 Text holds numbers as integer pairs: ``_parse_ratio`` reads a literal as (p, q)
 and ``_format_ratio`` writes p / q in lowest terms; ``parse_rational`` and
 ``format_rational`` are their ``Fraction`` forms.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import NonSquareError, SingularMapError
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")  # ASCII digits only
+_P = (1 << 17) - 1  # a prime with 36^2 p^3 < 2^64, for ``_full_rank_mod_p`` at cols <= 6^2
 
 
 def _parse_ratio(text: str) -> tuple[int, int]:
@@ -177,6 +179,11 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
+def _check_matrix(m) -> None:
+    if not isinstance(m, ExactMatrix):
+        raise TypeError(f"expected an ExactMatrix, not {type(m).__name__}")
+
+
 @dataclass(frozen=True)
 class EchelonResult:
     """Unique reduced row-echelon form, rank and pivot columns, plus the
@@ -234,6 +241,7 @@ def _rescale(v: Sequence[Fraction]) -> tuple[list[int], int]:
 def echelonize(m: ExactMatrix) -> EchelonResult:
     """``_eliminate`` the integer rows, and build the RREF (the basis rows over d, then
     zero rows) and a square matrix's det / den^n."""
+    _check_matrix(m)
     (rows, den), cols = m._ints, m.cols
     b = _eliminate(rows, cols)
     reduced = ExactMatrix._of(b.span_rows() + [[0] * cols] * (m.rows - b.rank), cols, b.d)
@@ -290,7 +298,36 @@ def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
     return _Basis(len(pivots), sorted(pivots), free, rows, d, det)
 
 
+def _full_rank_mod_p(rows: Iterable[Sequence[int]], cols: int, spare: int) -> bool:
+    """True proves the integer rows have rank cols over Q: a minor nonzero mod p = _P is a
+    nonzero integer. False proves nothing; it comes once more than ``spare`` rows are zero
+    mod p. The basis is RREF mod p, a row one int of 64-bit slots reduced only when read. No
+    slot carries: basis slots stay below cols p^2, a reduced row's below cols^2 p^3 (see _P)."""
+    fmt = struct.Struct(f"<{cols}Q")
+    pivots, basis = [], []  # each row 1 at its own pivot and 0 at the others, mod p
+    for x in rows:
+        c = None  # an all-zero row is not packed
+        if any(x):
+            packed = int.from_bytes(fmt.pack(*[v % _P for v in x]), "little")
+            for p, b in zip(pivots, basis):
+                if w := -x[p] % _P:
+                    packed += w * b
+            y = fmt.unpack(packed.to_bytes(fmt.size, "little"))
+            c = next((i for i, e in enumerate(y) if e % _P), None)
+        if c is not None:
+            inv = pow(y[c], -1, _P)
+            new = int.from_bytes(fmt.pack(*[v % _P * inv % _P for v in y]), "little")
+            basis = [b + -(b >> 64 * c & 2**64 - 1) % _P * new for b in basis] + [new]
+            pivots.append(c)
+            if len(basis) == cols:
+                return True
+        elif (spare := spare - 1) < 0:
+            return False
+    return False
+
+
 def rank(m: ExactMatrix) -> int:
+    _check_matrix(m)
     return _eliminate(m._ints[0], m.cols).rank
 
 
@@ -301,6 +338,7 @@ def kernel_basis(m: ExactMatrix) -> list[tuple[Fraction, ...]]:
 
 def determinant(m: ExactMatrix) -> Fraction:
     """Exact determinant: that of the integer rows, over den^n."""
+    _check_matrix(m)
     if not m.is_square:
         raise NonSquareError(f"determinant of a {m.rows}x{m.cols} matrix")
     rows, den = m._ints
@@ -310,6 +348,7 @@ def determinant(m: ExactMatrix) -> Fraction:
 def inverse(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse: one ``_eliminate`` of the integer rows [R | den I] of m = R / den.
     It has pivots 0..n-1 iff m is invertible, and its basis is then d m^-1 over d."""
+    _check_matrix(m)
     if not m.is_square:
         raise NonSquareError(f"inverse of a {m.rows}x{m.cols} matrix")
     (rows, den), n = m._ints, m.rows

@@ -7,15 +7,15 @@ c*n + k of M and HL is the unit endomorphism e_c -> e_k. Rows of the derivation
 matrix M are the components of the derivation defect on basis pairs i < j in
 lexicographic order (``itertools.combinations``), components innermost; rows
 of the Hom-Jacobi matrix HL do the same over basis triples i < j < k.
-``_M_rows`` and ``_HL_rows`` yield integer rows one at a time from the constants
-over one common denominator den, M (linear in them) scaled by den and HL
-(quadratic) by den^2: an M row is slices of the flattened rows of t, their
-negation and zero blocks, an HL row stride slices of three per-pair blocks
-((e_p e_q) e_l)_m, made once per algebra by ``_double_product``, and zero blocks.
-``qlinalg._eliminate`` reads them directly and stops reading at full column rank,
-so no later row is built; rank and kernel ignore row scaling. ``build_M`` and
-``build_HL`` wrap all the rows as ``ExactMatrix``; the ``*_defect`` functions
-evaluate the same expressions on vectors through ``multiply``, independently.
+``_M_rows`` and ``_HL_rows`` yield integer rows one at a time from the constants over one
+common denominator den, M (linear in them) scaled by den and HL (quadratic) by den^2: an M
+row is slices of the flattened rows of t, their negation and zero blocks, an HL row stride
+slices of three per-pair blocks ((e_p e_q) e_l)_m, made once per algebra by
+``_double_product``, and zero blocks. ``_reduce`` feeds them to ``qlinalg._eliminate``, which
+stops at full column rank (no later row is built; rank and kernel ignore row scaling), unless
+``_full_rank_mod_p`` proves full rank first: from n = 4, as no dim-3 orbit is open, and for HL
+from n = 5, as n = 4 reads its det. ``build_M`` and ``build_HL`` wrap all the rows as
+``ExactMatrix``; the ``*_defect`` functions evaluate them on vectors via ``multiply``.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
@@ -28,13 +28,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .algebra import Endo, SkewAlgebra, Vec, _double_product, basis_vec, multiply, vadd
+from .algebra import (Endo, SkewAlgebra, Vec, _check_vec, _double_product, basis_vec, multiply,
+                      vadd)
 from .errors import DimensionMismatchError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _check_index, _eliminate
+from .qlinalg import ExactMatrix, _Basis, _check_index, _eliminate, _full_rank_mod_p
 
 
 def vec_of_endo(f: Endo) -> Vec:
@@ -64,6 +66,7 @@ def _check_endo(a: SkewAlgebra, f: Endo) -> None:
 def derivation_defect(a: SkewAlgebra, f: Endo, x: Sequence, y: Sequence) -> Vec:
     """f(x)*y + x*f(y) - f(x*y); zero for all x, y iff f is a derivation."""
     _check_endo(a, f)
+    x, y = _check_vec(a, x), _check_vec(a, y)
     fx, fy = f.apply(x), f.apply(y)
     fxy = f.apply(multiply(a, x, y))
     return tuple(p + q - r for p, q, r in
@@ -162,9 +165,21 @@ class HomLieSpace:
     basis = functools.cached_property(_kernel_endos)
 
 
+def _reduce(a: SkewAlgebra, rows: Iterator[list[int]], k: int, least: int = 4) -> _Basis | None:
+    """``_eliminate`` the rows, n per k-subset of the basis, or None if n >= least and
+    ``_full_rank_mod_p`` proves full rank; if it cannot, ``tee`` replays what it read."""
+    n = a.dim
+    if n >= least:
+        rows, read = itertools.tee(rows)
+        if _full_rank_mod_p(read, n * n, n * math.comb(n, k) - n * n):
+            return None
+    return _eliminate(rows, n * n)
+
+
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
-    vecs, q = _eliminate(_M_rows(a), a.dim * a.dim).kernel_ints()
+    b = _reduce(a, _M_rows(a), 2)
+    vecs, q = ([], 1) if b is None else b.kernel_ints()
     return DerivationSpace(len(vecs), (a.dim, vecs, q))
 
 
@@ -175,7 +190,8 @@ def aut_dimension(a: SkewAlgebra) -> int:
 
 def orbit_dimension(a: SkewAlgebra) -> int:
     """Dimension of the isomorphism orbit: rank of the derivation matrix."""
-    return _eliminate(_M_rows(a), a.dim * a.dim).rank
+    b = _reduce(a, _M_rows(a), 2)
+    return a.dim ** 2 if b is None else b.rank
 
 
 def homlie_space(a: SkewAlgebra) -> HomLieSpace:
@@ -186,8 +202,8 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    b = _eliminate(_HL_rows(a), n * n)
-    vecs, q = b.kernel_ints()
+    b = _reduce(a, _HL_rows(a), 3, least=5)  # n = 4 reads the determinant
+    vecs, q = ([], 1) if b is None else b.kernel_ints()
     # square HL: b.det is det(den^2 HL)
     det = Fraction(b.det, a._ints[1] ** 32) if n == 4 else None
     return HomLieSpace(len(vecs), det, (n, vecs, q))
@@ -201,7 +217,8 @@ def is_homlie(a: SkewAlgebra) -> bool:
     has no rows).
     """
     n = a.dim
-    return _eliminate(_HL_rows(a), n * n).rank < n * n
+    b = _reduce(a, _HL_rows(a), 3)
+    return b is not None and b.rank < n * n
 
 
 def hom_check(a: SkewAlgebra, f: Endo) -> bool:

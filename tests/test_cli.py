@@ -218,6 +218,23 @@ def test_analyze_builds_each_operator_once(name, tmp_path, capsys, monkeypatch):
     assert builds == {"_M_rows": 1, "_HL_rows": 1}
 
 
+@pytest.mark.parametrize("command", ["homlie", "derivations", "analyze"])
+def test_wide_rational_document_needs_no_exact_elimination(command, capsys, monkeypatch):
+    # data/wide6.json is a dense dim-6 document whose 90 literals are random 10-digit
+    # fractions (random.Random(6): numerator and denominator each uniform in
+    # [10^9, 10^10), the numerator's sign a coin flip). Exact elimination of its M and
+    # HL took seconds; the mod-p certificate proves their full rank alone, so none runs
+    calls = []
+    monkeypatch.setattr(sm, "_eliminate",
+                        lambda rows, cols: calls.append(cols) or ql._eliminate(rows, cols))
+    assert main([command, str(Path(__file__).parent / "data" / "wide6.json"), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    for payload in ((result["homlie"], result["derivations"]) if command == "analyze"
+                    else (result,)):
+        assert (payload["rank"], payload["basis"]) == (36, [])
+    assert calls == []
+
+
 @pytest.mark.parametrize("name,derived_algebras", [
     ("random3-0", 2), ("sol-nonlie", 2), ("random4-0", 1)])
 def test_analyze_forms_the_derived_algebra_and_the_lie_flag_once(name, derived_algebras,

@@ -7,8 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from skewlie.algebra import killing_matrix
 from skewlie.errors import NonSquareError, SingularMapError
-from skewlie.qlinalg import (ExactMatrix, _eliminate, determinant, echelonize,
-                             format_rational, inverse, kernel_basis,
+from skewlie.qlinalg import (_P, ExactMatrix, _eliminate, _full_rank_mod_p, determinant,
+                             echelonize, format_rational, inverse, kernel_basis,
                              parse_rational, rank)
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import build_HL, build_M
@@ -422,3 +422,81 @@ def test_matrix_shape_and_access():
     assert m[1, 2] == 6
     assert m.column(1) == (2, 5)
     assert rank(m) == 2
+
+
+@pytest.mark.parametrize("value", [[[1, 0], [0, 1]], ((1,),), None],
+                         ids=["list", "tuple", "none"])
+@pytest.mark.parametrize("fn", [rank, determinant, inverse, kernel_basis, echelonize])
+def test_linear_algebra_rejects_what_is_no_exact_matrix(fn, value):
+    # a plain list of rows once raised AttributeError: 'list' object has no attribute '_ints'
+    with pytest.raises(TypeError, match="ExactMatrix"):
+        fn(value)
+
+
+# --- full-rank certificate mod p ---
+
+# small entries, multiples of p and residues p - 1, and entries far wider than a slot
+certificate_entries = st.one_of(st.integers(-3, 3),
+                                st.sampled_from([_P, -_P, _P - 1, 2 * _P + 1, _P * _P]),
+                                st.integers(-2 ** 80, 2 ** 80))
+
+
+@st.composite
+def certificate_rows(draw):
+    """(rows, cols) with cols to cols + 3 rows, often plus a row dependent on two others."""
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(certificate_entries, min_size=cols, max_size=cols),
+                         min_size=cols, max_size=cols + 3))
+    if draw(st.booleans()):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        u, v = draw(certificate_entries), draw(certificate_entries)
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [u * x + v * y for x, y in zip(rows[i], rows[j])])
+    return rows, cols
+
+
+@given(certificate_rows())
+@example(([[1, 0], [0, _P]], 2))  # full rank over Q, singular mod p
+@example(([[0, 0], [1, 1], [2, 2], [0, 3]], 2))  # an all-zero row and a dependent one
+def test_full_rank_mod_p_is_only_true_at_full_rank(shaped):
+    rows, cols = shaped
+    if _full_rank_mod_p(iter(rows), cols, len(rows) - cols):
+        assert _eliminate(rows, cols).rank == cols
+
+
+def test_a_row_scaled_by_p_leaves_the_certificate_nothing_to_prove():
+    rows = [[2, 1, 0], [_P, 3 * _P, _P], [0, 1, 4]]
+    assert _eliminate(rows, 3).rank == 3
+    assert not _full_rank_mod_p(iter(rows), 3, 0)
+    # a spare row that restores the rank mod p
+    assert _full_rank_mod_p(iter(rows + [[1, 3, 1]]), 3, 1)
+
+
+def test_full_rank_mod_p_stops_reading_at_full_rank_or_past_its_spare_rows():
+    read = []
+
+    def rows(entries):
+        for row in entries:
+            read.append(row)
+            yield row
+
+    assert _full_rank_mod_p(rows([[1, 0], [0, 1], [1, 1]]), 2, 1) and len(read) == 2
+    read.clear()
+    assert not _full_rank_mod_p(rows([[0, 0], [1, 1], [2, 2], [0, 1]]), 2, 1)
+    assert len(read) == 3  # the zero row and [2, 2] exceed one spare row
+
+
+@pytest.mark.parametrize("off_diagonal", [_P - 1, 1], ids=["residues-p-1", "weights-p-1"])
+def test_certificate_slots_hold_at_36_columns(off_diagonal):
+    # the docstring's bound at cols = 36 = MAX_DIM^2: a reduced row's slots stay below
+    # cols^2 p^3 < 2^64. Residue p - 1 off the diagonal and 0 on it is -(J - I) mod p;
+    # residue 1 there makes every reduction weight p - 1 and drives the slots to about
+    # 2^59. Both are invertible (eigenvalues -1 and 35, up to sign); then the last row
+    # becomes the sum of the others, which a slot that carried would leave nonzero
+    assert 36 ** 2 * _P ** 3 < 2 ** 64
+    rows = [[0 if i == j else off_diagonal for j in range(36)] for i in range(36)]
+    assert _full_rank_mod_p(iter(rows), 36, 0)
+    assert _eliminate(rows, 36).rank == 36
+    dependent = rows[:35] + [[sum(column) for column in zip(*rows[:35])]]
+    assert not _full_rank_mod_p(iter(dependent), 36, 0)
+    assert _eliminate(dependent, 36).rank == 35

@@ -16,7 +16,7 @@ from skewlie import structmats as sm
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.cli import parse_algebra
 from skewlie.errors import DimensionMismatchError, UnsupportedDimError
-from skewlie.qlinalg import _eliminate
+from skewlie.qlinalg import _P, _eliminate
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import (_HL_rows, _M_rows, derivation_defect, endo_of_vec,
                                 hom_jacobi_defect)
@@ -45,6 +45,14 @@ def test_vec_is_column_major():
     f = ExactMatrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])  # single entry at row 2, col 1
     v = vec_of_endo(f)
     assert v[1] == 1 and sum(1 for x in v if x != 0) == 1
+
+
+@pytest.mark.parametrize("x,y", [((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1)),
+                                 ((1, 0, 0, 0), (0, 1, 0))])
+def test_derivation_defect_rejects_vectors_of_the_wrong_length(x, y):
+    # a short x once raised ValueError from ExactMatrix.apply, unlike hom_jacobi_defect
+    with pytest.raises(DimensionMismatchError):
+        derivation_defect(heisenberg(), ExactMatrix.identity(3), x, y)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
@@ -464,6 +472,63 @@ def test_operators_build_only_the_rows_the_elimination_reads(dim, trials, monkey
                 assert k < len(rows) or (fn, dim) == ("_HL_rows", 4)
             else:
                 assert k == len(rows)
+
+
+def count_eliminations(monkeypatch) -> list[int]:
+    """Count the exact eliminations the operator functions run (one list entry)."""
+    calls = [0]
+
+    def counted(rows, cols):
+        calls[0] += 1
+        return _eliminate(rows, cols)
+
+    monkeypatch.setattr(sm, "_eliminate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim,trials", [(4, 20), (5, 6), (6, 3)])
+def test_full_rank_operators_need_no_exact_elimination(dim, trials, monkeypatch):
+    # a generic algebra has trivial derivations and is not Hom-Lie: the mod-p
+    # certificate settles M and HL. The square n = 4 HL still eliminates, for its det
+    calls = count_eliminations(monkeypatch)
+    cfg = SampleConfig(dim=dim, trials=trials, seed=42)
+    for index in range(trials):
+        a = random_algebra(cfg, index)
+        assert orbit_dimension(a) == dim * dim and not is_homlie(a)
+        assert derivation_space(a).dim == 0
+        space = homlie_space(a)
+        assert (space.dim, calls[0]) == (0, index + 1 if dim == 4 else 0)
+        assert space.determinant != 0 and (space.determinant is None) == (dim > 4)
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_operators_singular_mod_p_fall_back_to_exact_elimination(dim, monkeypatch):
+    # constants scaled by p make every row of M and HL zero mod p: the certificate
+    # proves nothing, and the exact elimination gives the answers of the unscaled
+    # algebra, which the certificate settles alone
+    a = random_algebra(SampleConfig(dim=dim, trials=1, seed=42), 0)
+    scaled = SkewAlgebra(dim, {ij: [_P * x for x in a.product(*ij)]
+                               for ij in combinations(range(1, dim + 1), 2)})
+    calls = count_eliminations(monkeypatch)
+    answers = (orbit_dimension(a), is_homlie(a), derivation_space(a).dim)
+    assert answers == (dim * dim, False, 0) and calls == [0]
+    assert (orbit_dimension(scaled), is_homlie(scaled), derivation_space(scaled).dim) == answers
+    assert homlie_space(scaled).dim == 0 and calls == [4]
+
+
+@settings(max_examples=60)
+@given(st.lists(st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9),
+                                                          st.integers(1, 7))),
+                min_size=9, max_size=9))
+def test_no_dim3_orbit_is_open(c):
+    """rank M <= 8 < 9 at n = 3, so the certificate is skipped there. Every dim-3 skew
+    product is x*y = T(x cross y) for a 3x3 matrix T. A basis change h takes T to
+    det(h)^-1 h T h^T, since (h^-1 x) cross (h^-1 y) = det(h)^-1 h^T (x cross y). So
+    det(T + T^T) / det(T) is invariant, and it is not constant (8 at T = I, 4 at T = I
+    plus a skew 2x2 block of ones). Every orbit lies in one of its level sets or in
+    det T = 0, a hypersurface, so no orbit is open: rank M = orbit dimension <= 8."""
+    a = SkewAlgebra(3, {(1, 2): c[:3], (1, 3): c[3:6], (2, 3): c[6:]})
+    assert orbit_dimension(a) <= 8
 
 
 @pytest.mark.parametrize("seed", range(4))
