@@ -15,7 +15,7 @@ slices of three per-pair blocks ((e_p e_q) e_l)_m, made once per algebra by
 stops at full column rank (no later row is built; rank and kernel ignore row scaling), unless
 ``_full_rank_mod_p`` proves full rank first: from n = 4, as no dim-3 orbit is open, and for HL
 from n = 5, as n = 4 reads its det. ``build_M`` and ``build_HL`` wrap all the rows as
-``ExactMatrix``; the ``*_defect`` functions evaluate them on vectors via ``multiply``.
+``ExactMatrix``; the ``*_defect`` functions evaluate them independently, via ``multiply``.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
