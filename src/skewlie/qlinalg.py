@@ -6,11 +6,11 @@ reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer rows one at a 
 divided by its content, to a basis kept in RREF and stops at full column rank. It returns
 that integer basis only (``_Basis``), whose kernel ``kernel_ints`` reads as integer vectors
 over d and whose det is that of the rows as given, so no caller undoes a row scaling.
-``_full_rank_mod_p`` reduces mod a prime: its True proves full column rank over Q with no
-exact reduction, its False nothing. ``ExactMatrix`` holds ``_ints = (rows, den)`` in lowest
-terms with den > 0: its public constructor coerces entries, and ``_of`` is the one way in
-for integer rows the package built. ``rank``, ``determinant`` and ``inverse`` eliminate
-those rows directly; ``echelonize`` wraps the RREF they reduce to.
+``_full_rank_mod_p`` is a forward echelon mod a prime, no basis row ever updated: its True
+proves full column rank over Q with no exact reduction, its False nothing. ``ExactMatrix``
+holds ``_ints = (rows, den)`` in lowest terms with den > 0: its public constructor coerces
+entries, and ``_of`` is the one way in for integer rows the package built. ``rank``,
+``determinant`` and ``inverse`` eliminate those rows; ``echelonize`` wraps their RREF.
 Text holds numbers as integer pairs: ``_parse_ratio`` reads a literal as (p, q)
 and ``_format_ratio`` writes p / q in lowest terms; ``parse_rational`` and
 ``format_rational`` are their ``Fraction`` forms.
@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import NonSquareError, SingularMapError
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")  # ASCII digits only
-_P = (1 << 17) - 1  # a prime with 36^2 p^3 < 2^64, for ``_full_rank_mod_p`` at cols <= 6^2
+_P = (1 << 17) - 1  # a prime; ``_full_rank_mod_p`` slots stay below p + cols (p - 1)^2 < 2^64
 
 
 def _parse_ratio(text: str) -> tuple[int, int]:
@@ -300,25 +300,24 @@ def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
 
 def _full_rank_mod_p(rows: Iterable[Sequence[int]], cols: int, spare: int) -> bool:
     """True proves the integer rows have rank cols over Q: a minor nonzero mod p = _P is a
-    nonzero integer. False proves nothing; it comes once more than ``spare`` rows are zero
-    mod p. The basis is RREF mod p, a row one int of 64-bit slots reduced only when read. No
-    slot carries: basis slots stay below cols p^2, a reduced row's below cols^2 p^3 (see _P)."""
-    fmt = struct.Struct(f"<{cols}Q")
-    pivots, basis = [], []  # each row 1 at its own pivot and 0 at the others, mod p
+    nonzero integer. False proves nothing; it comes once more than ``spare`` rows are zero mod p.
+    Forward echelon on rows packed in 64-bit slots: the basis rows, in arrival order as (64 c,
+    -1/e, row) with e a row's slot at its pivot c, are reduced mod p and zero at earlier pivots.
+    A new row adds w * B per basis row B, w from its running slot at B's pivot, and is reduced
+    once; its slots stay below p + cols (p - 1)^2, under 2^64 (see _P), so none carries."""
+    fmt, basis = struct.Struct(f"<{cols}Q"), []
     for x in rows:
-        c = None  # an all-zero row is not packed
+        r = 0  # an all-zero row is not packed
         if any(x):
-            packed = int.from_bytes(fmt.pack(*[v % _P for v in x]), "little")
-            for p, b in zip(pivots, basis):
-                if w := -x[p] % _P:
-                    packed += w * b
-            y = fmt.unpack(packed.to_bytes(fmt.size, "little"))
-            c = next((i for i, e in enumerate(y) if e % _P), None)
-        if c is not None:
-            inv = pow(y[c], -1, _P)
-            new = int.from_bytes(fmt.pack(*[v % _P * inv % _P for v in y]), "little")
-            basis = [b + -(b >> 64 * c & 2**64 - 1) % _P * new for b in basis] + [new]
-            pivots.append(c)
+            r = int.from_bytes(fmt.pack(*[v % _P for v in x]), "little")
+            for s, m, b in basis:
+                if w := (r >> s & 2**64 - 1) * m % _P:
+                    r += w * b
+            y = fmt.unpack(r.to_bytes(fmt.size, "little"))
+            r = int.from_bytes(fmt.pack(*[v % _P for v in y]), "little")
+        if r:
+            s = (r & -r).bit_length() - 1 & -64  # 64 c for the lowest nonzero slot c
+            basis.append((s, -pow(r >> s & 2**64 - 1, -1, _P) % _P, r))
             if len(basis) == cols:
                 return True
         elif (spare := spare - 1) < 0:
