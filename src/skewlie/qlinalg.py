@@ -6,11 +6,11 @@ reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer rows one at a 
 divided by its content, to a basis kept in RREF and stops at full column rank. It returns
 that integer basis only (``_Basis``), whose kernel ``kernel_ints`` reads as integer vectors
 over d and whose det is that of the rows as given, so no caller undoes a row scaling.
-``_full_rank_mod_p`` is a forward echelon mod a prime, no basis row ever updated: its True
-proves full column rank over Q with no exact reduction, its False nothing. ``ExactMatrix``
-holds ``_ints = (rows, den)`` in lowest terms with den > 0: its public constructor coerces
-entries, and ``_of`` is the one way in for integer rows the package built. ``rank``,
-``determinant`` and ``inverse`` eliminate those rows; ``echelonize`` wraps their RREF.
+``_full_rank_mod_p`` reduces forward mod a prime: its True proves full column rank over Q with no
+exact reduction, its False nothing. ``ExactMatrix`` holds ``_ints = (rows, den)`` in lowest
+terms with den > 0: its public constructor coerces entries, and ``_of`` is the one way in
+for integer rows the package built. ``rank``, ``determinant`` and ``inverse`` eliminate
+those rows directly; ``echelonize`` wraps the RREF they reduce to.
 Text holds numbers as integer pairs: ``_parse_ratio`` reads a literal as (p, q)
 and ``_format_ratio`` writes p / q in lowest terms; ``parse_rational`` and
 ``format_rational`` are their ``Fraction`` forms.

@@ -70,6 +70,26 @@ def fraction_rref(m: ExactMatrix) -> EchelonResult:
     return EchelonResult(ExactMatrix(a, cols=cols), len(pivots), tuple(pivots), det)
 
 
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of integer rows mod a prime p: plain Gauss elimination on lists of
+    residues, one entry at a time, with no packing; independent of the package's
+    mod-p certificate."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot_row = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        inv = pow(a[rank][c], -1, p)
+        a[rank] = [x * inv % p for x in a[rank]]
+        for i in range(rank + 1, len(a)):
+            if factor := a[i][c]:
+                a[i] = [(x - factor * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # reference operators: M and HL assembled on Fraction entries straight from the
 # product table, independent of the package's integer rows over a common

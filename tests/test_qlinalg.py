@@ -14,7 +14,7 @@ from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import build_HL, build_M
 
 from helpers import (HL16_TABLE, HL16_TABLE_DET, cofactor_determinant, fraction_matmul,
-                     fraction_rref, rand_algebra, rows_of)
+                     fraction_rref, rand_algebra, rank_mod_p, rows_of)
 
 fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
 
@@ -464,6 +464,24 @@ def test_full_rank_mod_p_is_only_true_at_full_rank(shaped):
         assert _eliminate(rows, cols).rank == cols
 
 
+@given(certificate_rows())
+@example(([[1, 0], [0, _P]], 2))
+@example(([[0, 0], [1, 1], [2, 2], [0, 3]], 2))
+@example(([[_P - 1, 1, 0], [1, _P - 1, 0], [0, 0, 1]], 3))  # singular mod p only
+def test_full_rank_mod_p_is_true_exactly_at_full_rank_mod_p(shaped):
+    # equality, not only "True implies full rank": with rows - cols spare rows, the
+    # certificate says True iff the rank mod p, by plain list elimination, is cols
+    rows, cols = shaped
+    assert _full_rank_mod_p(iter(rows), cols, len(rows) - cols) == (rank_mod_p(rows, _P) == cols)
+
+
+def test_rank_mod_p_oracle_on_small_cases():
+    assert rank_mod_p([[1, 0], [0, _P]], _P) == 1
+    assert rank_mod_p([[2, 4], [1, 2], [0, 3]], 7) == 2
+    assert rank_mod_p([[7, 14], [21, 0]], 7) == 0
+    assert rank_mod_p([], _P) == 0
+
+
 def test_a_row_scaled_by_p_leaves_the_certificate_nothing_to_prove():
     rows = [[2, 1, 0], [_P, 3 * _P, _P], [0, 1, 4]]
     assert _eliminate(rows, 3).rank == 3
@@ -486,15 +504,24 @@ def test_full_rank_mod_p_stops_reading_at_full_rank_or_past_its_spare_rows():
     assert len(read) == 3  # the zero row and [2, 2] exceed one spare row
 
 
-@pytest.mark.parametrize("off_diagonal", [_P - 1, 1], ids=["residues-p-1", "weights-p-1"])
-def test_certificate_slots_hold_at_36_columns(off_diagonal):
-    # the docstring's bound at cols = 36 = MAX_DIM^2: a reduced row's slots stay below
-    # cols^2 p^3 < 2^64. Residue p - 1 off the diagonal and 0 on it is -(J - I) mod p;
-    # residue 1 there makes every reduction weight p - 1 and drives the slots to about
-    # 2^59. Both are invertible (eigenvalues -1 and 35, up to sign); then the last row
-    # becomes the sum of the others, which a slot that carried would leave nonzero
+@pytest.mark.parametrize("rows", [
+    [[0 if i == j else _P - 1 for j in range(36)] for i in range(36)],
+    [[0 if i == j else 1 for j in range(36)] for i in range(36)],
+    [[int(i == j) for j in range(35)] + [_P - 1] for i in range(35)] + [[1] * 35 + [_P - 1]],
+], ids=["residues-p-1", "weights-p-1", "weights-and-slots-p-1"])
+def test_certificate_slots_hold_at_36_columns(rows):
+    # the docstring's bound at cols = 36 = MAX_DIM^2: before it is reduced, a new row's
+    # slot stays below p + cols (p - 1)^2 < 2^64 (about 2^39.2; the looser cols^2 p^3,
+    # about 2^61.3, holds too). Residue p - 1 off the diagonal and 0 on it is -(J - I)
+    # mod p, residue 1 there J - I. In the third case the basis rows are 1 at their
+    # pivot c < 35 and p - 1 in column 35, and the last row is 1 at every pivot, so it
+    # takes 35 weights p - 1, each against a basis slot p - 1: its column-35 slot
+    # reaches p - 1 + 35 (p - 1)^2, the bound's worst case. All three are invertible,
+    # mod p too; then the last row becomes the sum of the others, which a slot that
+    # carried would leave nonzero (or, carrying out of the top slot, fail to unpack)
     assert 36 ** 2 * _P ** 3 < 2 ** 64
-    rows = [[0 if i == j else off_diagonal for j in range(36)] for i in range(36)]
+    assert 36 * (_P - 1) ** 2 + _P < 2 ** 64
+    assert rank_mod_p(rows, _P) == 36
     assert _full_rank_mod_p(iter(rows), 36, 0)
     assert _eliminate(rows, 36).rank == 36
     dependent = rows[:35] + [[sum(column) for column in zip(*rows[:35])]]

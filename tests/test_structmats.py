@@ -16,7 +16,7 @@ from skewlie import structmats as sm
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.cli import parse_algebra
 from skewlie.errors import DimensionMismatchError, UnsupportedDimError
-from skewlie.qlinalg import _P, _eliminate
+from skewlie.qlinalg import _P, _eliminate, _full_rank_mod_p
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import (_HL_rows, _M_rows, derivation_defect, endo_of_vec,
                                 hom_jacobi_defect)
@@ -445,6 +445,19 @@ def test_operator_reduction_equals_fraction_oracle(dim):
             assert (b.det != 0) == (ref.rank == dim * dim)
             assert (ExactMatrix._of(b.span_rows(), dim * dim, b.d)
                     == ExactMatrix(rows_of(ref.reduced)[:ref.rank], cols=dim * dim))
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_certificate_agrees_with_exact_rank_on_golden_operators(dim):
+    # on no golden input is M or HL of full rank over Q but singular mod p, so the
+    # certificate settles exactly the full-rank operators there, with the spare rows
+    # the operator functions give it
+    golden = _golden_algebras(dim)
+    assert golden
+    for a in golden:
+        for rows in (list(_M_rows(a)), list(_HL_rows(a))):
+            assert (_full_rank_mod_p(iter(rows), dim * dim, len(rows) - dim * dim)
+                    == (_eliminate(rows, dim * dim).rank == dim * dim))
 
 
 @pytest.mark.parametrize("dim,trials", [(4, 6), (6, 3)])
