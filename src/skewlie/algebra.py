@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
-from .qlinalg import (ExactMatrix, _as_fraction, _Basis, _check_index, _eliminate, _rescale,
-                      determinant)
+from .qlinalg import (ExactMatrix, _as_fraction, _Basis, _check_index, _check_matrix, _eliminate,
+                      _rescale, determinant)
 
 Vec = tuple[Fraction, ...]
 Endo = ExactMatrix
@@ -164,6 +164,13 @@ def _check_vec(a: SkewAlgebra, v: Sequence) -> Vec:
     return vec
 
 
+def _check_endo(a: SkewAlgebra, f: Endo) -> None:
+    _check_matrix(f)
+    if not (f.is_square and f.rows == a.dim):
+        raise DimensionMismatchError(f"{f.rows}x{f.cols} endomorphism on a "
+                                     f"dim-{a.dim} algebra")
+
+
 def _mul(t, x: Sequence[int], y: Sequence[int]) -> list[int]:
     """den * (x*y) for integer vectors x, y: the sum over pairs r < s of
     (x_r y_s - x_s y_r) t[r][s], skipping zeros."""
@@ -245,9 +252,7 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
     X^{-1} u_ij / (den dx) is that basis over den dx d, with the sign of d moved
     into the numerators (``_of`` takes a positive denominator).
     """
-    if not (p.is_square and p.rows == a.dim):
-        raise DimensionMismatchError(f"transport of dim-{a.dim} algebra by "
-                                     f"{p.rows}x{p.cols} map")
+    _check_endo(a, p)
     (t, den), (x, dx), n = a._ints, p._ints, a.dim
     cols, pairs = list(zip(*x)), list(itertools.combinations(range(n), 2))
     us = [_mul(t, cols[i], cols[j]) for i, j in pairs]

@@ -6,11 +6,11 @@ reduction: fraction-free (Bareiss) Gauss-Jordan that adds integer rows one at a 
 divided by its content, to a basis kept in RREF and stops at full column rank. It returns
 that integer basis only (``_Basis``), whose kernel ``kernel_ints`` reads as integer vectors
 over d and whose det is that of the rows as given, so no caller undoes a row scaling.
-``_full_rank_mod_p`` reduces forward mod a prime: its True proves full column rank over Q with no
-exact reduction, its False nothing. ``ExactMatrix`` holds ``_ints = (rows, den)`` in lowest
-terms with den > 0: its public constructor coerces entries, and ``_of`` is the one way in
-for integer rows the package built. ``rank``, ``determinant`` and ``inverse`` eliminate
-those rows directly; ``echelonize`` wraps the RREF they reduce to.
+``_full_rank_mod_p`` reduces forward mod a prime, on rows ``_pack``ed one residue per slot: its
+True proves full column rank over Q with no exact reduction, its False nothing. ``ExactMatrix``
+holds ``_ints = (rows, den)`` in lowest terms with den > 0: its public constructor coerces
+entries, and ``_of`` is the one way in for integer rows the package built. ``rank``,
+``determinant`` and ``inverse`` eliminate those rows directly; ``echelonize`` wraps the RREF.
 Text holds numbers as integer pairs: ``_parse_ratio`` reads a literal as (p, q)
 and ``_format_ratio`` writes p / q in lowest terms; ``parse_rational`` and
 ``format_rational`` are their ``Fraction`` forms.
@@ -29,7 +29,8 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import NonSquareError, SingularMapError
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")  # ASCII digits only
-_P = (1 << 17) - 1  # a prime; ``_full_rank_mod_p`` slots stay below p + cols (p - 1)^2 < 2^64
+# a Mersenne prime, bits per slot. ``_full_rank_mod_p`` gets slots of at most n (p - 1)^2 (HL)
+_P, _SLOT = (1 << 17) - 1, 64  # and they stay below (n + n^2 - 1) (p - 1)^2 < 2^40 < 2^50
 
 
 def _parse_ratio(text: str) -> tuple[int, int]:
@@ -250,9 +251,9 @@ def echelonize(m: ExactMatrix) -> EchelonResult:
 
 
 def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
-    """Fraction-free Gauss-Jordan, row by row, on integer rows. Each row x is
-    divided by its content (the gcd of its entries) as it is read, which keeps
-    the minors small when rows share a wide factor such as a common denominator.
+    """Fraction-free Gauss-Jordan, row by row, on integer rows. Each row x is divided by
+    its content (the gcd of its entries; an all-zero row is skipped) as it is read,
+    which keeps the minors small when rows share a wide factor such as a common denominator.
     The basis is d times the RREF of the rows read so far, over the columns not
     yet pivots. Row x reduces there to y = d*x - sum_k x[p_k]*B_k (B_k has pivot
     p_k; entries of y are minors, so nothing is divided); y == 0 is in the span.
@@ -269,7 +270,7 @@ def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
     pivots: list[int] = []
     basis: list[list[int]] = []
     d, flips, contents = 1, 0, 1
-    for x in a:
+    for x in filter(any, a):
         if (g := math.gcd(*x)) > 1:
             x = [v // g for v in x]
             contents *= g
@@ -298,26 +299,32 @@ def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
     return _Basis(len(pivots), sorted(pivots), free, rows, d, det)
 
 
-def _full_rank_mod_p(rows: Iterable[Sequence[int]], cols: int, spare: int) -> bool:
+def _pack(x: Sequence[int]) -> int:
+    """The integers x mod p as a packed row: x[c]'s residue in [0, p) at bit _SLOT c."""
+    return int.from_bytes(struct.pack(f"<{len(x)}Q", *[v % _P for v in x]), "little")
+
+
+def _full_rank_mod_p(rows: Iterable[int], cols: int, spare: int) -> bool:
     """True proves the integer rows have rank cols over Q: a minor nonzero mod p = _P is a
     nonzero integer. False proves nothing; it comes once more than ``spare`` rows are zero mod p.
-    Forward echelon on rows packed in 64-bit slots: the basis rows, in arrival order as (64 c,
-    -1/e, row) with e a row's slot at its pivot c, are reduced mod p and zero at earlier pivots.
-    A new row adds w * B per basis row B, w from its running slot at B's pivot, and is reduced
-    once; its slots stay below p + cols (p - 1)^2, under 2^64 (see _P), so none carries."""
-    fmt, basis = struct.Struct(f"<{cols}Q"), []
-    for x in rows:
-        r = 0  # an all-zero row is not packed
-        if any(x):
-            r = int.from_bytes(fmt.pack(*[v % _P for v in x]), "little")
+    Rows come packed (``_pack``, or any representatives mod p in the slots). The basis rows, in
+    arrival order as (64 c, -1/e, row) with e a row's slot at its pivot c, have slots in [0, p)
+    and are zero at earlier pivots. A new row adds w * B per basis row B, w from its slot at B's
+    pivot; two folds v -> (v mod 2^17) + (v >> 17) take a slot below 2^50 to [0, 2^18 - 2],
+    and one step subtracts p from any >= p. A slot given below S stays below S + cols (p - 1)^2."""
+    ones = (1 << _SLOT * cols) // (mask := (1 << _SLOT) - 1)  # 1 in every slot
+    lo, hi, basis = ones * _P, ones * (mask >> 17), []
+    for r in rows:
+        if r:  # an all-zero row is zero mod p as it stands
             for s, m, b in basis:
-                if w := (r >> s & 2**64 - 1) * m % _P:
+                if w := (r >> s & mask) * m % _P:
                     r += w * b
-            y = fmt.unpack(r.to_bytes(fmt.size, "little"))
-            r = int.from_bytes(fmt.pack(*[v % _P for v in y]), "little")
+            r = (r & lo) + (r >> 17 & hi)
+            r = (r & lo) + (r >> 17 & hi)
+            r -= ((r + ones) >> 17 & ones) * _P
         if r:
-            s = (r & -r).bit_length() - 1 & -64  # 64 c for the lowest nonzero slot c
-            basis.append((s, -pow(r >> s & 2**64 - 1, -1, _P) % _P, r))
+            s = (r & -r).bit_length() - 1 & -_SLOT  # 64 c for the lowest nonzero slot c
+            basis.append((s, -pow(r >> s & mask, -1, _P) % _P, r))
             if len(basis) == cols:
                 return True
         elif (spare := spare - 1) < 0:

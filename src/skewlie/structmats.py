@@ -11,11 +11,11 @@ of the Hom-Jacobi matrix HL do the same over basis triples i < j < k.
 common denominator den, M (linear in them) scaled by den and HL (quadratic) by den^2: an M
 row is slices of the flattened rows of t, their negation and zero blocks, an HL row stride
 slices of three per-pair blocks ((e_p e_q) e_l)_m, made once per algebra by
-``_double_product``, and zero blocks. ``_reduce`` feeds them to ``qlinalg._eliminate``, which
-stops at full column rank (no later row is built; rank and kernel ignore row scaling), unless
-``_full_rank_mod_p`` proves full rank first: from n = 4, as no dim-3 orbit is open, and for HL
-from n = 5, as n = 4 reads its det. ``build_M`` and ``build_HL`` wrap all the rows as
-``ExactMatrix``; the ``*_defect`` functions evaluate them independently, via ``multiply``.
+``_double_product``, and zero blocks; ``_M_packed`` and ``_HL_packed`` pack them mod p. From
+n = 4 (no dim-3 orbit is open; for HL from n = 5, as n = 4 reads its det) ``_reduce`` lets
+``_full_rank_mod_p`` prove full rank on those, else ``_eliminate`` reads the exact rows up to
+full column rank (rank and kernel ignore row scaling). ``build_M`` and ``build_HL`` wrap all
+the rows as ``ExactMatrix``; the ``*_defect`` functions evaluate them via ``multiply``.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
@@ -31,16 +31,18 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, _check_vec, _double_product, basis_vec, multiply,
-                      vadd)
+from .algebra import (Endo, SkewAlgebra, Vec, _check_endo, _check_vec, _double_product, basis_vec,
+                      multiply, vadd)
 from .errors import DimensionMismatchError, UnsupportedDimError
-from .qlinalg import ExactMatrix, _Basis, _check_index, _eliminate, _full_rank_mod_p
+from .qlinalg import (_P, _SLOT, ExactMatrix, _Basis, _check_index, _check_matrix, _eliminate,
+                      _full_rank_mod_p, _pack)
 
 
 def vec_of_endo(f: Endo) -> Vec:
     """Column-major flattening of a square matrix."""
+    _check_matrix(f)
     if not f.is_square:
         raise DimensionMismatchError(f"{f.rows}x{f.cols} matrix is not an endomorphism")
     n = f.rows
@@ -55,12 +57,6 @@ def endo_of_vec(n: int, v: Sequence) -> Endo:
     if len(v) != n * n:
         raise DimensionMismatchError(f"vector of length {len(v)} is not n^2 for n={n}")
     return ExactMatrix([v[r::n] for r in range(n)], cols=n)  # v is column-major
-
-
-def _check_endo(a: SkewAlgebra, f: Endo) -> None:
-    if not (f.is_square and f.rows == a.dim):
-        raise DimensionMismatchError(f"{f.rows}x{f.cols} endomorphism on a "
-                                     f"dim-{a.dim} algebra")
 
 
 def derivation_defect(a: SkewAlgebra, f: Endo, x: Sequence, y: Sequence) -> Vec:
@@ -120,6 +116,31 @@ def _HL_rows(a: SkewAlgebra) -> Iterator[list[int]]:
             yield [*z0, *jk[m::n], *z1, *ki[m::n], *z2, *ij[m::n], *z3]
 
 
+def _M_packed(a: SkewAlgebra) -> Iterator[int]:
+    """``_M_rows`` mod p, packed as by ``_pack`` but not reduced, slots at most 2 (p - 1): block
+    m of T[s] holds t[s][l][m] over l, of N[s] its negation; they fill column blocks j and i."""
+    n, t, w = a.dim, a._ints[0], _SLOT * a.dim
+    blk, T = (1 << w) - 1, [_pack([*itertools.chain(*zip(*t[s]))]) for s in range(n)]
+    N = [_pack([*itertools.chain(*zip(*(row[s] for row in t)))]) for s in range(n)]
+    diag = ((1 << _SLOT) - 1) * ((1 << w * n) // blk)  # the slots c*n
+    for i, j in itertools.combinations(range(n), 2):
+        c = N[i] >> _SLOT * j & diag  # -t[i][j][c] at slot c*n, shifted to c*n + m below
+        for s in range(0, w, _SLOT):  # 64 m for the component m
+            yield ((N[j] >> n * s & blk) << w * i | (T[i] >> n * s & blk) << w * j) + (c << s)
+
+
+def _HL_packed(a: SkewAlgebra) -> Iterator[int]:
+    """``_HL_rows`` mod p, packed but not reduced, slots at most n (p - 1)^2: the block of a
+    pair (p, q) is the sum of (t[p][q][s] mod p) T[s], T as above, made when first read."""
+    n, t, w = a.dim, a._ints[0], _SLOT * a.dim
+    blk, T = (1 << w) - 1, [_pack([*itertools.chain(*zip(*t[s]))]) for s in range(n)]
+    block = functools.cache(lambda p, q: sum(x % _P * v for x, v in zip(t[p][q], T)))
+    for i, j, k in itertools.combinations(range(n), 3):
+        jk, ki, ij = block(j, k), block(k, i), block(i, j)
+        for s in range(0, w * n, w):  # w m for the component m
+            yield (jk >> s & blk) << w * i | (ki >> s & blk) << w * j | (ij >> s & blk) << w * k
+
+
 def build_M(a: SkewAlgebra) -> ExactMatrix:
     """Matrix of f -> derivation defect, acting on flattened endomorphisms:
     (n * C(n,2)) x n^2, kernel the derivation algebra, rank the orbit dimension."""
@@ -165,20 +186,18 @@ class HomLieSpace:
     basis = functools.cached_property(_kernel_endos)
 
 
-def _reduce(a: SkewAlgebra, rows: Iterator[list[int]], k: int, least: int = 4) -> _Basis | None:
-    """``_eliminate`` the rows, n per k-subset of the basis, or None if n >= least and
-    ``_full_rank_mod_p`` proves full rank; if it cannot, ``tee`` replays what it read."""
+def _reduce(a: SkewAlgebra, rows: Callable, packed: Callable, k: int, least=4) -> _Basis | None:
+    """None if n >= least and ``_full_rank_mod_p`` proves full rank on ``packed(a)``, else
+    ``_eliminate`` of ``rows(a)``: one operator, n rows per k-subset of the basis."""
     n = a.dim
-    if n >= least:
-        rows, read = itertools.tee(rows)
-        if _full_rank_mod_p(read, n * n, n * math.comb(n, k) - n * n):
-            return None
-    return _eliminate(rows, n * n)
+    if n >= least and _full_rank_mod_p(packed(a), n * n, n * math.comb(n, k) - n * n):
+        return None
+    return _eliminate(rows(a), n * n)
 
 
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
-    b = _reduce(a, _M_rows(a), 2)
+    b = _reduce(a, _M_rows, _M_packed, 2)
     vecs, q = ([], 1) if b is None else b.kernel_ints()
     return DerivationSpace(len(vecs), (a.dim, vecs, q))
 
@@ -190,7 +209,7 @@ def aut_dimension(a: SkewAlgebra) -> int:
 
 def orbit_dimension(a: SkewAlgebra) -> int:
     """Dimension of the isomorphism orbit: rank of the derivation matrix."""
-    b = _reduce(a, _M_rows(a), 2)
+    b = _reduce(a, _M_rows, _M_packed, 2)
     return a.dim ** 2 if b is None else b.rank
 
 
@@ -202,7 +221,7 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    b = _reduce(a, _HL_rows(a), 3, least=5)  # n = 4 reads the determinant
+    b = _reduce(a, _HL_rows, _HL_packed, 3, least=5)  # n = 4 reads the determinant
     vecs, q = ([], 1) if b is None else b.kernel_ints()
     # square HL: b.det is det(den^2 HL)
     det = Fraction(b.det, a._ints[1] ** 32) if n == 4 else None
@@ -216,9 +235,8 @@ def is_homlie(a: SkewAlgebra) -> bool:
     solution space has dimension at least 1: HL has rank below n^2 (for n = 2 it
     has no rows).
     """
-    n = a.dim
-    b = _reduce(a, _HL_rows(a), 3)
-    return b is not None and b.rank < n * n
+    b = _reduce(a, _HL_rows, _HL_packed, 3)
+    return b is not None and b.rank < a.dim ** 2
 
 
 def hom_check(a: SkewAlgebra, f: Endo) -> bool:

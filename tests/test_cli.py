@@ -191,9 +191,10 @@ def test_payload_fields_match_library(name, tmp_path, capsys):
 
 
 def count_builds(monkeypatch):
-    """Count the calls of the integer operator builders, which every route to
-    M and HL goes through (the public ``build_M``/``build_HL`` included)."""
-    builds = {"_M_rows": 0, "_HL_rows": 0}
+    """Count the calls of the operator builders, which every route to M and HL goes
+    through: the exact integer rows (the public ``build_M``/``build_HL`` included) and
+    the packed residue rows of the mod-p certificate."""
+    builds = {"_M_rows": 0, "_HL_rows": 0, "_M_packed": 0, "_HL_packed": 0}
     for fn in builds:
         original = getattr(sm, fn)
 
@@ -205,17 +206,27 @@ def count_builds(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "counterexample4", "abelian4",
-                                  "filiform5", "sparse6"])
+# (M, HL) builds of the exact rows and of the packed rows by one analyze
+ANALYZE_BUILDS = {"heisenberg": ((1, 1), (0, 0)), "counterexample4": ((0, 1), (1, 0)),
+                  "abelian4": ((1, 1), (1, 0)), "filiform5": ((1, 1), (1, 1)),
+                  "sparse6": ((1, 1), (1, 1))}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_BUILDS))
 def test_analyze_builds_each_operator_once(name, tmp_path, capsys, monkeypatch):
-    # counterexample4's square HL is nonsingular: its determinant must come off
-    # the same elimination as the kernel, not off a second build
+    # each representation is built at most once. The certificate reads packed rows from
+    # n = 4 (HL from n = 5) and proves counterexample4's M of full rank, so it builds no
+    # exact M. Its square HL is nonsingular: the determinant must come off the same
+    # elimination as the kernel, not off a second build. The rank-deficient operators fall
+    # back to one exact build each
     builds = count_builds(monkeypatch)
     a = PAYLOAD_ALGEBRAS[name]()
     path = write_doc(tmp_path, "a.json", json.dumps(serialize_algebra(a)))
     assert main(["analyze", path, "--json"]) == 0
     capsys.readouterr()
-    assert builds == {"_M_rows": 1, "_HL_rows": 1}
+    (exact_m, exact_hl), (packed_m, packed_hl) = ANALYZE_BUILDS[name]
+    assert builds == {"_M_rows": exact_m, "_HL_rows": exact_hl,
+                      "_M_packed": packed_m, "_HL_packed": packed_hl}
 
 
 @pytest.mark.parametrize("command", ["homlie", "derivations", "analyze"])
@@ -258,11 +269,15 @@ def test_analyze_forms_the_derived_algebra_and_the_lie_flag_once(name, derived_a
 
 @pytest.mark.parametrize("dim", [3, 4])
 def test_sample_builds_each_operator_once_per_trial(dim, capsys, monkeypatch):
+    # at dim 4 the certificate proves every trial's M and HL of full rank from the packed
+    # rows, so no exact row is built; at dim 3 it does not run
+    exact, packed = (6, 0) if dim == 3 else (0, 6)
     builds = count_builds(monkeypatch)
     assert main(["sample", "--dim", str(dim), "--trials", "6", "--seed", "5",
                  "--json"]) == 0
     capsys.readouterr()
-    assert builds == {"_M_rows": 6, "_HL_rows": 6}
+    assert builds == {"_M_rows": exact, "_HL_rows": exact,
+                      "_M_packed": packed, "_HL_packed": packed}
 
 
 @pytest.mark.parametrize("dim", [3, 4])

@@ -7,8 +7,8 @@ from hypothesis import example, given, strategies as st
 
 from skewlie.algebra import killing_matrix
 from skewlie.errors import NonSquareError, SingularMapError
-from skewlie.qlinalg import (_P, ExactMatrix, _eliminate, _full_rank_mod_p, determinant,
-                             echelonize, format_rational, inverse, kernel_basis,
+from skewlie.qlinalg import (_P, _SLOT, ExactMatrix, _eliminate, _full_rank_mod_p, _pack,
+                             determinant, echelonize, format_rational, inverse, kernel_basis,
                              parse_rational, rank)
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import build_HL, build_M
@@ -460,7 +460,7 @@ def certificate_rows(draw):
 @example(([[0, 0], [1, 1], [2, 2], [0, 3]], 2))  # an all-zero row and a dependent one
 def test_full_rank_mod_p_is_only_true_at_full_rank(shaped):
     rows, cols = shaped
-    if _full_rank_mod_p(iter(rows), cols, len(rows) - cols):
+    if _full_rank_mod_p(map(_pack, rows), cols, len(rows) - cols):
         assert _eliminate(rows, cols).rank == cols
 
 
@@ -472,7 +472,8 @@ def test_full_rank_mod_p_is_true_exactly_at_full_rank_mod_p(shaped):
     # equality, not only "True implies full rank": with rows - cols spare rows, the
     # certificate says True iff the rank mod p, by plain list elimination, is cols
     rows, cols = shaped
-    assert _full_rank_mod_p(iter(rows), cols, len(rows) - cols) == (rank_mod_p(rows, _P) == cols)
+    assert (_full_rank_mod_p(map(_pack, rows), cols, len(rows) - cols)
+            == (rank_mod_p(rows, _P) == cols))
 
 
 def test_rank_mod_p_oracle_on_small_cases():
@@ -485,9 +486,9 @@ def test_rank_mod_p_oracle_on_small_cases():
 def test_a_row_scaled_by_p_leaves_the_certificate_nothing_to_prove():
     rows = [[2, 1, 0], [_P, 3 * _P, _P], [0, 1, 4]]
     assert _eliminate(rows, 3).rank == 3
-    assert not _full_rank_mod_p(iter(rows), 3, 0)
+    assert not _full_rank_mod_p(map(_pack, rows), 3, 0)
     # a spare row that restores the rank mod p
-    assert _full_rank_mod_p(iter(rows + [[1, 3, 1]]), 3, 1)
+    assert _full_rank_mod_p(map(_pack, rows + [[1, 3, 1]]), 3, 1)
 
 
 def test_full_rank_mod_p_stops_reading_at_full_rank_or_past_its_spare_rows():
@@ -498,32 +499,58 @@ def test_full_rank_mod_p_stops_reading_at_full_rank_or_past_its_spare_rows():
             read.append(row)
             yield row
 
-    assert _full_rank_mod_p(rows([[1, 0], [0, 1], [1, 1]]), 2, 1) and len(read) == 2
+    assert _full_rank_mod_p(map(_pack, rows([[1, 0], [0, 1], [1, 1]])), 2, 1) and len(read) == 2
     read.clear()
-    assert not _full_rank_mod_p(rows([[0, 0], [1, 1], [2, 2], [0, 1]]), 2, 1)
+    assert not _full_rank_mod_p(map(_pack, rows([[0, 0], [1, 1], [2, 2], [0, 1]])), 2, 1)
     assert len(read) == 3  # the zero row and [2, 2] exceed one spare row
 
 
-@pytest.mark.parametrize("rows", [
-    [[0 if i == j else _P - 1 for j in range(36)] for i in range(36)],
-    [[0 if i == j else 1 for j in range(36)] for i in range(36)],
-    [[int(i == j) for j in range(35)] + [_P - 1] for i in range(35)] + [[1] * 35 + [_P - 1]],
-], ids=["residues-p-1", "weights-p-1", "weights-and-slots-p-1"])
-def test_certificate_slots_hold_at_36_columns(rows):
-    # the docstring's bound at cols = 36 = MAX_DIM^2: before it is reduced, a new row's
-    # slot stays below p + cols (p - 1)^2 < 2^64 (about 2^39.2; the looser cols^2 p^3,
-    # about 2^61.3, holds too). Residue p - 1 off the diagonal and 0 on it is -(J - I)
-    # mod p, residue 1 there J - I. In the third case the basis rows are 1 at their
-    # pivot c < 35 and p - 1 in column 35, and the last row is 1 at every pivot, so it
-    # takes 35 weights p - 1, each against a basis slot p - 1: its column-35 slot
-    # reaches p - 1 + 35 (p - 1)^2, the bound's worst case. All three are invertible,
-    # mod p too; then the last row becomes the sum of the others, which a slot that
-    # carried would leave nonzero (or, carrying out of the top slot, fail to unpack)
+def _raw(slots):
+    """Slots packed as they stand, not reduced mod p (``_pack`` reduces them)."""
+    return sum(v << _SLOT * c for c, v in enumerate(slots))
+
+
+# the widest slot of an operator row: HL's pair blocks sum n = 6 products of residues
+WIDEST_INPUT = 6 * (_P - 1) ** 2
+
+
+@pytest.mark.parametrize("rows,last", [
+    ([[0 if i == j else _P - 1 for j in range(36)] for i in range(36)], None),
+    ([[0 if i == j else 1 for j in range(36)] for i in range(36)], None),
+    ([[int(i == j) for j in range(35)] + [_P - 1] for i in range(35)] + [[1] * 35 + [_P - 1]],
+     None),
+    ([[int(i == j) for j in range(35)] + [_P - 1] for i in range(35)],
+     [(_P - 1) ** 2] * 35 + [WIDEST_INPUT]),
+], ids=["residues-p-1", "weights-p-1", "weights-and-slots-p-1", "widest-input-slots"])
+def test_certificate_slots_hold_at_36_columns(rows, last):
+    # the bound at cols = 36 = MAX_DIM^2: a row's slots, given at most n (p - 1)^2
+    # (WIDEST_INPUT, HL's pair blocks at n = 6; M's are 2 (p - 1), ``_pack``'s p - 1), gain
+    # at most (cols - 1) (p - 1)^2 in its reduction: they stay below 41 (p - 1)^2 < 2^40,
+    # under the 2^50 below which two folds and the canonical step reduce a slot. Residue
+    # p - 1 off the diagonal and 0 on it is -(J - I) mod p, residue 1 there J - I. In the
+    # third case the basis rows are 1 at their pivot c < 35 and p - 1 in column 35, and the
+    # last row is 1 at every pivot, so it takes 35 weights p - 1, each against a basis slot
+    # p - 1. The fourth feeds that last row unreduced, (p - 1)^2 (a residue 1) at each pivot
+    # and WIDEST_INPUT in column 35, which so reaches 41 (p - 1)^2. All four are invertible,
+    # mod p too; then the last row becomes the sum of the others (in the fourth, slots
+    # congruent to it, as wide as the fourth's), whose slots reduce to nonzero multiples of p:
+    # a slot that carried, or a fold or the canonical step left out, leaves them nonzero
     assert 36 ** 2 * _P ** 3 < 2 ** 64
     assert 36 * (_P - 1) ** 2 + _P < 2 ** 64
-    assert rank_mod_p(rows, _P) == 36
-    assert _full_rank_mod_p(iter(rows), 36, 0)
-    assert _eliminate(rows, 36).rank == 36
-    dependent = rows[:35] + [[sum(column) for column in zip(*rows[:35])]]
-    assert not _full_rank_mod_p(iter(dependent), 36, 0)
-    assert _eliminate(dependent, 36).rank == 35
+    assert WIDEST_INPUT + 35 * (_P - 1) ** 2 < 2 ** 40
+    assert all(0 <= v < 2 ** _SLOT for v in last or [])
+    packed = [*map(_pack, rows)] + ([_raw(last)] if last else [])
+    full = rows + ([last] if last else [])
+    assert rank_mod_p(full, _P) == 36
+    assert _full_rank_mod_p(iter(packed), 36, 0)
+    assert _eliminate(full, 36).rank == 36
+    if last:  # congruent to the basis rows' sum: 1 at each pivot, 35 (p - 1) = -35 in column 35
+        dependent = full[:35] + [last[:35] + [WIDEST_INPUT - 41]]
+        slots = packed[:35] + [_raw(dependent[35])]
+    else:
+        dependent = full[:35] + [[sum(column) for column in zip(*full[:35])]]
+        slots = [*map(_pack, dependent)]
+    assert rank_mod_p(dependent, _P) == 35
+    assert not _full_rank_mod_p(iter(slots), 36, 0)
+    if not last:
+        assert _eliminate(dependent, 36).rank == 35

@@ -25,10 +25,10 @@ def test_classify_imports_neither_echelonize_nor_inverse():
     assert not names & {"echelonize", "inverse"}, sorted(names & {"echelonize", "inverse"})
 
 
-INTEGER_CORE = {"_eliminate", "_full_rank_mod_p", "_reduce", "_M_rows", "_HL_rows",
-                "_search_pairs", "_series", "inverse", "rank", "transport", "subspace_product",
-                "_subspace", "build_M", "build_HL", "killing_matrix", "_kernel_endos",
-                "_matrix_rows"}
+INTEGER_CORE = {"_eliminate", "_full_rank_mod_p", "_pack", "_reduce", "_M_rows", "_HL_rows",
+                "_M_packed", "_HL_packed", "_search_pairs", "_series", "inverse", "rank",
+                "transport", "subspace_product", "_subspace", "build_M", "build_HL",
+                "killing_matrix", "_kernel_endos", "_matrix_rows"}
 
 
 def test_integer_core_names_no_fraction():

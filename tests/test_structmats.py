@@ -16,16 +16,16 @@ from skewlie import structmats as sm
 from skewlie.classify import ns1_family, ns2_family, sol_family
 from skewlie.cli import parse_algebra
 from skewlie.errors import DimensionMismatchError, UnsupportedDimError
-from skewlie.qlinalg import _P, _eliminate, _full_rank_mod_p
+from skewlie.qlinalg import _P, _SLOT, _eliminate, _full_rank_mod_p, _pack
 from skewlie.sampler import SampleConfig, random_algebra
-from skewlie.structmats import (_HL_rows, _M_rows, derivation_defect, endo_of_vec,
-                                hom_jacobi_defect)
+from skewlie.structmats import (_HL_packed, _HL_rows, _M_packed, _M_rows, derivation_defect,
+                                endo_of_vec, hom_check, hom_jacobi_defect)
 
 from helpers import (COUNTEREXAMPLE4_HL_DET, cofactor_determinant,
                      counterexample4, fraction_build_HL, fraction_build_M,
                      fraction_matmul, fraction_rref, gamma2_family, rand_algebra,
                      rand_endo, rand_fraction, rand_invertible, rand_nonzero_fraction,
-                     reference_derivation_matrix3, rigid_dim4, rows_of)
+                     rank_mod_p, reference_derivation_matrix3, rigid_dim4, rows_of)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -53,6 +53,19 @@ def test_derivation_defect_rejects_vectors_of_the_wrong_length(x, y):
     # a short x once raised ValueError from ExactMatrix.apply, unlike hom_jacobi_defect
     with pytest.raises(DimensionMismatchError):
         derivation_defect(heisenberg(), ExactMatrix.identity(3), x, y)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: transport(heisenberg(), f),
+    vec_of_endo,
+    lambda f: derivation_defect(heisenberg(), f, basis_vec(3, 1), basis_vec(3, 2)),
+    lambda f: hom_jacobi_defect(heisenberg(), f, *(basis_vec(3, i) for i in (1, 2, 3))),
+    lambda f: hom_check(heisenberg(), f),
+], ids=["transport", "vec_of_endo", "derivation_defect", "hom_jacobi_defect", "hom_check"])
+def test_endomorphism_functions_reject_what_is_no_exact_matrix(call):
+    # a plain list of rows once raised AttributeError: 'list' object has no attribute 'is_square'
+    with pytest.raises(TypeError, match="ExactMatrix"):
+        call([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
@@ -455,19 +468,87 @@ def test_certificate_agrees_with_exact_rank_on_golden_operators(dim):
     golden = _golden_algebras(dim)
     assert golden
     for a in golden:
-        for rows in (list(_M_rows(a)), list(_HL_rows(a))):
-            assert (_full_rank_mod_p(iter(rows), dim * dim, len(rows) - dim * dim)
-                    == (_eliminate(rows, dim * dim).rank == dim * dim))
+        for rows, packed in ((list(_M_rows(a)), _M_packed), (list(_HL_rows(a)), _HL_packed)):
+            assert (_full_rank_mod_p(map(_pack, rows), dim * dim, len(rows) - dim * dim)
+                    == (_eliminate(rows, dim * dim).rank == dim * dim)
+                    == _full_rank_mod_p(packed(a), dim * dim, len(rows) - dim * dim))
+
+
+def _unpacked(row, cols):
+    return [row >> _SLOT * c & (1 << _SLOT) - 1 for c in range(cols)]
+
+
+def _row_terms(t, n):
+    """Per operator row, in the order of ``_M_rows``/``_HL_rows``, the products it sums: an
+    M row (i, j, m) the constants t[j][l][m], t[i][l][m] and t[i][j][c]; an HL row (i, j, k,
+    m) the products t[p][q][s] t[s][l][m] over its pairs (p, q) = (j, k), (k, i), (i, j)."""
+    m_terms = [[t[j][l][m] for l in range(n)] + [t[i][l][m] for l in range(n)] + list(t[i][j])
+               for i, j in combinations(range(n), 2) for m in range(n)]
+    hl_terms = [[t[p][q][s] * t[s][l][m] for p, q in ((j, k), (k, i), (i, j))
+                 for s in range(n) for l in range(n)]
+                for i, j, k in combinations(range(n), 3) for m in range(n)]
+    return m_terms, hl_terms
+
+
+packed_constants = st.one_of(st.just(0), st.integers(-3, 3), st.sampled_from([_P, -_P, _P - 1]),
+                             st.integers(-2 ** 80, 2 ** 80),
+                             st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@st.composite
+def packed_algebras(draw):
+    dim = draw(st.integers(2, 6))
+    pairs = list(combinations(range(1, dim + 1), 2))
+    return SkewAlgebra(dim, {ij: draw(st.lists(packed_constants, min_size=dim, max_size=dim))
+                             for ij in pairs})
+
+
+@given(packed_algebras())
+@example(abelian(4))
+@example(filiform5(1, 0, 0, 1))
+@example(SkewAlgebra(3, {(1, 2): (1, 0, 0), (2, 3): (0, 0, -1)}))  # a cancelling M row
+def test_packed_rows_are_the_exact_rows_mod_p(a):
+    # row by row and slot by slot, the packed rows are the exact rows mod p, with slots of
+    # at most 2 (p - 1) in M and n (p - 1)^2 in HL, the certificate's input bound; a row
+    # whose products all vanish mod p packs to the int 0
+    n = a.dim
+    m_terms, hl_terms = _row_terms(a._ints[0], n)
+    for exact, packed, terms, bound in ((_M_rows, _M_packed, m_terms, 2 * (_P - 1)),
+                                        (_HL_rows, _HL_packed, hl_terms, n * (_P - 1) ** 2)):
+        rows, packed_rows = list(exact(a)), list(packed(a))
+        assert len(rows) == len(packed_rows) == len(terms)
+        for row, packed_row, products in zip(rows, packed_rows, terms):
+            slots = _unpacked(packed_row, n * n)
+            assert packed_row >> _SLOT * n * n == 0 and max(slots) <= bound
+            assert [x % _P for x in slots] == [x % _P for x in row]
+            if all(x % _P == 0 for x in products):
+                assert packed_row == 0
+
+
+def test_a_cancelling_exact_zero_row_packs_to_p_and_reads_as_zero():
+    # e1 e2 = e1, e2 e3 = -e3: M row (1, 2) at component 3 is exactly zero, but at column
+    # 1*3 + 3 (1-based) it sums the residues of 1 and -1, so its slot there is p. The
+    # certificate reduces that slot to 0 and counts the row as one zero mod p
+    a = SkewAlgebra(3, {(1, 2): (1, 0, 0), (2, 3): (0, 0, -1)})
+    rows, packed = list(_M_rows(a)), list(_M_packed(a))
+    assert rows[2] == [0] * 9 and _unpacked(packed[2], 9) == [0, 0, _P] + [0] * 6
+    assert not _full_rank_mod_p(iter([packed[2]]), 9, 0)
+    unit_rows = [_pack([int(c == r) for c in range(9)]) for r in range(9)]
+    assert _full_rank_mod_p(iter([packed[2], *unit_rows]), 9, 1)
 
 
 @pytest.mark.parametrize("dim,trials", [(4, 6), (6, 3)])
 def test_operators_build_only_the_rows_the_elimination_reads(dim, trials, monkeypatch):
-    # at full column rank the elimination stops at the shortest row prefix of rank n^2,
-    # so no row past it is built; below full rank every row is read
-    originals = {"_M_rows": sm._M_rows, "_HL_rows": sm._HL_rows}
-    yielded = dict.fromkeys(originals, 0)
+    # each representation of an operator, exact or packed, is built at most once; at full
+    # column rank the certificate stops at the shortest row prefix of rank n^2 mod p, so no
+    # packed row past it and no exact row at all is built; below full rank the exact
+    # elimination reads every row
+    fns = ("_M_rows", "_M_packed", "_HL_rows", "_HL_packed")
+    originals = {fn: getattr(sm, fn) for fn in fns}
+    built, yielded = dict.fromkeys(fns, 0), dict.fromkeys(fns, 0)
     for fn, original in originals.items():
         def counted(a, fn=fn, original=original):
+            built[fn] += 1
             for row in original(a):
                 yielded[fn] += 1
                 yield row
@@ -476,15 +557,21 @@ def test_operators_build_only_the_rows_the_elimination_reads(dim, trials, monkey
     cfg = SampleConfig(dim=dim, trials=trials, seed=42)
     for index in range(trials):
         a = random_algebra(cfg, index)
-        for fn, read in (("_M_rows", orbit_dimension), ("_HL_rows", is_homlie)):
-            yielded[fn] = 0
+        for exact, packed, read in (("_M_rows", "_M_packed", orbit_dimension),
+                                    ("_HL_rows", "_HL_packed", is_homlie)):
+            for fn in fns:
+                built[fn] = yielded[fn] = 0
             read(a)
-            rows, k = list(originals[fn](a)), yielded[fn]
-            if rank(ExactMatrix(rows[:k], cols=dim * dim)) == dim * dim:
+            assert built[packed] == 1 and built[exact] <= 1
+            rows, k = list(originals[exact](a)), yielded[packed]
+            if rank(ExactMatrix(rows, cols=dim * dim)) == dim * dim:
+                assert built[exact] == yielded[exact] == 0
+                assert rank(ExactMatrix(rows[:k], cols=dim * dim)) == dim * dim
+                assert rank_mod_p(rows[:k - 1], _P) < dim * dim
                 assert rank(ExactMatrix(rows[:k - 1], cols=dim * dim)) < dim * dim
-                assert k < len(rows) or (fn, dim) == ("_HL_rows", 4)
+                assert k < len(rows) or (exact, dim) == ("_HL_rows", 4)
             else:
-                assert k == len(rows)
+                assert yielded[exact] == len(rows)
 
 
 def count_eliminations(monkeypatch) -> list[int]:
