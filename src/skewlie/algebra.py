@@ -1,16 +1,14 @@
 """Skew-symmetric algebras with exact rational structure constants.
 
-An algebra of dimension n is given by the coefficient vectors of the basis
-products e_i * e_j for i < j and stores them once, as one integer tensor t over
-a common denominator den, built by ``_of`` from integer rows; ``product`` is a
-``Fraction`` view. Basis indices are 1-based at the public boundary and 0-based
-inside (index p is position p in t), where basis pairs and triples come from
-``itertools.combinations(range(n), k)`` in lexicographic order. One integer
-kernel, ``_mul``, serves ``multiply``, ``transport``, ``subspace_product`` and
-the series. The double products (e_p e_q) e_l of the Lie, Hom-Lie and Lie-type
-identities, the Killing form and the derived algebra A·A read t directly. All
-of it is pure and exact; ``jacobiator`` keeps the independent route through
-``multiply``.
+An algebra of dimension n is given by the coefficient vectors of the basis products e_i * e_j
+for i < j and stores them once, as one integer tensor t over a common denominator den, built by
+``_of`` from integer rows; ``product`` is a ``Fraction`` view. Basis indices are 1-based at the
+public boundary and 0-based inside (index p is position p in t), where basis pairs and triples
+come from ``itertools.combinations(range(n), k)`` in lexicographic order. One integer kernel,
+``_mul``, serves ``multiply``, ``transport``, ``subspace_product`` and the series. What several
+readers derive from t (its flat rows, A·A, the operators' blocks) is a per-algebra table, built
+by ``_table`` on first read. All of it is pure and exact; ``jacobiator`` keeps the independent
+route through ``multiply``.
 """
 
 from __future__ import annotations
@@ -19,7 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
 from .qlinalg import (ExactMatrix, _as_fraction, _Basis, _check_index, _check_matrix, _eliminate,
@@ -51,12 +50,12 @@ def vadd(u: Vec, v: Vec) -> Vec:
 class SkewAlgebra:
     """A skew-symmetric algebra given by structure constants on pairs i < j.
 
-    Every algebra is built by ``_of`` as ``_ints = (t, den)``: den is the lcm of
-    the reduced denominators, t[i][j] = den * (e_{i+1} e_{j+1}) and t[j][i] =
-    -t[i][j]. That form is canonical, so equality and hashing compare it.
+    Every algebra is built by ``_of`` as ``_ints = (t, den)``: den is the lcm of the reduced
+    denominators, t[i][j] = den * (e_{i+1} e_{j+1}) and t[j][i] = -t[i][j]. That form is
+    canonical: equality, hashing, pickles and copies read it, never the ``_table``s.
     """
 
-    __slots__ = ("dim", "_ints")
+    __slots__ = ("dim", "_ints", "_tables")
 
     def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence] | None = None):
         _check_index(dim)
@@ -73,8 +72,8 @@ class SkewAlgebra:
         den = math.lcm(*(x.denominator for vec in given.values() for x in vec))
         a = self._of(dim, {ij: [x.numerator * (den // x.denominator) for x in vec]
                            for ij, vec in given.items()}, den)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_ints", a._ints)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(a, name))
 
     @classmethod
     def _of(cls, dim: int, upper: Mapping[tuple[int, int], Sequence[int]], den: int) -> SkewAlgebra:
@@ -89,12 +88,16 @@ class SkewAlgebra:
             t[i][j] = v = tuple(v) if g == 1 else tuple([x // g for x in v])
             t[j][i] = tuple([-x for x in v])
         a = object.__new__(cls)
-        object.__setattr__(a, "dim", dim)
-        object.__setattr__(a, "_ints", (tuple(map(tuple, t)), den // g))
+        for name, value in zip(cls.__slots__, (dim, (tuple(map(tuple, t)), den // g), {})):
+            object.__setattr__(a, name, value)
         return a
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewAlgebra is immutable")
+
+    def __reduce__(self):
+        (t, den), pairs = self._ints, itertools.combinations(range(self.dim), 2)
+        return type(self)._of, (self.dim, {(i, j): t[i][j] for i, j in pairs}, den)
 
     @property
     def products(self) -> dict[tuple[int, int], Vec]:
@@ -171,6 +174,19 @@ def _check_endo(a: SkewAlgebra, f: Endo) -> None:
                                      f"dim-{a.dim} algebra")
 
 
+def _table(a: SkewAlgebra, build: Callable[[SkewAlgebra], object]):
+    """``build(a)``, made from ``a._ints`` on the first read, then held in ``a._tables``."""
+    if (value := a._tables.get(build)) is None:
+        value = a._tables[build] = build(a)
+    return value
+
+
+def _flat(a: SkewAlgebra) -> tuple[list[list[int]], list[list[int]]]:
+    """Table: the rows of t flattened, (e_s e_l)_m at l*n + m of row s, and their negations."""
+    flat = [[*itertools.chain(*row)] for row in a._ints[0]]
+    return flat, [[-x for x in v] for v in flat]
+
+
 def _mul(t, x: Sequence[int], y: Sequence[int]) -> list[int]:
     """den * (x*y) for integer vectors x, y: the sum over pairs r < s of
     (x_r y_s - x_s y_r) t[r][s], skipping zeros."""
@@ -230,10 +246,13 @@ def left_mult(a: SkewAlgebra, x: Sequence) -> Endo:
 
 def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
     """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j}) = sum over k, l of
-    c_il^k c_jk^l for e_i e_l = sum_k c_il^k e_k: the integer table's sums over den^2."""
-    n, (c, den) = a.dim, a._ints
-    return ExactMatrix._of([[sum(c[i][l][k] * c[j][k][l] for k in range(n) for l in range(n))
-                             for j in range(n)] for i in range(n)], n, den * den)
+    c_il^k c_jk^l for e_i e_l = sum_k c_il^k e_k, over den^2: flat row i (c_il^k at l*n + k)
+    against the transpose of t[j] (c_jk^l there), on and above the diagonal."""
+    (t, den), n, flat = a._ints, a.dim, _table(a, _flat)[0]
+    rows, cols = [[0] * n for _ in range(n)], [[*itertools.chain(*zip(*c))] for c in t]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        rows[i][j] = rows[j][i] = sum(map(mul, flat[i], cols[j]))
+    return ExactMatrix._of(rows, n, den * den)
 
 
 def killing_determinant(a: SkewAlgebra) -> Fraction:
@@ -317,7 +336,7 @@ def subspace_product(a: SkewAlgebra, u: Subspace, w: Subspace) -> Subspace:
 
 
 def _derived_algebra(a: SkewAlgebra) -> _Basis:
-    """A·A: the span of t's upper-half integer rows, which ignores their factor den."""
+    """Table: A·A, the span of t's upper-half integer rows, which ignores their factor den."""
     t = a._ints[0]
     return _eliminate([t[i][j] for i, j in itertools.combinations(range(a.dim), 2)], a.dim)
 
@@ -335,7 +354,7 @@ def _series(a: SkewAlgebra) -> tuple[SeriesReport, SeriesReport]:
     of term k's integer spanning rows with the unit vectors, resp. of its pairs i < j
     of rows (x x = 0 and y x = -x y, so these span term k times itself)."""
     t, n = a._ints[0], a.dim
-    first = _derived_algebra(a)
+    first = _table(a, _derived_algebra)
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     out = []
     for kind, pairs in (("central", lambda xs: itertools.product(xs, units)),

@@ -16,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product,
-                      _mul, is_lie, transport)
+from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product, _flat, _mul,
+                      _table, is_lie, transport)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
 from .qlinalg import ExactMatrix, _Basis, _check_index, _eliminate
 
@@ -131,9 +131,8 @@ def find_regular_pair(a: SkewAlgebra, max_height: int = 4) -> tuple[Vec, Vec]:
 def _annihilator(a: SkewAlgebra) -> tuple[list[list[int]], int]:
     """Basis of { r : r * x = 0 for all x } (two-sided, since the product is skew),
     as integer vectors over q: ``kernel_ints`` of its elimination."""
-    n, t = a.dim, a._ints[0]  # the kernel ignores the common factor den
-    rows = [[t[i][j][m] for i in range(n)] for j in range(n) for m in range(n)]
-    return _eliminate(rows, n).kernel_ints()
+    # row j*n + m, column j*n + m of the flat rows, is t[i][j][m] over i (den is ignored)
+    return _eliminate(zip(*_table(a, _flat)[0]), a.dim).kernel_ints()
 
 
 def _classify_dim1_derived(a: SkewAlgebra, line: _Basis) -> ClassificationResult:
@@ -223,7 +222,7 @@ def classify(a: SkewAlgebra) -> ClassificationResult:
     """
     if a.dim != 3:
         raise UnsupportedDimError("classification covers dimension 3 only")
-    derived = _derived_algebra(a)
+    derived = _table(a, _derived_algebra)
     if derived.rank == 0:
         return ClassificationResult(ABELIAN, {}, ExactMatrix.identity(3), True)
     if derived.rank == 1:

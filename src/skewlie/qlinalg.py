@@ -115,6 +115,9 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __reduce__(self):  # pickles and copies rebuild from _ints by _of
+        return type(self)._of, (self._ints[0], self.cols, self._ints[1])
+
     @classmethod
     def _of(cls, rows: Sequence[Sequence[int]], cols: int, den: int = 1) -> ExactMatrix:
         """The matrix rows / den for integer rows the package built and den != 0; one

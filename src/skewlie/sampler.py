@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .algebra import MAX_DIM, MIN_DIM, SkewAlgebra, is_lie
 from .qlinalg import _check_index
@@ -26,21 +27,17 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], rejection-sampled for exactness."""
+    def randints(self, lo: int, hi: int) -> Iterator[int]:
+        """Uniform integers in [lo, hi], rejection-sampled for exactness: one 64-bit output
+        per step of the state, which steps as the integers are read."""
         size = hi - lo + 1
         limit = (1 << 64) - ((1 << 64) % size)
         while True:
-            u = self.next_u64()
-            if u < limit:
-                return lo + (u % size)
+            self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            if (u := z ^ (z >> 31)) < limit:
+                yield lo + u % size
 
 
 @dataclass(frozen=True)
@@ -73,10 +70,8 @@ def random_algebra(cfg: SampleConfig, index: int) -> SkewAlgebra:
     _check_index(index)
     if not 0 <= index < cfg.trials:
         raise ValueError(f"index {index} outside 0..{cfg.trials - 1}")
-    rng = SplitMix64(cfg.seed ^ index)
-    n, h = cfg.dim, cfg.height
-    table = {ij: [rng.randint(-h, h) for _ in range(n)]
-             for ij in itertools.combinations(range(n), 2)}
+    n, draws = cfg.dim, SplitMix64(cfg.seed ^ index).randints(-cfg.height, cfg.height)
+    table = {ij: [*itertools.islice(draws, n)] for ij in itertools.combinations(range(n), 2)}
     return SkewAlgebra._of(n, table, 1)
 
 
@@ -100,8 +95,6 @@ def run_experiment(cfg: SampleConfig) -> GenericityReport:
         a = random_algebra(cfg, index)
         r = orbit_dimension(a)
         histogram[r] = histogram.get(r, 0) + 1
-        if is_homlie(a):
-            homlie_count += 1
-        if is_lie(a):
-            lie_count += 1
+        homlie_count += is_homlie(a)
+        lie_count += is_lie(a)
     return GenericityReport(histogram, homlie_count, lie_count, cfg.trials)

@@ -7,15 +7,14 @@ c*n + k of M and HL is the unit endomorphism e_c -> e_k. Rows of the derivation
 matrix M are the components of the derivation defect on basis pairs i < j in
 lexicographic order (``itertools.combinations``), components innermost; rows
 of the Hom-Jacobi matrix HL do the same over basis triples i < j < k.
-``_M_rows`` and ``_HL_rows`` yield integer rows one at a time from the constants over one
-common denominator den, M (linear in them) scaled by den and HL (quadratic) by den^2: an M
-row is slices of the flattened rows of t, their negation and zero blocks, an HL row stride
-slices of three per-pair blocks ((e_p e_q) e_l)_m, made once per algebra by
-``_double_product``, and zero blocks; ``_M_packed`` and ``_HL_packed`` pack them mod p. From
-n = 4 (no dim-3 orbit is open; for HL from n = 5, as n = 4 reads its det) ``_reduce`` lets
-``_full_rank_mod_p`` prove full rank on those, else ``_eliminate`` reads the exact rows up to
-full column rank (rank and kernel ignore row scaling). ``build_M`` and ``build_HL`` wrap all
-the rows as ``ExactMatrix``; the ``*_defect`` functions evaluate them via ``multiply``.
+``_M_rows`` and ``_HL_rows`` yield the integer rows of den M and den^2 HL (den the constants'
+common denominator; M is linear in them, HL quadratic) one at a time, slices of exact tables
+between zero blocks, and ``_M_packed`` and ``_HL_packed`` the same rows mod p, from packed
+tables. Each table is built once per algebra (``algebra._table``). From n = 4 (no dim-3 orbit
+is open; for HL from n = 5, as n = 4 reads its det) ``_reduce`` lets ``_full_rank_mod_p`` prove
+full rank on the packed rows, else ``_eliminate`` reads the exact rows up to full column rank
+(rank and kernel ignore row scaling). ``build_M`` and ``build_HL`` wrap all the rows as
+``ExactMatrix``; the ``*_defect`` functions evaluate them via ``multiply``.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
@@ -33,8 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, _check_endo, _check_vec, _double_product, basis_vec,
-                      multiply, vadd)
+from .algebra import (Endo, SkewAlgebra, Vec, _check_endo, _check_vec, _double_product, _flat,
+                      _table, basis_vec, multiply, vadd)
 from .errors import DimensionMismatchError, UnsupportedDimError
 from .qlinalg import (_P, _SLOT, ExactMatrix, _Basis, _check_index, _check_matrix, _eliminate,
                       _full_rank_mod_p, _pack)
@@ -78,15 +77,40 @@ def hom_jacobi_defect(a: SkewAlgebra, f: Endo,
                 multiply(a, multiply(a, z, x), f.apply(y)))
 
 
+def _exact_blocks(a: SkewAlgebra) -> dict[tuple[int, int], list[int]]:
+    """Table: dp[p, q][l*n + m] = den^2 ((e_p e_q) e_l)_m for p != q, the flat rows of t
+    weighted by t[p][q] once per pair p < q; the reversed pair negates it."""
+    t, flat, pairs = a._ints[0], _table(a, _flat)[0], itertools.combinations(range(a.dim), 2)
+    dp = {(p, q): _double_product(t[p][q], flat) for p, q in pairs}
+    return dp | {(q, p): [-x for x in v] for (p, q), v in dp.items()}
+
+
+def _packed(a: SkewAlgebra) -> tuple[list[int], list[int]]:
+    """Table: T[s] with t[s][l][m] mod p in slot m*n + l (``_pack``), and N[s] = -T[s] mod p
+    slot by slot, as t[l][s] = -t[s][l]: p minus each slot, then the canonical step of
+    ``_full_rank_mod_p`` takes a slot p to 0, so a zero stays the int 0."""
+    ones = (1 << _SLOT * a.dim ** 2) // ((1 << _SLOT) - 1)  # 1 in every slot
+    T = [_pack([*itertools.chain(*zip(*row))]) for row in a._ints[0]]
+    N = [_P * ones - v for v in T]
+    return T, [v - ((v + ones) >> 17 & ones) * _P for v in N]
+
+
+def _packed_blocks(a: SkewAlgebra) -> dict[tuple[int, int], int]:
+    """Table: D[p, q] = sum of (t[p][q][s] mod p) T[s], ``_exact_blocks`` mod p in the layout
+    of T (not reduced), for the pairs (j, k), (k, i), (i, j) of the triples i < j < k."""
+    t, T, triples = a._ints[0], _table(a, _packed)[0], itertools.combinations(range(a.dim), 3)
+    pairs = {pq for i, j, k in triples for pq in ((j, k), (k, i), (i, j))}
+    return {(p, q): sum(x % _P * v for x, v in zip(t[p][q], T)) for p, q in pairs}
+
+
 def _M_rows(a: SkewAlgebra) -> Iterator[list[int]]:
     """Integer rows of den * M (M is linear in the constants), one at a time."""
-    n, t = a.dim, a._ints[0]
+    n, t, (flat, neg) = a.dim, a._ints[0], _table(a, _flat)
     # column c*n + k is the unit endomorphism f: e_c -> e_k. Its defect
     # f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_k e_j if c = i, plus e_i e_k if
     # c = j (never both, as i != j), minus (e_i e_j)_c e_k. At l*n + m, flat[s]
     # holds (e_s e_l)_m and neg[s] holds (e_l e_s)_m, so their slices [m::n] run over l.
-    flat = [list(itertools.chain.from_iterable(row)) for row in t]
-    neg, zeros = [[-x for x in v] for v in flat], [[0] * (w * n) for w in range(n)]
+    zeros = [[0] * (w * n) for w in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         z0, z1, z2 = (zeros[w] for w in (i, j - i - 1, n - j - 1))
         for m in range(n):
@@ -100,13 +124,7 @@ def _M_rows(a: SkewAlgebra) -> Iterator[list[int]]:
 def _HL_rows(a: SkewAlgebra) -> Iterator[list[int]]:
     """Integer rows of den^2 * HL (HL is quadratic in the constants), one at a time;
     none below dimension 3, which has no basis triples."""
-    n, t = a.dim, a._ints[0]
-    # dp[p, q][l*n + m] = ((e_p e_q) e_l)_m, the rows of t flattened and weighted by
-    # t[p][q], once per pair p < q; the reversed pair negates it
-    flat = [list(itertools.chain.from_iterable(row)) for row in t]
-    dp = {(p, q): _double_product(t[p][q], flat) for p, q in itertools.combinations(range(n), 2)}
-    dp.update({(q, p): [-x for x in v] for (p, q), v in dp.items()})
-    zeros = [[0] * (w * n) for w in range(n)]
+    n, dp, zeros = a.dim, _table(a, _exact_blocks), [[0] * (w * a.dim) for w in range(a.dim)]
     for i, j, k in itertools.combinations(range(n), 3):
         # the cyclic terms (e_j e_k) f(e_i), (e_k e_i) f(e_j), (e_i e_j) f(e_k) fill the
         # column blocks i < j < k of the unit endomorphisms e_r -> e_l, over l
@@ -119,9 +137,7 @@ def _HL_rows(a: SkewAlgebra) -> Iterator[list[int]]:
 def _M_packed(a: SkewAlgebra) -> Iterator[int]:
     """``_M_rows`` mod p, packed as by ``_pack`` but not reduced, slots at most 2 (p - 1): block
     m of T[s] holds t[s][l][m] over l, of N[s] its negation; they fill column blocks j and i."""
-    n, t, w = a.dim, a._ints[0], _SLOT * a.dim
-    blk, T = (1 << w) - 1, [_pack([*itertools.chain(*zip(*t[s]))]) for s in range(n)]
-    N = [_pack([*itertools.chain(*zip(*(row[s] for row in t)))]) for s in range(n)]
+    n, w, blk, (T, N) = a.dim, _SLOT * a.dim, (1 << _SLOT * a.dim) - 1, _table(a, _packed)
     diag = ((1 << _SLOT) - 1) * ((1 << w * n) // blk)  # the slots c*n
     for i, j in itertools.combinations(range(n), 2):
         c = N[i] >> _SLOT * j & diag  # -t[i][j][c] at slot c*n, shifted to c*n + m below
@@ -130,13 +146,11 @@ def _M_packed(a: SkewAlgebra) -> Iterator[int]:
 
 
 def _HL_packed(a: SkewAlgebra) -> Iterator[int]:
-    """``_HL_rows`` mod p, packed but not reduced, slots at most n (p - 1)^2: the block of a
-    pair (p, q) is the sum of (t[p][q][s] mod p) T[s], T as above, made when first read."""
-    n, t, w = a.dim, a._ints[0], _SLOT * a.dim
-    blk, T = (1 << w) - 1, [_pack([*itertools.chain(*zip(*t[s]))]) for s in range(n)]
-    block = functools.cache(lambda p, q: sum(x % _P * v for x, v in zip(t[p][q], T)))
+    """``_HL_rows`` mod p, packed but not reduced, slots at most n (p - 1)^2: block m of the
+    three pair blocks of ``_packed_blocks``, shifted to the column blocks i, j, k."""
+    n, w, blk, D = a.dim, _SLOT * a.dim, (1 << _SLOT * a.dim) - 1, _table(a, _packed_blocks)
     for i, j, k in itertools.combinations(range(n), 3):
-        jk, ki, ij = block(j, k), block(k, i), block(i, j)
+        jk, ki, ij = D[j, k], D[k, i], D[i, j]
         for s in range(0, w * n, w):  # w m for the component m
             yield (jk >> s & blk) << w * i | (ki >> s & blk) << w * j | (ij >> s & blk) << w * k
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,11 +13,12 @@ from skewlie import (ExactMatrix, SkewAlgebra, Subspace, abelian, algebra3, basi
                      killing_determinant, killing_matrix, left_mult, multiply,
                      span, subspace_product, transport)
 from skewlie.algebra import _derived_algebra, _double_product, _subspace, vadd
-from skewlie.classify import find_regular_pair, ns1_family, ns2_family, sol_family
+from skewlie.classify import classify, find_regular_pair, ns1_family, ns2_family, sol_family
 from skewlie.errors import (DimensionMismatchError, SingularMapError,
                             UnsupportedDimError)
 
 from skewlie.qlinalg import _eliminate
+from skewlie.structmats import derivation_space, homlie_space
 from skewlie.sampler import SampleConfig, random_algebra
 
 from helpers import (counterexample4, fraction_matmul, fraction_product, fraction_transport,
@@ -110,6 +113,33 @@ def test_zero_products_are_dropped():
     assert a == b
     assert hash(a) == hash(b)
     assert a.products == b.products == {(1, 3): (0, 1, 0)}
+
+
+ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
+               "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
+@pytest.mark.parametrize("algebra", [heisenberg(), abelian(2), filiform5(1, "1/2", 0, -3),
+                                     ns1_family(1, "2/3", -1, 0, 5)],
+                         ids=["heisenberg", "abelian2", "filiform5", "ns1"])
+def test_algebras_and_matrices_survive_pickling_and_copying(how, algebra):
+    # an algebra and a matrix rebuild from _ints alone: before and after the tables are
+    # built, the copy is equal, hashes equal and carries no table, and a classification
+    # result travels with its witness
+    trip = ROUND_TRIPS[how]
+    for _ in range(2):
+        for value in (algebra, killing_matrix(algebra), ExactMatrix.zeros(0, 2)):
+            other = trip(value)
+            assert (other, hash(other), type(other)) == (value, hash(value), type(value))
+        other = trip(algebra)
+        assert other._tables == {} and other._ints == algebra._ints
+        assert killing_matrix(other) == killing_matrix(algebra)
+        derivation_space(algebra), homlie_space(algebra), central_series(algebra)
+        assert algebra._tables != {}
+    if algebra.dim == 3:
+        result = classify(algebra)
+        assert trip(result) == result and trip(result).witness == result.witness
 
 
 # --- multiplication ---

@@ -206,6 +206,65 @@ def count_builds(monkeypatch):
     return builds
 
 
+# the per-algebra tables, by the module that defines each builder
+TABLES = {"_flat": alg, "_derived_algebra": alg, "_exact_blocks": sm, "_packed": sm,
+          "_packed_blocks": sm}
+
+
+def count_tables(monkeypatch):
+    """Count each table's builds per algebra: (builder, id of the algebra) -> builds. One
+    counting wrapper per builder replaces it in every module that binds it, so every reader
+    reaches the same table, and the algebras are held, so no id is reused."""
+    builds, held = {}, []
+    for fn, home in TABLES.items():
+        def counted(a, fn=fn, original=getattr(home, fn)):
+            builds[fn, id(a)] = builds.get((fn, id(a)), 0) + 1
+            held.append(a)
+            return original(a)
+
+        for mod in (alg, sm, importlib.import_module("skewlie.classify")):
+            if hasattr(mod, fn):
+                monkeypatch.setattr(mod, fn, counted)
+    return builds
+
+
+def built_tables(builds) -> dict[str, int]:
+    """The number of algebras each table was built for."""
+    return {fn: sum(key[0] == fn for key in builds) for fn in TABLES}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()
+                                        and (p / "input.json").is_file()))
+def test_analyze_builds_each_table_at_most_once(name, capsys, monkeypatch):
+    # derivations, Hom-Lie, Killing form, series and (at dim 3) classify and the Lie-type
+    # relation all read one algebra's tables; none is built twice. From n = 4 the mod-p
+    # certificate reads the packed T and N on M, so they are built
+    builds = count_tables(monkeypatch)
+    assert main(["analyze", str(GOLDEN / name / "input.json"), "--json"]) == 0
+    capsys.readouterr()
+    assert set(builds.values()) == {1}
+    n = json.loads((GOLDEN / name / "input.json").read_text())["dim"]
+    counts = built_tables(builds)
+    assert counts["_flat"] == counts["_derived_algebra"] == 1
+    assert counts["_packed"] == (n >= 4)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_sample_builds_each_table_at_most_once_per_trial(dim, capsys, monkeypatch):
+    # below n = 4 the exact rows serve M and HL, built from the flat rows and the exact pair
+    # blocks; from n = 4 the certificate settles every trial from the packed tables, so no
+    # exact table is built. Either way each table is built once per trial, never twice
+    builds = count_tables(monkeypatch)
+    assert main(["sample", "--dim", str(dim), "--trials", "6", "--seed", "5",
+                 "--json"]) == 0
+    capsys.readouterr()
+    assert set(builds.values()) == {1}
+    exact, packed = (6, 0) if dim == 3 else (0, 6)
+    assert built_tables(builds) == {"_flat": exact, "_derived_algebra": 0,
+                                    "_exact_blocks": exact, "_packed": packed,
+                                    "_packed_blocks": packed}
+
+
 # (M, HL) builds of the exact rows and of the packed rows by one analyze
 ANALYZE_BUILDS = {"heisenberg": ((1, 1), (0, 0)), "counterexample4": ((0, 1), (1, 0)),
                   "abelian4": ((1, 1), (1, 0)), "filiform5": ((1, 1), (1, 1)),
@@ -246,12 +305,11 @@ def test_wide_rational_document_needs_no_exact_elimination(command, capsys, monk
     assert calls == []
 
 
-@pytest.mark.parametrize("name,derived_algebras", [
-    ("random3-0", 2), ("sol-nonlie", 2), ("random4-0", 1)])
-def test_analyze_forms_the_derived_algebra_and_the_lie_flag_once(name, derived_algebras,
-                                                                   capsys, monkeypatch):
-    # both series grow from one A·A; at dim 3 the public classify forms its own and
-    # its Lie flag (is_lie on NS1 and SolvableNonLie documents) is the report's
+@pytest.mark.parametrize("name", ["random3-0", "sol-nonlie", "random4-0", "random5-0",
+                                  "random6-0"])
+def test_analyze_forms_the_derived_algebra_and_the_lie_flag_once(name, capsys, monkeypatch):
+    # both series and, at dim 3, classify read one A·A from the algebra's table, and
+    # classify's Lie flag (is_lie on NS1 and SolvableNonLie documents) is the report's
     counts = {"_derived_algebra": 0, "is_lie": 0}
     for fn in counts:
         original = getattr(alg, fn)
@@ -264,7 +322,7 @@ def test_analyze_forms_the_derived_algebra_and_the_lie_flag_once(name, derived_a
             monkeypatch.setattr(mod, fn, counted)
     assert main(["analyze", str(GOLDEN / name / "input.json"), "--json"]) == 0
     capsys.readouterr()
-    assert counts == {"_derived_algebra": derived_algebras, "is_lie": 1}
+    assert counts == {"_derived_algebra": 1, "is_lie": 1}
 
 
 @pytest.mark.parametrize("dim", [3, 4])

@@ -26,7 +26,8 @@ def test_classify_imports_neither_echelonize_nor_inverse():
 
 
 INTEGER_CORE = {"_eliminate", "_full_rank_mod_p", "_pack", "_reduce", "_M_rows", "_HL_rows",
-                "_M_packed", "_HL_packed", "_search_pairs", "_series", "inverse", "rank",
+                "_M_packed", "_HL_packed", "_table", "_flat", "_exact_blocks", "_packed",
+                "_packed_blocks", "_search_pairs", "_series", "inverse", "rank",
                 "transport", "subspace_product", "_subspace", "build_M", "build_HL",
                 "killing_matrix", "_kernel_endos", "_matrix_rows"}
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, aut_dimension,
-                     basis_vec, build_HL, build_M, derivation_space, determinant,
+                     basis_vec, build_HL, build_M, central_series, classify,
+                     derivation_space, derived_series, determinant,
                      heisenberg, filiform5, hom_check, homlie_space, inverse,
-                     is_homlie, is_lie, killing_matrix, left_mult,
+                     is_homlie, is_lie, killing_matrix, left_mult, lie_type_constants,
                      orbit_dimension, rank, span, transport, vec_of_endo)
 from skewlie import structmats as sm
 from skewlie.classify import ns1_family, ns2_family, sol_family
@@ -25,6 +26,7 @@ from helpers import (COUNTEREXAMPLE4_HL_DET, cofactor_determinant,
                      counterexample4, fraction_build_HL, fraction_build_M,
                      fraction_matmul, fraction_rref, gamma2_family, rand_algebra,
                      rand_endo, rand_fraction, rand_invertible, rand_nonzero_fraction,
+                     rand_rational_invertible,
                      rank_mod_p, reference_derivation_matrix3, rigid_dim4, rows_of)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -523,6 +525,39 @@ def test_packed_rows_are_the_exact_rows_mod_p(a):
             assert [x % _P for x in slots] == [x % _P for x in row]
             if all(x % _P == 0 for x in products):
                 assert packed_row == 0
+
+
+@st.composite
+def rational_algebras(draw):
+    dim = draw(st.integers(2, 6))
+    constant = st.one_of(st.just(0), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+    return SkewAlgebra(dim, {ij: draw(st.lists(constant, min_size=dim, max_size=dim))
+                             for ij in combinations(range(1, dim + 1), 2)})
+
+
+def _table_readings(a):
+    """Everything the per-algebra tables feed: the four row generators, the Killing form
+    and both series (which read A·A)."""
+    return ([list(rows(a)) for rows in (_M_rows, _HL_rows, _M_packed, _HL_packed)],
+            killing_matrix(a), central_series(a), derived_series(a))
+
+
+@given(rational_algebras(), st.integers(0, 10 ** 6))
+@example(abelian(2), 0)
+@example(filiform5(1, Fraction(1, 2), 0, -3), 1)
+def test_table_readers_agree_with_a_fresh_and_a_transported_equal_algebra(a, seed):
+    # the operators, the Killing form, the series and the dim-3 readers build a's tables
+    # first; every reader of them then gives what it gives for an equal algebra that has
+    # none yet, built from the constants or by transport there and back
+    derivation_space(a), orbit_dimension(a), homlie_space(a), is_homlie(a)
+    killing_matrix(a), central_series(a)
+    if a.dim == 3:
+        classify(a), lie_type_constants(a)
+    p = rand_rational_invertible(random.Random(seed), a.dim)
+    fresh, back = SkewAlgebra(a.dim, a.products), transport(transport(a, p), inverse(p))
+    assert fresh == back == a and fresh._tables == back._tables == {}
+    assert _table_readings(a) == _table_readings(fresh) == _table_readings(back)
+    assert len(a._tables) == 5  # flat rows, exact and packed blocks, packed T and N, A·A
 
 
 def test_a_cancelling_exact_zero_row_packs_to_p_and_reads_as_zero():
