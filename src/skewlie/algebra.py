@@ -57,7 +57,7 @@ class SkewAlgebra:
 
     __slots__ = ("dim", "_ints", "_tables")
 
-    def __init__(self, dim: int, products: Mapping[tuple[int, int], Sequence] | None = None):
+    def __new__(cls, dim: int, products: Mapping[tuple[int, int], Sequence] | None = None):
         _check_index(dim)
         given = {}
         for (i, j), coeffs in (products or {}).items():
@@ -70,10 +70,8 @@ class SkewAlgebra:
                                  f"expected {dim}")
             given[i - 1, j - 1] = vec
         den = math.lcm(*(x.denominator for vec in given.values() for x in vec))
-        a = self._of(dim, {ij: [x.numerator * (den // x.denominator) for x in vec]
-                           for ij, vec in given.items()}, den)
-        for name in self.__slots__:
-            object.__setattr__(self, name, getattr(a, name))
+        return cls._of(dim, {ij: [x.numerator * (den // x.denominator) for x in vec]
+                             for ij, vec in given.items()}, den)
 
     @classmethod
     def _of(cls, dim: int, upper: Mapping[tuple[int, int], Sequence[int]], den: int) -> SkewAlgebra:
@@ -185,6 +183,14 @@ def _flat(a: SkewAlgebra) -> tuple[list[list[int]], list[list[int]]]:
     """Table: the rows of t flattened, (e_s e_l)_m at l*n + m of row s, and their negations."""
     flat = [[*itertools.chain(*row)] for row in a._ints[0]]
     return flat, [[-x for x in v] for v in flat]
+
+
+def _exact_blocks(a: SkewAlgebra) -> dict[tuple[int, int], list[int]]:
+    """Table: dp[p, q][l*n + m] = den^2 ((e_p e_q) e_l)_m for p != q, the flat rows of t
+    weighted by t[p][q] once per pair p < q; the reversed pair negates it."""
+    t, flat, pairs = a._ints[0], _table(a, _flat)[0], itertools.combinations(range(a.dim), 2)
+    dp = {(p, q): _double_product(t[p][q], flat) for p, q in pairs}
+    return dp | {(q, p): [-x for x in v] for (p, q), v in dp.items()}
 
 
 def _mul(t, x: Sequence[int], y: Sequence[int]) -> list[int]:

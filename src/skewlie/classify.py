@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _double_product, _flat, _mul,
+from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _exact_blocks, _flat, _mul,
                       _table, is_lie, transport)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
 from .qlinalg import ExactMatrix, _Basis, _check_index, _eliminate
@@ -247,12 +247,11 @@ class LieTypeSolution:
 
 
 def _cyclic_ints(a: SkewAlgebra) -> list[list[int]]:
-    """den² times the cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2, off the integer t."""
+    """den² times the cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2, off the HL pair blocks."""
     if a.dim != 3:
         raise UnsupportedDimError("the Lie-type relation lives in dimension 3")
-    t = a._ints[0]
-    return [_double_product(t[p][q], [row[l] for row in t])
-            for p, q, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
+    dp = _table(a, _exact_blocks)
+    return [dp[p, q][3 * l:3 * l + 3] for p, q, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
 
 
 def lie_type_constants(a: SkewAlgebra) -> LieTypeSolution:

@@ -8,8 +8,8 @@ that integer basis only (``_Basis``), whose kernel ``kernel_ints`` reads as inte
 over d and whose det is that of the rows as given, so no caller undoes a row scaling.
 ``_full_rank_mod_p`` reduces forward mod a prime, on rows ``_pack``ed one residue per slot: its
 True proves full column rank over Q with no exact reduction, its False nothing. ``ExactMatrix``
-holds ``_ints = (rows, den)`` in lowest terms with den > 0: its public constructor coerces
-entries, and ``_of`` is the one way in for integer rows the package built. ``rank``,
+holds ``_ints = (rows, den)`` in lowest terms with den > 0: its constructor coerces entries for
+``_of``, the one way in for integer rows and the one place that sets the slots. ``rank``,
 ``determinant`` and ``inverse`` eliminate those rows directly; ``echelonize`` wraps the RREF.
 Text holds numbers as integer pairs: ``_parse_ratio`` reads a literal as (p, q)
 and ``_format_ratio`` writes p / q in lowest terms; ``parse_rational`` and
@@ -29,8 +29,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import NonSquareError, SingularMapError
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")  # ASCII digits only
-# a Mersenne prime, bits per slot. ``_full_rank_mod_p`` gets slots of at most n (p - 1)^2 (HL)
-_P, _SLOT = (1 << 17) - 1, 64  # and they stay below (n + n^2 - 1) (p - 1)^2 < 2^40 < 2^50
+# the Mersenne prime's exponent, bits per slot. ``_full_rank_mod_p`` gets slots of at most
+_FOLD, _SLOT = 17, 64  # n (p - 1)^2 (HL); they stay below (n + n^2 - 1) (p - 1)^2 < 2^40 < 2^50
+_P = (1 << _FOLD) - 1
 
 
 def _parse_ratio(text: str) -> tuple[int, int]:
@@ -93,7 +94,7 @@ class ExactMatrix:
 
     __slots__ = ("_ints", "rows", "cols")
 
-    def __init__(self, entries: Iterable[Iterable], *, cols: int | None = None):
+    def __new__(cls, entries: Iterable[Iterable], *, cols: int | None = None) -> ExactMatrix:
         if cols is not None:
             _check_index(cols)
         rows = [[_as_fraction(x) for x in row] for row in entries]
@@ -106,11 +107,7 @@ class ExactMatrix:
         elif cols is None or cols < 0:
             raise ValueError(f"empty matrix needs an explicit column count >= 0, not {cols}")
         den = math.lcm(*(x.denominator for r in rows for x in r))
-        self._set([[x.numerator * (den // x.denominator) for x in r] for r in rows], cols, den)
-
-    def _set(self, rows: Sequence[Sequence[int]], cols: int, den: int) -> None:
-        for name, value in zip(self.__slots__, ((tuple(map(tuple, rows)), den), len(rows), cols)):
-            object.__setattr__(self, name, value)
+        return cls._of([[x.numerator * (den // x.denominator) for x in r] for r in rows], cols, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -123,8 +120,10 @@ class ExactMatrix:
         """The matrix rows / den for integer rows the package built and den != 0; one
         gcd takes them to the canonical ``_ints`` (the constructor coerces entries)."""
         g = math.gcd(den, *(x for r in rows for x in r)) * (-1 if den < 0 else 1)
+        rows = tuple(map(tuple, rows if g == 1 else [[x // g for x in r] for r in rows]))
         m = object.__new__(cls)
-        m._set(rows if g == 1 else [[x // g for x in r] for r in rows], cols, den // g)
+        for name, value in zip(cls.__slots__, ((rows, den // g), len(rows), cols)):
+            object.__setattr__(m, name, value)
         return m
 
     @classmethod
@@ -307,31 +306,29 @@ def _pack(x: Sequence[int]) -> int:
     return int.from_bytes(struct.pack(f"<{len(x)}Q", *[v % _P for v in x]), "little")
 
 
-def _full_rank_mod_p(rows: Iterable[int], cols: int, spare: int) -> bool:
+def _full_rank_mod_p(rows: Iterable[int], cols: int) -> bool:
     """True proves the integer rows have rank cols over Q: a minor nonzero mod p = _P is a
-    nonzero integer. False proves nothing; it comes once more than ``spare`` rows are zero mod p.
+    nonzero integer. False proves nothing; it comes once the rows run out short of cols pivots.
     Rows come packed (``_pack``, or any representatives mod p in the slots). The basis rows, in
     arrival order as (64 c, -1/e, row) with e a row's slot at its pivot c, have slots in [0, p)
     and are zero at earlier pivots. A new row adds w * B per basis row B, w from its slot at B's
-    pivot; two folds v -> (v mod 2^17) + (v >> 17) take a slot below 2^50 to [0, 2^18 - 2],
-    and one step subtracts p from any >= p. A slot given below S stays below S + cols (p - 1)^2."""
+    pivot; two folds v -> (v mod 2^_FOLD) + (v >> _FOLD) take a slot below 2^50 to [0, 2p], and
+    one step subtracts p from any >= p. A slot given below S stays below S + cols (p - 1)^2."""
     ones = (1 << _SLOT * cols) // (mask := (1 << _SLOT) - 1)  # 1 in every slot
-    lo, hi, basis = ones * _P, ones * (mask >> 17), []
+    lo, hi, basis = ones * _P, ones * (mask >> _FOLD), []
     for r in rows:
         if r:  # an all-zero row is zero mod p as it stands
             for s, m, b in basis:
                 if w := (r >> s & mask) * m % _P:
                     r += w * b
-            r = (r & lo) + (r >> 17 & hi)
-            r = (r & lo) + (r >> 17 & hi)
-            r -= ((r + ones) >> 17 & ones) * _P
+            r = (r & lo) + (r >> _FOLD & hi)
+            r = (r & lo) + (r >> _FOLD & hi)
+            r -= ((r + ones) >> _FOLD & ones) * _P
         if r:
             s = (r & -r).bit_length() - 1 & -_SLOT  # 64 c for the lowest nonzero slot c
             basis.append((s, -pow(r >> s & mask, -1, _P) % _P, r))
             if len(basis) == cols:
                 return True
-        elif (spare := spare - 1) < 0:
-            return False
     return False
 
 

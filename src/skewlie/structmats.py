@@ -9,12 +9,12 @@ lexicographic order (``itertools.combinations``), components innermost; rows
 of the Hom-Jacobi matrix HL do the same over basis triples i < j < k.
 ``_M_rows`` and ``_HL_rows`` yield the integer rows of den M and den^2 HL (den the constants'
 common denominator; M is linear in them, HL quadratic) one at a time, slices of exact tables
-between zero blocks, and ``_M_packed`` and ``_HL_packed`` the same rows mod p, from packed
-tables. Each table is built once per algebra (``algebra._table``). From n = 4 (no dim-3 orbit
-is open; for HL from n = 5, as n = 4 reads its det) ``_reduce`` lets ``_full_rank_mod_p`` prove
-full rank on the packed rows, else ``_eliminate`` reads the exact rows up to full column rank
-(rank and kernel ignore row scaling). ``build_M`` and ``build_HL`` wrap all the rows as
-``ExactMatrix``; the ``*_defect`` functions evaluate them via ``multiply``.
+between zero blocks, and ``_M_packed`` and ``_HL_packed`` the same rows mod p, from the packed
+table (HL's pair blocks made as read). A table is built once per algebra (``algebra._table``).
+From n = 4 (no dim-3 orbit is open; for HL from n = 5, as n = 4 reads its det) ``_reduce`` lets
+``_full_rank_mod_p`` prove full rank on the packed rows, else ``_eliminate`` reads the exact rows
+up to full column rank (rank and kernel ignore row scaling). ``build_M`` and ``build_HL`` wrap
+all the rows as ``ExactMatrix``; the ``*_defect`` functions evaluate them via ``multiply``.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
@@ -27,16 +27,15 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .algebra import (Endo, SkewAlgebra, Vec, _check_endo, _check_vec, _double_product, _flat,
+from .algebra import (Endo, SkewAlgebra, Vec, _check_endo, _check_vec, _exact_blocks, _flat,
                       _table, basis_vec, multiply, vadd)
 from .errors import DimensionMismatchError, UnsupportedDimError
-from .qlinalg import (_P, _SLOT, ExactMatrix, _Basis, _check_index, _check_matrix, _eliminate,
-                      _full_rank_mod_p, _pack)
+from .qlinalg import (_FOLD, _P, _SLOT, ExactMatrix, _Basis, _check_index, _check_matrix,
+                      _eliminate, _full_rank_mod_p, _pack)
 
 
 def vec_of_endo(f: Endo) -> Vec:
@@ -77,14 +76,6 @@ def hom_jacobi_defect(a: SkewAlgebra, f: Endo,
                 multiply(a, multiply(a, z, x), f.apply(y)))
 
 
-def _exact_blocks(a: SkewAlgebra) -> dict[tuple[int, int], list[int]]:
-    """Table: dp[p, q][l*n + m] = den^2 ((e_p e_q) e_l)_m for p != q, the flat rows of t
-    weighted by t[p][q] once per pair p < q; the reversed pair negates it."""
-    t, flat, pairs = a._ints[0], _table(a, _flat)[0], itertools.combinations(range(a.dim), 2)
-    dp = {(p, q): _double_product(t[p][q], flat) for p, q in pairs}
-    return dp | {(q, p): [-x for x in v] for (p, q), v in dp.items()}
-
-
 def _packed(a: SkewAlgebra) -> tuple[list[int], list[int]]:
     """Table: T[s] with t[s][l][m] mod p in slot m*n + l (``_pack``), and N[s] = -T[s] mod p
     slot by slot, as t[l][s] = -t[s][l]: p minus each slot, then the canonical step of
@@ -92,15 +83,7 @@ def _packed(a: SkewAlgebra) -> tuple[list[int], list[int]]:
     ones = (1 << _SLOT * a.dim ** 2) // ((1 << _SLOT) - 1)  # 1 in every slot
     T = [_pack([*itertools.chain(*zip(*row))]) for row in a._ints[0]]
     N = [_P * ones - v for v in T]
-    return T, [v - ((v + ones) >> 17 & ones) * _P for v in N]
-
-
-def _packed_blocks(a: SkewAlgebra) -> dict[tuple[int, int], int]:
-    """Table: D[p, q] = sum of (t[p][q][s] mod p) T[s], ``_exact_blocks`` mod p in the layout
-    of T (not reduced), for the pairs (j, k), (k, i), (i, j) of the triples i < j < k."""
-    t, T, triples = a._ints[0], _table(a, _packed)[0], itertools.combinations(range(a.dim), 3)
-    pairs = {pq for i, j, k in triples for pq in ((j, k), (k, i), (i, j))}
-    return {(p, q): sum(x % _P * v for x, v in zip(t[p][q], T)) for p, q in pairs}
+    return T, [v - ((v + ones) >> _FOLD & ones) * _P for v in N]
 
 
 def _M_rows(a: SkewAlgebra) -> Iterator[list[int]]:
@@ -146,10 +129,15 @@ def _M_packed(a: SkewAlgebra) -> Iterator[int]:
 
 
 def _HL_packed(a: SkewAlgebra) -> Iterator[int]:
-    """``_HL_rows`` mod p, packed but not reduced, slots at most n (p - 1)^2: block m of the
-    three pair blocks of ``_packed_blocks``, shifted to the column blocks i, j, k."""
-    n, w, blk, D = a.dim, _SLOT * a.dim, (1 << _SLOT * a.dim) - 1, _table(a, _packed_blocks)
+    """``_HL_rows`` mod p, packed but not reduced, slots at most n (p - 1)^2: block m of three
+    pair blocks D[p, q] = sum of (t[p][q][s] mod p) T[s] (``_exact_blocks`` mod p in the layout
+    of T, not reduced), shifted to the column blocks i, j, k; a block is made when first read."""
+    n, w, blk, t = a.dim, _SLOT * a.dim, (1 << _SLOT * a.dim) - 1, a._ints[0]
+    T, D = _table(a, _packed)[0], {}
     for i, j, k in itertools.combinations(range(n), 3):
+        for p, q in ((j, k), (k, i), (i, j)):
+            if (p, q) not in D:
+                D[p, q] = sum(x % _P * v for x, v in zip(t[p][q], T))
         jk, ki, ij = D[j, k], D[k, i], D[i, j]
         for s in range(0, w * n, w):  # w m for the component m
             yield (jk >> s & blk) << w * i | (ki >> s & blk) << w * j | (ij >> s & blk) << w * k
@@ -200,18 +188,18 @@ class HomLieSpace:
     basis = functools.cached_property(_kernel_endos)
 
 
-def _reduce(a: SkewAlgebra, rows: Callable, packed: Callable, k: int, least=4) -> _Basis | None:
+def _reduce(a: SkewAlgebra, rows: Callable, packed: Callable, least=4) -> _Basis | None:
     """None if n >= least and ``_full_rank_mod_p`` proves full rank on ``packed(a)``, else
-    ``_eliminate`` of ``rows(a)``: one operator, n rows per k-subset of the basis."""
+    ``_eliminate`` of ``rows(a)``: one operator, its rows read until full rank or their end."""
     n = a.dim
-    if n >= least and _full_rank_mod_p(packed(a), n * n, n * math.comb(n, k) - n * n):
+    if n >= least and _full_rank_mod_p(packed(a), n * n):
         return None
     return _eliminate(rows(a), n * n)
 
 
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
-    b = _reduce(a, _M_rows, _M_packed, 2)
+    b = _reduce(a, _M_rows, _M_packed)
     vecs, q = ([], 1) if b is None else b.kernel_ints()
     return DerivationSpace(len(vecs), (a.dim, vecs, q))
 
@@ -223,7 +211,7 @@ def aut_dimension(a: SkewAlgebra) -> int:
 
 def orbit_dimension(a: SkewAlgebra) -> int:
     """Dimension of the isomorphism orbit: rank of the derivation matrix."""
-    b = _reduce(a, _M_rows, _M_packed, 2)
+    b = _reduce(a, _M_rows, _M_packed)
     return a.dim ** 2 if b is None else b.rank
 
 
@@ -235,7 +223,7 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    b = _reduce(a, _HL_rows, _HL_packed, 3, least=5)  # n = 4 reads the determinant
+    b = _reduce(a, _HL_rows, _HL_packed, least=5)  # n = 4 reads the determinant
     vecs, q = ([], 1) if b is None else b.kernel_ints()
     # square HL: b.det is det(den^2 HL)
     det = Fraction(b.det, a._ints[1] ** 32) if n == 4 else None
@@ -249,7 +237,7 @@ def is_homlie(a: SkewAlgebra) -> bool:
     solution space has dimension at least 1: HL has rank below n^2 (for n = 2 it
     has no rows).
     """
-    b = _reduce(a, _HL_rows, _HL_packed, 3)
+    b = _reduce(a, _HL_rows, _HL_packed)
     return b is not None and b.rank < a.dim ** 2
 
 

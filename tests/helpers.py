@@ -9,7 +9,7 @@ from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, Subspace, algebra3
                      basis_vec, determinant, echelonize, inverse, left_mult,
                      multiply)
 from skewlie.algebra import Vec
-from skewlie.classify import LieTypeSolution, _cyclic_ints
+from skewlie.classify import LieTypeSolution
 from skewlie.errors import UnsupportedDimError
 
 
@@ -458,9 +458,11 @@ def fraction_ns1_witness(a: SkewAlgebra, x: Vec, y: Vec) -> ExactMatrix:
 
 
 def _cyclic_terms(a: SkewAlgebra) -> tuple[Vec, Vec, Vec]:
-    """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2."""
-    terms, q = _cyclic_ints(a), a._ints[1] ** 2
-    return tuple(tuple(Fraction(x, q) for x in v) for v in terms)
+    """The three cyclic terms (e1 e2) e3, (e2 e3) e1, (e3 e1) e2, by ``multiply`` twice:
+    independent of the package's integer tables."""
+    e1, e2, e3 = (basis_vec(3, i) for i in (1, 2, 3))
+    return tuple(multiply(a, multiply(a, x, y), z)
+                 for x, y, z in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)))
 
 
 def lie_type_relation_holds(a: SkewAlgebra, coeff_a, coeff_b) -> bool:

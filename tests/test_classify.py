@@ -7,7 +7,7 @@ from hypothesis import assume, given, strategies as st
 
 from skewlie import (ExactMatrix, SkewAlgebra, abelian, algebra3, basis_vec,
                      classify, determinant, echelonize, find_regular_pair,
-                     heisenberg, is_lie, lie_type_constants, multiply,
+                     heisenberg, homlie_space, is_lie, lie_type_constants, multiply,
                      transport)
 from skewlie.classify import (ABELIAN, HEISENBERG, NS1, SOLVABLE_LIE_LINE,
                               SOLVABLE_LIE_PLANE, SOLVABLE_NON_LIE, TAGS,
@@ -24,6 +24,7 @@ from helpers import (_cyclic_terms, fraction_lie_type_constants,
 
 # the package attribute ``skewlie.classify`` is the function, not the module
 classify_module = importlib.import_module("skewlie.classify")
+alg_module = importlib.import_module("skewlie.algebra")
 
 
 def assert_sound(a, result):
@@ -289,16 +290,37 @@ def test_lie_type_solutions_satisfy_relation():
 
 
 def test_cyclic_terms_match_multiply_twice():
+    # the package's integer cyclic terms, sliced out of the exact pair blocks, over den²
+    # against the helper's, which multiply twice
     rng = random.Random(27)
     cases = [heisenberg(), abelian(3), algebra3(0, 1, 0, 0, 0, 1, 1, 0, 0)]
     cases += [rand_algebra(rng, dim=3) for _ in range(10)]
     cases += [transport(a, rand_invertible(rng, 3)) for a in cases[3:8]]
     e1, e2, e3 = (basis_vec(3, i) for i in (1, 2, 3))
     for a in cases:
-        assert _cyclic_terms(a) == (
+        q = a._ints[1] ** 2
+        assert tuple(tuple(Fraction(x, q) for x in v)
+                     for v in classify_module._cyclic_ints(a)) == _cyclic_terms(a) == (
             multiply(a, multiply(a, e1, e2), e3),
             multiply(a, multiply(a, e2, e3), e1),
             multiply(a, multiply(a, e3, e1), e2))
+
+
+def test_lie_type_constants_reads_the_pair_blocks_that_homlie_space_built(monkeypatch):
+    # a dim-3 analyze runs homlie_space before lie_type_constants; the exact HL pair blocks
+    # it built hold the three cyclic terms, so the Lie-type relation forms no double
+    # product. On an equal algebra with no tables it forms one per pair p < q
+    calls, original = [], alg_module._double_product
+    for mod in (alg_module, classify_module):  # each module that could bind it
+        monkeypatch.setattr(mod, "_double_product",
+                            lambda c, rows: calls.append(1) or original(c, rows), raising=False)
+    rng = random.Random(5)
+    for a in [heisenberg(), ns1_family(1, "2/3", -1, 0, 5), rand_algebra(rng, dim=3)]:
+        expected = fraction_lie_type_constants(a)
+        homlie_space(a)
+        calls.clear()
+        assert lie_type_constants(a) == expected and calls == []
+        assert lie_type_constants(SkewAlgebra(3, a.products)) == expected and len(calls) == 3
 
 
 @pytest.mark.parametrize("tag", [SOLVABLE_LIE_PLANE, SOLVABLE_NON_LIE])

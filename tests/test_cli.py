@@ -207,8 +207,7 @@ def count_builds(monkeypatch):
 
 
 # the per-algebra tables, by the module that defines each builder
-TABLES = {"_flat": alg, "_derived_algebra": alg, "_exact_blocks": sm, "_packed": sm,
-          "_packed_blocks": sm}
+TABLES = {"_flat": alg, "_derived_algebra": alg, "_exact_blocks": alg, "_packed": sm}
 
 
 def count_tables(monkeypatch):
@@ -261,8 +260,7 @@ def test_sample_builds_each_table_at_most_once_per_trial(dim, capsys, monkeypatc
     assert set(builds.values()) == {1}
     exact, packed = (6, 0) if dim == 3 else (0, 6)
     assert built_tables(builds) == {"_flat": exact, "_derived_algebra": 0,
-                                    "_exact_blocks": exact, "_packed": packed,
-                                    "_packed_blocks": packed}
+                                    "_exact_blocks": exact, "_packed": packed}
 
 
 # (M, HL) builds of the exact rows and of the packed rows by one analyze
@@ -344,11 +342,11 @@ def test_sample_converts_each_algebra_to_integers_once_per_trial(dim, capsys, mo
     # the Fraction constructor; is_lie, _M_rows and _HL_rows read that tensor, so no
     # vector is rescaled (the rescale helper is counted in every module that could bind it)
     constructed, converted, rescaled = [], [], []
-    of, init, rescale = alg.SkewAlgebra._of, alg.SkewAlgebra.__init__, ql._rescale
+    of, new, rescale = alg.SkewAlgebra._of, alg.SkewAlgebra.__new__, ql._rescale
     monkeypatch.setattr(alg.SkewAlgebra, "_of",
                         classmethod(lambda cls, *args: constructed.append(1) or of(*args)))
-    monkeypatch.setattr(alg.SkewAlgebra, "__init__",
-                        lambda self, *args: converted.append(1) or init(self, *args))
+    monkeypatch.setattr(alg.SkewAlgebra, "__new__",
+                        lambda cls, *args: converted.append(1) or new(cls, *args))
     for mod in (alg, ql, sm):
         monkeypatch.setattr(mod, "_rescale", lambda v: rescaled.append(1) or rescale(v),
                             raising=False)

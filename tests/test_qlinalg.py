@@ -460,7 +460,7 @@ def certificate_rows(draw):
 @example(([[0, 0], [1, 1], [2, 2], [0, 3]], 2))  # an all-zero row and a dependent one
 def test_full_rank_mod_p_is_only_true_at_full_rank(shaped):
     rows, cols = shaped
-    if _full_rank_mod_p(map(_pack, rows), cols, len(rows) - cols):
+    if _full_rank_mod_p(map(_pack, rows), cols):
         assert _eliminate(rows, cols).rank == cols
 
 
@@ -469,10 +469,10 @@ def test_full_rank_mod_p_is_only_true_at_full_rank(shaped):
 @example(([[0, 0], [1, 1], [2, 2], [0, 3]], 2))
 @example(([[_P - 1, 1, 0], [1, _P - 1, 0], [0, 0, 1]], 3))  # singular mod p only
 def test_full_rank_mod_p_is_true_exactly_at_full_rank_mod_p(shaped):
-    # equality, not only "True implies full rank": with rows - cols spare rows, the
-    # certificate says True iff the rank mod p, by plain list elimination, is cols
+    # equality, not only "True implies full rank": reading rows until cols pivots or their
+    # end, the certificate says True iff the rank mod p, by plain list elimination, is cols
     rows, cols = shaped
-    assert (_full_rank_mod_p(map(_pack, rows), cols, len(rows) - cols)
+    assert (_full_rank_mod_p(map(_pack, rows), cols)
             == (rank_mod_p(rows, _P) == cols))
 
 
@@ -486,12 +486,12 @@ def test_rank_mod_p_oracle_on_small_cases():
 def test_a_row_scaled_by_p_leaves_the_certificate_nothing_to_prove():
     rows = [[2, 1, 0], [_P, 3 * _P, _P], [0, 1, 4]]
     assert _eliminate(rows, 3).rank == 3
-    assert not _full_rank_mod_p(map(_pack, rows), 3, 0)
-    # a spare row that restores the rank mod p
-    assert _full_rank_mod_p(map(_pack, rows + [[1, 3, 1]]), 3, 1)
+    assert not _full_rank_mod_p(map(_pack, rows), 3)
+    # a further row that restores the rank mod p
+    assert _full_rank_mod_p(map(_pack, rows + [[1, 3, 1]]), 3)
 
 
-def test_full_rank_mod_p_stops_reading_at_full_rank_or_past_its_spare_rows():
+def test_full_rank_mod_p_stops_reading_at_full_rank_and_a_false_reads_every_row():
     read = []
 
     def rows(entries):
@@ -499,10 +499,10 @@ def test_full_rank_mod_p_stops_reading_at_full_rank_or_past_its_spare_rows():
             read.append(row)
             yield row
 
-    assert _full_rank_mod_p(map(_pack, rows([[1, 0], [0, 1], [1, 1]])), 2, 1) and len(read) == 2
+    assert _full_rank_mod_p(map(_pack, rows([[1, 0], [0, 1], [1, 1]])), 2) and len(read) == 2
     read.clear()
-    assert not _full_rank_mod_p(map(_pack, rows([[0, 0], [1, 1], [2, 2], [0, 1]])), 2, 1)
-    assert len(read) == 3  # the zero row and [2, 2] exceed one spare row
+    assert not _full_rank_mod_p(map(_pack, rows([[0, 0], [1, 1], [2, 2], [3, 3], [0, _P]])), 2)
+    assert len(read) == 5  # no row count ends the reading short of full rank
 
 
 def _raw(slots):
@@ -542,7 +542,7 @@ def test_certificate_slots_hold_at_36_columns(rows, last):
     packed = [*map(_pack, rows)] + ([_raw(last)] if last else [])
     full = rows + ([last] if last else [])
     assert rank_mod_p(full, _P) == 36
-    assert _full_rank_mod_p(iter(packed), 36, 0)
+    assert _full_rank_mod_p(iter(packed), 36)
     assert _eliminate(full, 36).rank == 36
     if last:  # congruent to the basis rows' sum: 1 at each pivot, 35 (p - 1) = -35 in column 35
         dependent = full[:35] + [last[:35] + [WIDEST_INPUT - 41]]
@@ -551,6 +551,6 @@ def test_certificate_slots_hold_at_36_columns(rows, last):
         dependent = full[:35] + [[sum(column) for column in zip(*full[:35])]]
         slots = [*map(_pack, dependent)]
     assert rank_mod_p(dependent, _P) == 35
-    assert not _full_rank_mod_p(iter(slots), 36, 0)
+    assert not _full_rank_mod_p(iter(slots), 36)
     if not last:
         assert _eliminate(dependent, 36).rank == 35

@@ -465,15 +465,15 @@ def test_operator_reduction_equals_fraction_oracle(dim):
 @pytest.mark.parametrize("dim", [4, 5, 6])
 def test_certificate_agrees_with_exact_rank_on_golden_operators(dim):
     # on no golden input is M or HL of full rank over Q but singular mod p, so the
-    # certificate settles exactly the full-rank operators there, with the spare rows
-    # the operator functions give it
+    # certificate settles exactly the full-rank operators there, on the exact rows packed
+    # and on the rows born packed alike
     golden = _golden_algebras(dim)
     assert golden
     for a in golden:
         for rows, packed in ((list(_M_rows(a)), _M_packed), (list(_HL_rows(a)), _HL_packed)):
-            assert (_full_rank_mod_p(map(_pack, rows), dim * dim, len(rows) - dim * dim)
+            assert (_full_rank_mod_p(map(_pack, rows), dim * dim)
                     == (_eliminate(rows, dim * dim).rank == dim * dim)
-                    == _full_rank_mod_p(packed(a), dim * dim, len(rows) - dim * dim))
+                    == _full_rank_mod_p(packed(a), dim * dim))
 
 
 def _unpacked(row, cols):
@@ -498,8 +498,8 @@ packed_constants = st.one_of(st.just(0), st.integers(-3, 3), st.sampled_from([_P
 
 
 @st.composite
-def packed_algebras(draw):
-    dim = draw(st.integers(2, 6))
+def packed_algebras(draw, min_dim=2):
+    dim = draw(st.integers(min_dim, 6))
     pairs = list(combinations(range(1, dim + 1), 2))
     return SkewAlgebra(dim, {ij: draw(st.lists(packed_constants, min_size=dim, max_size=dim))
                              for ij in pairs})
@@ -525,6 +525,43 @@ def test_packed_rows_are_the_exact_rows_mod_p(a):
             assert [x % _P for x in slots] == [x % _P for x in row]
             if all(x % _P == 0 for x in products):
                 assert packed_row == 0
+
+
+class _CountedIteration(list):
+    """A list that counts how often it is iterated: each pair block ``_HL_packed`` builds
+    iterates the packed T once, in its sum over s."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _count_pair_blocks(a) -> _CountedIteration:
+    """Hand a's ``_HL_packed`` a packed T whose iteration is counted."""
+    T, N = sm._table(a, sm._packed)
+    a._tables[sm._packed] = counted = _CountedIteration(T), N
+    return counted[0]
+
+
+@given(packed_algebras(min_dim=4))
+@example(abelian(5))
+@example(filiform5(1, 0, 0, 1))
+def test_mod_p_pair_blocks_are_built_once_each_as_their_rows_are_read(a):
+    # the pair blocks of (j, k), (k, i) and (i, j) are made when the first row of the triple
+    # i < j < k is read: after the first k rows exactly the blocks of those rows' triples are
+    # built, each once, and none before the first row. At dim 4 that is all 8 blocks
+    n, blocks = a.dim, _count_pair_blocks(a)
+    triples, rows, read = list(combinations(range(n), 3)), _HL_packed(a), set()
+    assert blocks.iterations == 0
+    for r, _ in enumerate(rows):
+        i, j, k = triples[r // n]
+        read |= {(j, k), (k, i), (i, j)}
+        assert blocks.iterations == len(read)
+    assert r + 1 == n * len(triples) and len(read) == {4: 8, 5: 15, 6: 24}[n]
 
 
 @st.composite
@@ -557,27 +594,27 @@ def test_table_readers_agree_with_a_fresh_and_a_transported_equal_algebra(a, see
     fresh, back = SkewAlgebra(a.dim, a.products), transport(transport(a, p), inverse(p))
     assert fresh == back == a and fresh._tables == back._tables == {}
     assert _table_readings(a) == _table_readings(fresh) == _table_readings(back)
-    assert len(a._tables) == 5  # flat rows, exact and packed blocks, packed T and N, A·A
+    assert len(a._tables) == 4  # flat rows, exact pair blocks, packed T and N, A·A
 
 
 def test_a_cancelling_exact_zero_row_packs_to_p_and_reads_as_zero():
     # e1 e2 = e1, e2 e3 = -e3: M row (1, 2) at component 3 is exactly zero, but at column
     # 1*3 + 3 (1-based) it sums the residues of 1 and -1, so its slot there is p. The
-    # certificate reduces that slot to 0 and counts the row as one zero mod p
+    # certificate reduces that slot to 0 and reads the row as zero mod p
     a = SkewAlgebra(3, {(1, 2): (1, 0, 0), (2, 3): (0, 0, -1)})
     rows, packed = list(_M_rows(a)), list(_M_packed(a))
     assert rows[2] == [0] * 9 and _unpacked(packed[2], 9) == [0, 0, _P] + [0] * 6
-    assert not _full_rank_mod_p(iter([packed[2]]), 9, 0)
+    assert not _full_rank_mod_p(iter([packed[2]]), 9)
     unit_rows = [_pack([int(c == r) for c in range(9)]) for r in range(9)]
-    assert _full_rank_mod_p(iter([packed[2], *unit_rows]), 9, 1)
+    assert _full_rank_mod_p(iter([packed[2], *unit_rows]), 9)
 
 
-@pytest.mark.parametrize("dim,trials", [(4, 6), (6, 3)])
+@pytest.mark.parametrize("dim,trials", [(4, 6), (5, 4), (6, 3)])
 def test_operators_build_only_the_rows_the_elimination_reads(dim, trials, monkeypatch):
     # each representation of an operator, exact or packed, is built at most once; at full
     # column rank the certificate stops at the shortest row prefix of rank n^2 mod p, so no
-    # packed row past it and no exact row at all is built; below full rank the exact
-    # elimination reads every row
+    # packed row past it, no HL pair block of a later triple and no exact row at all is
+    # built; below full rank the exact elimination reads every row
     fns = ("_M_rows", "_M_packed", "_HL_rows", "_HL_packed")
     originals = {fn: getattr(sm, fn) for fn in fns}
     built, yielded = dict.fromkeys(fns, 0), dict.fromkeys(fns, 0)
@@ -596,9 +633,14 @@ def test_operators_build_only_the_rows_the_elimination_reads(dim, trials, monkey
                                     ("_HL_rows", "_HL_packed", is_homlie)):
             for fn in fns:
                 built[fn] = yielded[fn] = 0
+            blocks = _count_pair_blocks(a)
             read(a)
             assert built[packed] == 1 and built[exact] <= 1
             rows, k = list(originals[exact](a)), yielded[packed]
+            # the HL pair blocks made are those of the triples of the k rows read, each once
+            heads = list(combinations(range(dim), 3))[:-(-k // dim)] if exact == "_HL_rows" else []
+            assert blocks.iterations == len({pq for i, j, l in heads
+                                             for pq in ((j, l), (l, i), (i, j))})
             if rank(ExactMatrix(rows, cols=dim * dim)) == dim * dim:
                 assert built[exact] == yielded[exact] == 0
                 assert rank(ExactMatrix(rows[:k], cols=dim * dim)) == dim * dim
