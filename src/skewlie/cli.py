@@ -12,13 +12,14 @@ with ``_format_ratio``, and ``_dumps`` writes the bytes that ``json.dumps``
 with ``indent=2, sort_keys=True`` would, through the C string encoder.
 
 One table, ``_COMMANDS``, maps each document subcommand to its help text and
-payload builder. The argument parser is built from it once per process, at
-import, and ``main`` only parses and dispatches.
+payload builder, and a second, ``_SAMPLE``, names ``sample``'s options and
+their defaults. ``_parse`` reads argv with ``getopt`` over the two, building
+no parser, and ``main`` dispatches on the subcommand it names.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import itertools
 import json
 import math
@@ -269,21 +270,48 @@ _COMMANDS = {
                 _lietype_payload),
 }
 
-_PARSER = argparse.ArgumentParser(
-    prog="skewlie",
-    description="Exact analysis of skew-symmetric algebras given by "
-                "rational structure constants")
-_sub = _PARSER.add_subparsers(dest="command", required=True)
-for _name, (_help, _) in _COMMANDS.items():
-    _p = _sub.add_parser(_name, help=_help)
-    _p.add_argument("file", help="algebra document (JSON)")
-    _p.add_argument("--json", action="store_true", help="emit a JSON report")
-_p = _sub.add_parser("sample", help="seeded genericity experiment")
-_p.add_argument("--dim", type=int, required=True)
-_p.add_argument("--trials", type=int, required=True)
-_p.add_argument("--seed", type=int, default=0)
-_p.add_argument("--height", type=int, default=2)
-_p.add_argument("--json", action="store_true", help="emit a JSON report")
+# sample's options: name -> default, None where the option is required
+_SAMPLE = {"dim": None, "trials": None, "seed": 0, "height": 2}
+# each subcommand's help text and usage line, in --help order; skewlie's own under None
+_ABOUT = {**{name: text for name, (text, _) in _COMMANDS.items()},
+          "sample": "seeded genericity experiment"}
+_USAGE = {**{name: f"usage: skewlie {name} [-h] [--json] FILE" for name in _COMMANDS},
+          "sample": "usage: skewlie sample [-h] --dim N --trials N [--seed N] [--height N] [--json]",
+          None: "usage: skewlie [-h] {" + ",".join(_ABOUT) + "} ..."}
+_ABOUT[None] = "\n".join(["Exact analysis of skew-symmetric algebras given by rational "
+                          "structure constants", "", "subcommands:",
+                          *(f"  {name:<12} {text}" for name, text in _ABOUT.items())])
+
+
+def _parse(argv: Sequence[str]) -> tuple[str | None, dict[str, Any] | None]:
+    """The subcommand that argv names and its values: FILE or sample's options, and json.
+    The values are None after -h or --help, and so is the subcommand when the help
+    comes before it. A usage error raises ``getopt.GetoptError``."""
+    opts, rest = getopt.getopt(argv, "h", ["help"])
+    if opts:
+        return None, None
+    if not rest or rest[0] not in _USAGE:
+        raise getopt.GetoptError(f"invalid subcommand {rest[0]!r}" if rest
+                                 else "a subcommand is required")
+    command, *rest = rest
+    sample = command == "sample"
+    values = dict(_SAMPLE if sample else {"file": None}, json=False)
+    opts, operands = getopt.gnu_getopt(rest, "h", ["help", "json",
+                                                   *(name + "=" for name in _SAMPLE if sample)])
+    if operands and not sample:
+        values["file"] = operands.pop(0)
+    for opt, value in opts:  # in argv's order, so a help before a bad value wins
+        if opt in ("-h", "--help"):
+            return command, None
+        try:
+            values[opt[2:]] = True if opt == "--json" else int(value)
+        except ValueError:
+            raise getopt.GetoptError(f"option {opt}: invalid int value: {value!r}") from None
+    if missing := [name for name, value in values.items() if value is None]:
+        raise getopt.GetoptError("the following arguments are required: " + ", ".join(missing))
+    if operands:
+        raise getopt.GetoptError("unrecognized arguments: " + " ".join(operands))
+    return command, values
 
 
 _encode_str = json.encoder.encode_basestring_ascii  # the C encoder, when built
@@ -314,14 +342,21 @@ def _dumps(value, indent: str = "\n") -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+        command, args = _parse(argv)
+    except getopt.GetoptError as e:
+        print(_USAGE.get(argv[0] if argv else None, _USAGE[None]), f"skewlie: error: {e}",
+              sep="\n", file=sys.stderr)
+        return 2
+    if args is None:  # -h or --help
+        print(_USAGE[command], _ABOUT[command], sep="\n\n")
+        return 0
     try:
-        if args.command == "sample":
-            cfg = SampleConfig(dim=args.dim, trials=args.trials,
-                               seed=args.seed, height=args.height)
+        if command == "sample":
+            cfg = SampleConfig(dim=args["dim"], trials=args["trials"],
+                               seed=args["seed"], height=args["height"])
             report = run_experiment(cfg)
             payload: dict[str, Any] = {
                 "dim": cfg.dim, "trials": cfg.trials, "seed": cfg.seed,
@@ -333,9 +368,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             }
             document = {"command": "sample", "result": payload}
         else:
-            a = _load(args.file)
-            payload = _COMMANDS[args.command][1](a)
-            document = {"command": args.command,
+            a = _load(args["file"])
+            payload = _COMMANDS[command][1](a)
+            document = {"command": command,
                         "input": serialize_algebra(a),
                         "result": payload}
     except (ParseError, InvariantError, ValueError) as e:
@@ -344,10 +379,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SkewlieError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.json:
+    if args["json"]:
         print(_dumps(document))
     else:
-        _render_text(args.command, payload)
+        _render_text(command, payload)
     return 0
 
 

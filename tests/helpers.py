@@ -3,6 +3,9 @@ reference tables used across the suite."""
 
 from fractions import Fraction
 
+import argparse
+import contextlib
+import io
 import itertools
 
 from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, Subspace, algebra3,
@@ -10,6 +13,7 @@ from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, Subspace, algebra3
                      multiply)
 from skewlie.algebra import Vec
 from skewlie.classify import LieTypeSolution
+from skewlie.cli import _COMMANDS
 from skewlie.errors import UnsupportedDimError
 
 
@@ -515,3 +519,36 @@ def normal_form_of(result):
         return ns2_family(p["alpha2"], p["beta2"], p["gamma2"], p["beta3"],
                           p["gamma3"])
     raise AssertionError(result.tag)
+
+
+# ---------------------------------------------------------------------------
+# reference command-line parser: the argparse spec the CLI had before it read
+# argv with getopt, kept unchanged as the oracle for the getopt parser
+# ---------------------------------------------------------------------------
+
+_PARSER = argparse.ArgumentParser(
+    prog="skewlie",
+    description="Exact analysis of skew-symmetric algebras given by "
+                "rational structure constants")
+_sub = _PARSER.add_subparsers(dest="command", required=True)
+for _name, (_help, _) in _COMMANDS.items():
+    _p = _sub.add_parser(_name, help=_help)
+    _p.add_argument("file", help="algebra document (JSON)")
+    _p.add_argument("--json", action="store_true", help="emit a JSON report")
+_p = _sub.add_parser("sample", help="seeded genericity experiment")
+_p.add_argument("--dim", type=int, required=True)
+_p.add_argument("--trials", type=int, required=True)
+_p.add_argument("--seed", type=int, default=0)
+_p.add_argument("--height", type=int, default=2)
+_p.add_argument("--json", action="store_true", help="emit a JSON report")
+
+
+def reference_parse(argv) -> tuple[int | None, dict | None, str]:
+    """What the reference parser makes of argv: (None, its values by name, "") when
+    it accepts the line, else (its exit code, None, what it printed to stdout)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            return None, vars(_PARSER.parse_args(argv)), ""
+    except SystemExit as e:
+        return e.code, None, out.getvalue()

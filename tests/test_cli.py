@@ -1,5 +1,5 @@
-import argparse
 import contextlib
+import getopt
 import importlib
 import io
 import json
@@ -18,10 +18,11 @@ from skewlie import (ExactMatrix, SkewAlgebra, abelian, aut_dimension, build_HL,
                      heisenberg, is_homlie, is_nilpotent, is_solvable,
                      orbit_dimension, rank, transport)
 from skewlie import algebra as alg, qlinalg as ql, structmats as sm
+from skewlie import cli
 from skewlie.cli import main, parse_algebra, serialize_algebra
 from skewlie.errors import InvariantError, ParseError
 
-from helpers import counterexample4, fraction_rref, rand_algebra
+from helpers import counterexample4, fraction_rref, rand_algebra, reference_parse
 
 HEIS_DOC = '{"dim": 3, "products": [{"i": 1, "j": 2, "c": ["0", "0", "1"]}]}'
 
@@ -400,14 +401,12 @@ def test_repeated_calls_in_one_process_give_the_same_results(tmp_path):
     assert all(err for code, _, err in first if code == 2)
 
 
-def test_main_builds_no_parser(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("main built an ArgumentParser")
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
-    assert main(["sample", "--dim", "3", "--trials", "2", "--seed", "1",
-                 "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["command"] == "sample"
+def test_importing_the_cli_loads_no_argparse():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, skewlie.cli; print('argparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("kind", ["analyze", "sample"])
@@ -491,6 +490,92 @@ def test_exit_1_on_analysis_error(tmp_path, capsys):
 def test_exit_2_on_usage_error(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+# --- the command line, against the argparse parser it replaced (tests/helpers.py) ---
+
+OPTION_SPELLINGS = {"dim": ["--dim", "--di", "--d"], "trials": ["--trials", "--tri", "--t"],
+                    "seed": ["--seed", "--se", "--s"], "height": ["--height", "--hei"]}
+JSON_SPELLINGS = ["--json", "--js", "--j"]
+HELP_SPELLINGS = ["-h", "--help", "--hel", "--he", "--h"]  # --h and --he are ambiguous in sample
+FILE_NAMES = ["a.json", "doc", "x y.json", "dir/f.json", "5", "\u00e9.json", "a=b"]
+NON_INTS = ["x", "1.5", "", "0x10", "1e3", "-", "3x"]
+int_values = st.one_of(st.integers(-10 ** 6, 10 ** 6).map(str),
+                       st.sampled_from(["+7", "007", " 4", "1_000", "1" * 5000]))
+FAULTS = ["unknown option", "missing value", "non-int value", "extra operand",
+          "missing required", "unknown subcommand", "missing subcommand"]
+
+
+@st.composite
+def command_lines(draw):
+    """A well-formed command line with its tokens in any order and each option in
+    either form, then at most one fault, or -h or --help, inserted between tokens.
+    No ``--`` and no operand that begins with "-": how argparse read those varies
+    across Python versions."""
+    command = draw(st.sampled_from([*FILE_COMMANDS, "sample"]))
+    if command == "sample":
+        names = ["dim", "trials", *draw(st.lists(st.sampled_from(["seed", "height"]),
+                                                  unique=True))]
+        groups = []
+        for name in names:
+            spelling, value = draw(st.sampled_from(OPTION_SPELLINGS[name])), draw(int_values)
+            groups.append([f"{spelling}={value}"] if draw(st.booleans()) else [spelling, value])
+        faults = FAULTS
+    else:
+        groups = [[draw(st.sampled_from(FILE_NAMES))]]
+        faults = [f for f in FAULTS if "value" not in f]
+    if draw(st.booleans()):
+        groups.append([draw(st.sampled_from(JSON_SPELLINGS))])
+    groups = [[command], *draw(st.permutations(groups))]
+    fault = draw(st.sampled_from(["none", "help", *faults]))
+    options = [i for i, g in enumerate(groups) if g[0].startswith("--") and g[0][2] != "j"]
+    insert = {"help": HELP_SPELLINGS, "unknown option": ["--bogus", "-x", "--jsonx", "--dims"],
+              "extra operand": FILE_NAMES}.get(fault)
+    if insert:
+        groups.insert(draw(st.integers(0, len(groups))), [draw(st.sampled_from(insert))])
+    elif fault == "missing value":
+        i = draw(st.sampled_from(options))
+        groups[i] = [groups[i][0].partition("=")[0]]
+    elif fault == "non-int value":
+        i, bad = draw(st.sampled_from(options)), draw(st.sampled_from(NON_INTS))
+        groups[i] = [groups[i][0], bad] if len(groups[i]) == 2 else [
+            groups[i][0].partition("=")[0] + "=" + bad]
+    elif fault == "missing required":  # --dim or --trials, or FILE
+        del groups[draw(st.sampled_from([i for i, g in enumerate(groups) if i and not
+                                         g[0].startswith(("--s", "--h", "--j"))]))]
+    elif fault == "unknown subcommand":
+        groups[0] = [draw(st.sampled_from(["nosuch", "analyse", "Sample", "samples"]))]
+    elif fault == "missing subcommand":
+        del groups[0]
+    return [token for group in groups for token in group]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+@example(argv=["--h"])  # a prefix of --help, as argparse read it
+@example(argv=["sample", "--tri", "5", "--di=3", "--j"])
+@example(argv=["sample", "--dim", "3", "--trials", "1", "--seed", "-1"])
+@example(argv=["sample", "--dim", "1" * 5000, "--trials", "1"])  # over the int digit limit
+@example(argv=["sample", "--dim", "3", "--trials", "1", "--he"])
+@example(argv=["analyze", "--j", "a.json"])
+@example(argv=["killing", "a.json", "b.json"])
+def test_command_line_parses_as_the_argparse_reference_did(argv):
+    code, values, help_text = reference_parse(argv)
+    if code is None:
+        command, args = cli._parse(argv)
+        assert {"command": command, **args} == values
+        return
+    if code == 2:
+        with pytest.raises(getopt.GetoptError):
+            cli._parse(argv)
+    assert code in (0, 2)
+    got, out, err = run_main(argv)
+    assert got == code
+    if code == 0:  # the same help: skewlie's own, or the same subcommand's
+        assert err == "" and out.split()[:3] == help_text.split()[:3]
+    else:
+        assert out == "" and err.splitlines()[0].startswith("usage: skewlie")
+        assert err.splitlines()[1].startswith("skewlie: error: ")
 
 
 # --- fuzz: malformed and near-valid documents ---

@@ -38,6 +38,11 @@ json_values = st.recursive(
 @given(json_values)
 @example({"a": [], "b": {}, "c": [[]], "d": [{}], "": None})
 @example([True, False, 0, -1, 10 ** 30, "x"])
+# lists of lists beside strings, which a writer that joins string rows gets wrong
+@example([[], "x"])
+@example([["a"], "b"])
+@example([["a", 1], ["b"]])
+@example([[["a"]]])
 def test_writer_matches_json_dumps(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
