@@ -23,6 +23,7 @@ import getopt
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Any, Sequence
 
@@ -350,39 +351,44 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(_USAGE.get(argv[0] if argv else None, _USAGE[None]), f"skewlie: error: {e}",
               sep="\n", file=sys.stderr)
         return 2
-    if args is None:  # -h or --help
-        print(_USAGE[command], _ABOUT[command], sep="\n\n")
-        return 0
+    if args is not None:  # not -h or --help
+        try:
+            if command == "sample":
+                cfg = SampleConfig(dim=args["dim"], trials=args["trials"],
+                                   seed=args["seed"], height=args["height"])
+                report = run_experiment(cfg)
+                payload: dict[str, Any] = {
+                    "dim": cfg.dim, "trials": cfg.trials, "seed": cfg.seed,
+                    "height": cfg.height,
+                    "rank_histogram": {str(k): v for k, v in
+                                       sorted(report.rank_histogram_M.items())},
+                    "homlie_count": report.homlie_count,
+                    "lie_count": report.lie_count,
+                }
+                document = {"command": "sample", "result": payload}
+            else:
+                a = _load(args["file"])
+                payload = _COMMANDS[command][1](a)
+                document = {"command": command,
+                            "input": serialize_algebra(a),
+                            "result": payload}
+        except (ParseError, InvariantError, ValueError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        except SkewlieError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
     try:
-        if command == "sample":
-            cfg = SampleConfig(dim=args["dim"], trials=args["trials"],
-                               seed=args["seed"], height=args["height"])
-            report = run_experiment(cfg)
-            payload: dict[str, Any] = {
-                "dim": cfg.dim, "trials": cfg.trials, "seed": cfg.seed,
-                "height": cfg.height,
-                "rank_histogram": {str(k): v for k, v in
-                                   sorted(report.rank_histogram_M.items())},
-                "homlie_count": report.homlie_count,
-                "lie_count": report.lie_count,
-            }
-            document = {"command": "sample", "result": payload}
+        if args is None:
+            print(_USAGE[command], _ABOUT[command], sep="\n\n")
+        elif args["json"]:
+            print(_dumps(document))
         else:
-            a = _load(args["file"])
-            payload = _COMMANDS[command][1](a)
-            document = {"command": command,
-                        "input": serialize_algebra(a),
-                        "result": payload}
-    except (ParseError, InvariantError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except SkewlieError as e:
-        print(f"error: {e}", file=sys.stderr)
+            _render_text(command, payload)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit, when the output fits a buffer
+    except BrokenPipeError:  # the reader closed stdout early: what is left goes to devnull,
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit flushes quietly
         return 1
-    if args["json"]:
-        print(_dumps(document))
-    else:
-        _render_text(command, payload)
     return 0
 
 

@@ -30,8 +30,8 @@ from .errors import NonSquareError, SingularMapError
 
 _RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")  # ASCII digits only
 # the Mersenne prime's exponent, bits per slot. ``_full_rank_mod_p`` gets slots of at most
-_FOLD, _SLOT = 17, 64  # n (p - 1)^2 (HL); they stay below (n + n^2 - 1) (p - 1)^2 < 2^40 < 2^50
-_P = (1 << _FOLD) - 1
+_FOLD, _SLOT = 13, 32  # n (p - 1)^2 (HL); they stay below (n + n^2 - 1) (p - 1)^2 < 2^32, n <= 6
+_P, _CODE = (1 << _FOLD) - 1, "BHIQ"[_SLOT.bit_length() - 4]  # struct's code for 8 to 64 bits
 
 
 def _parse_ratio(text: str) -> tuple[int, int]:
@@ -303,16 +303,16 @@ def _eliminate(a: Iterable[Sequence[int]], cols: int) -> _Basis:
 
 def _pack(x: Sequence[int]) -> int:
     """The integers x mod p as a packed row: x[c]'s residue in [0, p) at bit _SLOT c."""
-    return int.from_bytes(struct.pack(f"<{len(x)}Q", *[v % _P for v in x]), "little")
+    return int.from_bytes(struct.pack(f"<{len(x)}{_CODE}", *[v % _P for v in x]), "little")
 
 
 def _full_rank_mod_p(rows: Iterable[int], cols: int) -> bool:
     """True proves the integer rows have rank cols over Q: a minor nonzero mod p = _P is a
     nonzero integer. False proves nothing; it comes once the rows run out short of cols pivots.
     Rows come packed (``_pack``, or any representatives mod p in the slots). The basis rows, in
-    arrival order as (64 c, -1/e, row) with e a row's slot at its pivot c, have slots in [0, p)
+    arrival order as (_SLOT c, -1/e, row) with e a row's slot at its pivot c, have slots in [0, p)
     and are zero at earlier pivots. A new row adds w * B per basis row B, w from its slot at B's
-    pivot; two folds v -> (v mod 2^_FOLD) + (v >> _FOLD) take a slot below 2^50 to [0, 2p], and
+    pivot; two folds v -> (v mod 2^_FOLD) + (v >> _FOLD) take any slot (< 2^_SLOT) to [0, 2p], and
     one step subtracts p from any >= p. A slot given below S stays below S + cols (p - 1)^2."""
     ones = (1 << _SLOT * cols) // (mask := (1 << _SLOT) - 1)  # 1 in every slot
     lo, hi, basis = ones * _P, ones * (mask >> _FOLD), []
@@ -325,7 +325,7 @@ def _full_rank_mod_p(rows: Iterable[int], cols: int) -> bool:
             r = (r & lo) + (r >> _FOLD & hi)
             r -= ((r + ones) >> _FOLD & ones) * _P
         if r:
-            s = (r & -r).bit_length() - 1 & -_SLOT  # 64 c for the lowest nonzero slot c
+            s = (r & -r).bit_length() - 1 & -_SLOT  # _SLOT c for the lowest nonzero slot c
             basis.append((s, -pow(r >> s & mask, -1, _P) % _P, r))
             if len(basis) == cols:
                 return True

@@ -124,7 +124,7 @@ def _M_packed(a: SkewAlgebra) -> Iterator[int]:
     diag = ((1 << _SLOT) - 1) * ((1 << w * n) // blk)  # the slots c*n
     for i, j in itertools.combinations(range(n), 2):
         c = N[i] >> _SLOT * j & diag  # -t[i][j][c] at slot c*n, shifted to c*n + m below
-        for s in range(0, w, _SLOT):  # 64 m for the component m
+        for s in range(0, w, _SLOT):  # _SLOT m for the component m
             yield ((N[j] >> n * s & blk) << w * i | (T[i] >> n * s & blk) << w * j) + (c << s)
 
 

@@ -450,6 +450,29 @@ def test_exit_2_on_non_ascii_digits(tmp_path, capsys):
     assert "not a rational literal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["sample", "--dim", "3", "--trials", "2", "--json"],
+    ["analyze", str(GOLDEN / "counterexample4" / "input.json"), "--json"],
+    ["sample", "--help"],
+], ids=["sample", "analyze", "help"])
+def test_exit_1_and_nothing_on_stderr_when_the_reader_closed_stdout(argv, unbuffered):
+    # the read end is closed before the process starts, so nothing can be written: buffered
+    # output fails when main flushes it, unbuffered output at its first write
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "skewlie.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, check=False)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this interpreter prints integers of any length")
 @pytest.mark.parametrize("cmd", ["killing", "analyze"])

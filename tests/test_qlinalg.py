@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from skewlie.algebra import killing_matrix
+from skewlie.algebra import MAX_DIM, killing_matrix
 from skewlie.errors import NonSquareError, SingularMapError
-from skewlie.qlinalg import (_P, _SLOT, ExactMatrix, _eliminate, _full_rank_mod_p, _pack,
+from skewlie.qlinalg import (_FOLD, _P, _SLOT, ExactMatrix, _eliminate, _full_rank_mod_p, _pack,
                              determinant, echelonize, format_rational, inverse, kernel_basis,
                              parse_rational, rank)
 from skewlie.sampler import SampleConfig, random_algebra
@@ -510,47 +510,55 @@ def _raw(slots):
     return sum(v << _SLOT * c for c, v in enumerate(slots))
 
 
-# the widest slot of an operator row: HL's pair blocks sum n = 6 products of residues
-WIDEST_INPUT = 6 * (_P - 1) ** 2
+# the widest slot of an operator row: HL's pair blocks sum n = MAX_DIM products of residues,
+# in a row of COLS = MAX_DIM^2 columns
+WIDEST_INPUT, COLS = MAX_DIM * (_P - 1) ** 2, MAX_DIM ** 2
+
+
+def _fold(v):
+    return (v & _P) + (v >> _FOLD)
 
 
 @pytest.mark.parametrize("rows,last", [
-    ([[0 if i == j else _P - 1 for j in range(36)] for i in range(36)], None),
-    ([[0 if i == j else 1 for j in range(36)] for i in range(36)], None),
-    ([[int(i == j) for j in range(35)] + [_P - 1] for i in range(35)] + [[1] * 35 + [_P - 1]],
-     None),
-    ([[int(i == j) for j in range(35)] + [_P - 1] for i in range(35)],
-     [(_P - 1) ** 2] * 35 + [WIDEST_INPUT]),
+    ([[0 if i == j else _P - 1 for j in range(COLS)] for i in range(COLS)], None),
+    ([[0 if i == j else 1 for j in range(COLS)] for i in range(COLS)], None),
+    ([[int(i == j) for j in range(COLS - 1)] + [_P - 1] for i in range(COLS - 1)]
+     + [[1] * (COLS - 1) + [_P - 1]], None),
+    ([[int(i == j) for j in range(COLS - 1)] + [_P - 1] for i in range(COLS - 1)],
+     [(_P - 1) ** 2] * (COLS - 1) + [WIDEST_INPUT]),
 ], ids=["residues-p-1", "weights-p-1", "weights-and-slots-p-1", "widest-input-slots"])
 def test_certificate_slots_hold_at_36_columns(rows, last):
-    # the bound at cols = 36 = MAX_DIM^2: a row's slots, given at most n (p - 1)^2
+    # the bound at COLS = MAX_DIM^2 = 36 columns: a row's slots, given at most n (p - 1)^2
     # (WIDEST_INPUT, HL's pair blocks at n = 6; M's are 2 (p - 1), ``_pack``'s p - 1), gain
-    # at most (cols - 1) (p - 1)^2 in its reduction: they stay below 41 (p - 1)^2 < 2^40,
-    # under the 2^50 below which two folds and the canonical step reduce a slot. Residue
-    # p - 1 off the diagonal and 0 on it is -(J - I) mod p, residue 1 there J - I. In the
-    # third case the basis rows are 1 at their pivot c < 35 and p - 1 in column 35, and the
-    # last row is 1 at every pivot, so it takes 35 weights p - 1, each against a basis slot
-    # p - 1. The fourth feeds that last row unreduced, (p - 1)^2 (a residue 1) at each pivot
-    # and WIDEST_INPUT in column 35, which so reaches 41 (p - 1)^2. All four are invertible,
-    # mod p too; then the last row becomes the sum of the others (in the fourth, slots
-    # congruent to it, as wide as the fourth's), whose slots reduce to nonzero multiples of p:
-    # a slot that carried, or a fold or the canonical step left out, leaves them nonzero
-    assert 36 ** 2 * _P ** 3 < 2 ** 64
-    assert 36 * (_P - 1) ** 2 + _P < 2 ** 64
-    assert WIDEST_INPUT + 35 * (_P - 1) ** 2 < 2 ** 40
+    # at most (COLS - 1) (p - 1)^2 in its reduction: they stay below 41 (p - 1)^2, under
+    # 2^_SLOT, and two folds take any slot below 2^_SLOT to [0, 2p], where the canonical step
+    # reduces it. Residue p - 1 off the diagonal and 0 on it is -(J - I) mod p, residue 1 there
+    # J - I. In the third case the basis rows are 1 at their pivot c < 35 and p - 1 in column
+    # 35, and the last row is 1 at every pivot, so it takes 35 weights p - 1, each against a
+    # basis slot p - 1. The fourth feeds that last row unreduced, (p - 1)^2 (a residue 1) at
+    # each pivot and WIDEST_INPUT in column 35, which so reaches 41 (p - 1)^2. All four are
+    # invertible, mod p too; then the last row becomes the sum of the others (in the fourth,
+    # slots congruent to it, as wide as the fourth's), whose slots reduce to nonzero multiples
+    # of p: a slot that carried, or a fold or the canonical step left out, leaves them nonzero
+    assert WIDEST_INPUT + (COLS - 1) * (_P - 1) ** 2 < 2 ** _SLOT
+    # one fold takes a slot to at most top; on [0, top] the second fold peaks at top or at
+    # the number just below top's last multiple of 2^_FOLD
+    top = _fold(2 ** _SLOT - 1)
+    assert max(_fold(top), _fold((top >> _FOLD << _FOLD) - 1)) <= 2 * _P
     assert all(0 <= v < 2 ** _SLOT for v in last or [])
     packed = [*map(_pack, rows)] + ([_raw(last)] if last else [])
     full = rows + ([last] if last else [])
-    assert rank_mod_p(full, _P) == 36
-    assert _full_rank_mod_p(iter(packed), 36)
-    assert _eliminate(full, 36).rank == 36
-    if last:  # congruent to the basis rows' sum: 1 at each pivot, 35 (p - 1) = -35 in column 35
-        dependent = full[:35] + [last[:35] + [WIDEST_INPUT - 41]]
-        slots = packed[:35] + [_raw(dependent[35])]
+    assert rank_mod_p(full, _P) == COLS
+    assert _full_rank_mod_p(iter(packed), COLS)
+    assert _eliminate(full, COLS).rank == COLS
+    k = COLS - 1
+    if last:  # congruent to the basis rows' sum: 1 at each pivot, k (p - 1) = -k in column k
+        dependent = full[:k] + [last[:k] + [WIDEST_INPUT - MAX_DIM - k]]
+        slots = packed[:k] + [_raw(dependent[k])]
     else:
-        dependent = full[:35] + [[sum(column) for column in zip(*full[:35])]]
+        dependent = full[:k] + [[sum(column) for column in zip(*full[:k])]]
         slots = [*map(_pack, dependent)]
-    assert rank_mod_p(dependent, _P) == 35
-    assert not _full_rank_mod_p(iter(slots), 36)
+    assert rank_mod_p(dependent, _P) == k
+    assert not _full_rank_mod_p(iter(slots), COLS)
     if not last:
-        assert _eliminate(dependent, 36).rank == 35
+        assert _eliminate(dependent, COLS).rank == k

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from skewlie.qlinalg import _FOLD
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "skewlie").glob("*.py"))
 
 
@@ -86,14 +88,14 @@ def test_indices_are_0_based_inside_the_public_boundary():
 
 
 def test_the_mersenne_exponent_is_named_in_qlinalg_alone():
-    """The prime p = 2^17 - 1 and its folds are ``qlinalg._FOLD``: a literal 17 elsewhere
+    """The prime p = 2^13 - 1 and its folds are ``qlinalg._FOLD``: a literal 13 elsewhere
     would fold or reduce the packed rows with an exponent that ``qlinalg`` may not share."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and type(node.value) is int
-                  and node.value == 17]
+                  and node.value == _FOLD]
     assert [site for site in found if not site.startswith("qlinalg.py:")] == []
     assert found  # the check would pass vacuously if qlinalg lost its literal too
 

@@ -476,6 +476,25 @@ def test_certificate_agrees_with_exact_rank_on_golden_operators(dim):
                     == _full_rank_mod_p(packed(a), dim * dim))
 
 
+def test_the_certificate_falls_back_on_the_rank_deficient_operators_alone():
+    # the exact fallbacks at this prime, pinned: every M and HL of ``sample --seed 42`` at dims
+    # 4-6 is proved full rank, and of the golden operators at dims >= 4 exactly the 10 rank-
+    # deficient ones answer False. A narrower prime that adds fallbacks (a full-rank operator
+    # singular mod p, which then pays for an exact elimination) fails here
+    for dim, trials in ((4, 200), (5, 100), (6, 50)):
+        cfg = SampleConfig(dim=dim, trials=trials, seed=42)
+        for a in (random_algebra(cfg, index) for index in range(trials)):
+            assert _full_rank_mod_p(_M_packed(a), dim * dim)
+            assert _full_rank_mod_p(_HL_packed(a), dim * dim)
+    golden = {path.parent.name: parse_algebra(path.read_text(encoding="utf-8"))
+              for path in GOLDEN.glob("*/input.json")}
+    fallbacks = {(name, op) for name, a in golden.items() if a.dim >= 4
+                 for op, packed in (("M", _M_packed), ("HL", _HL_packed))
+                 if not _full_rank_mod_p(packed(a), a.dim ** 2)}
+    assert fallbacks == {(name, op) for op in ("M", "HL") for name in
+                         ("abelian4", "abelian6", "filiform5", "filiform5-rational", "sparse6")}
+
+
 def _unpacked(row, cols):
     return [row >> _SLOT * c & (1 << _SLOT) - 1 for c in range(cols)]
 
