@@ -179,16 +179,15 @@ def _table(a: SkewAlgebra, build: Callable[[SkewAlgebra], object]):
     return value
 
 
-def _flat(a: SkewAlgebra) -> tuple[list[list[int]], list[list[int]]]:
-    """Table: the rows of t flattened, (e_s e_l)_m at l*n + m of row s, and their negations."""
-    flat = [[*itertools.chain(*row)] for row in a._ints[0]]
-    return flat, [[-x for x in v] for v in flat]
+def _flat(a: SkewAlgebra) -> list[list[int]]:
+    """Table: the rows of t flattened, (e_s e_l)_m at l*n + m of row s."""
+    return [[*itertools.chain(*row)] for row in a._ints[0]]
 
 
 def _exact_blocks(a: SkewAlgebra) -> dict[tuple[int, int], list[int]]:
     """Table: dp[p, q][l*n + m] = den^2 ((e_p e_q) e_l)_m for p != q, the flat rows of t
     weighted by t[p][q] once per pair p < q; the reversed pair negates it."""
-    t, flat, pairs = a._ints[0], _table(a, _flat)[0], itertools.combinations(range(a.dim), 2)
+    t, flat, pairs = a._ints[0], _table(a, _flat), itertools.combinations(range(a.dim), 2)
     dp = {(p, q): _double_product(t[p][q], flat) for p, q in pairs}
     return dp | {(q, p): [-x for x in v] for (p, q), v in dp.items()}
 
@@ -254,7 +253,7 @@ def killing_matrix(a: SkewAlgebra) -> ExactMatrix:
     """Symmetric matrix with entry (i, j) = trace(L_{e_i} L_{e_j}) = sum over k, l of
     c_il^k c_jk^l for e_i e_l = sum_k c_il^k e_k, over den^2: flat row i (c_il^k at l*n + k)
     against the transpose of t[j] (c_jk^l there), on and above the diagonal."""
-    (t, den), n, flat = a._ints, a.dim, _table(a, _flat)[0]
+    (t, den), n, flat = a._ints, a.dim, _table(a, _flat)
     rows, cols = [[0] * n for _ in range(n)], [[*itertools.chain(*zip(*c))] for c in t]
     for i, j in itertools.combinations_with_replacement(range(n), 2):
         rows[i][j] = rows[j][i] = sum(map(mul, flat[i], cols[j]))

@@ -132,7 +132,7 @@ def _annihilator(a: SkewAlgebra) -> tuple[list[list[int]], int]:
     """Basis of { r : r * x = 0 for all x } (two-sided, since the product is skew),
     as integer vectors over q: ``kernel_ints`` of its elimination."""
     # row j*n + m, column j*n + m of the flat rows, is t[i][j][m] over i (den is ignored)
-    return _eliminate(zip(*_table(a, _flat)[0]), a.dim).kernel_ints()
+    return _eliminate(zip(*_table(a, _flat)), a.dim).kernel_ints()
 
 
 def _classify_dim1_derived(a: SkewAlgebra, line: _Basis) -> ClassificationResult:

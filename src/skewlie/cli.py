@@ -185,10 +185,10 @@ def _analyze_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
     return payload
 
 
-def _print_matrix(m: list[list[str]], indent: str = "  ") -> None:
+def _print_matrix(m: list[list[str]]) -> None:
     width = max((len(x) for row in m for x in row), default=1)
     for row in m:
-        print(indent + "[ " + "  ".join(x.rjust(width) for x in row) + " ]")
+        print("  [ " + "  ".join(x.rjust(width) for x in row) + " ]")
 
 
 def _render_text(command: str, payload: dict[str, Any]) -> None:
@@ -256,6 +256,8 @@ def _load(path: str) -> alg.SkewAlgebra:
             return parse_algebra(fh.read())
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
 # Each document subcommand: name -> (help text, payload builder), in --help order.
@@ -354,12 +356,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is not None:  # not -h or --help
         try:
             if command == "sample":
-                cfg = SampleConfig(dim=args["dim"], trials=args["trials"],
-                                   seed=args["seed"], height=args["height"])
-                report = run_experiment(cfg)
+                cfg = {name: args[name] for name in _SAMPLE}
+                report = run_experiment(SampleConfig(**cfg))
                 payload: dict[str, Any] = {
-                    "dim": cfg.dim, "trials": cfg.trials, "seed": cfg.seed,
-                    "height": cfg.height,
+                    **cfg,
                     "rank_histogram": {str(k): v for k, v in
                                        sorted(report.rank_histogram_M.items())},
                     "homlie_count": report.homlie_count,

@@ -19,25 +19,17 @@ from .structmats import is_homlie, orbit_dimension
 _MASK = (1 << 64) - 1
 
 
-class SplitMix64:
-    """Minimal splittable 64-bit generator (Steele-Lea-Flood finalizer)."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def randints(self, lo: int, hi: int) -> Iterator[int]:
-        """Uniform integers in [lo, hi], rejection-sampled for exactness: one 64-bit output
-        per step of the state, which steps as the integers are read."""
-        size = hi - lo + 1
-        limit = (1 << 64) - ((1 << 64) % size)
-        while True:
-            self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            if (u := z ^ (z >> 31)) < limit:
-                yield lo + u % size
+def _randints(state: int, lo: int, hi: int) -> Iterator[int]:
+    """Uniform integers in [lo, hi], rejection-sampled for exactness, from the SplitMix64
+    stream seeded by ``state``: one 64-bit output per step of the state, taken mod 2^64."""
+    size = hi - lo + 1
+    limit = (1 << 64) - ((1 << 64) % size)
+    while True:
+        state = z = (state + 0x9E3779B97F4A7C15) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        if (u := z ^ (z >> 31)) < limit:
+            yield lo + u % size
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ def random_algebra(cfg: SampleConfig, index: int) -> SkewAlgebra:
     _check_index(index)
     if not 0 <= index < cfg.trials:
         raise ValueError(f"index {index} outside 0..{cfg.trials - 1}")
-    n, draws = cfg.dim, SplitMix64(cfg.seed ^ index).randints(-cfg.height, cfg.height)
+    n, draws = cfg.dim, _randints(cfg.seed ^ index, -cfg.height, cfg.height)
     table = {ij: [*itertools.islice(draws, n)] for ij in itertools.combinations(range(n), 2)}
     return SkewAlgebra._of(n, table, 1)
 

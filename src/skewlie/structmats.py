@@ -88,16 +88,16 @@ def _packed(a: SkewAlgebra) -> tuple[list[int], list[int]]:
 
 def _M_rows(a: SkewAlgebra) -> Iterator[list[int]]:
     """Integer rows of den * M (M is linear in the constants), one at a time."""
-    n, t, (flat, neg) = a.dim, a._ints[0], _table(a, _flat)
+    n, t, flat = a.dim, a._ints[0], _table(a, _flat)
     # column c*n + k is the unit endomorphism f: e_c -> e_k. Its defect
     # f(e_i) e_j + e_i f(e_j) - f(e_i e_j) is e_k e_j if c = i, plus e_i e_k if
     # c = j (never both, as i != j), minus (e_i e_j)_c e_k. At l*n + m, flat[s]
-    # holds (e_s e_l)_m and neg[s] holds (e_l e_s)_m, so their slices [m::n] run over l.
+    # holds (e_s e_l)_m, so its slice [m::n] runs over l, negated for (e_l e_s)_m.
     zeros = [[0] * (w * n) for w in range(n)]
     for i, j in itertools.combinations(range(n), 2):
         z0, z1, z2 = (zeros[w] for w in (i, j - i - 1, n - j - 1))
         for m in range(n):
-            row = [*z0, *neg[j][m::n], *z1, *flat[i][m::n], *z2]
+            row = [*z0, *[-x for x in flat[j][m::n]], *z1, *flat[i][m::n], *z2]
             for c, x in enumerate(t[i][j]):
                 if x:
                     row[c * n + m] -= x

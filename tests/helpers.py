@@ -552,3 +552,23 @@ def reference_parse(argv) -> tuple[int | None, dict | None, str]:
             return None, vars(_PARSER.parse_args(argv)), ""
     except SystemExit as e:
         return e.code, None, out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# call counter for the compute-once tests
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, names, modules) -> dict[str, int]:
+    """Count the calls of each function in names: name -> calls. One counting wrapper per
+    name replaces it in every one of modules that binds it, so a caller in any of them
+    is counted once; the original is the first module's."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, original=getattr(modules[0], name)):
+            counts[name] += 1
+            return original(*args)
+
+        for mod in modules:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+    return counts

@@ -15,7 +15,7 @@ from skewlie.classify import (ABELIAN, HEISENBERG, NS1, SOLVABLE_LIE_LINE,
 from skewlie.errors import (InvariantError, RegularPairNotFoundError,
                             UnsupportedDimError)
 
-from helpers import (_cyclic_terms, fraction_lie_type_constants,
+from helpers import (_cyclic_terms, count_calls, fraction_lie_type_constants,
                      fraction_ns1_witness, fraction_search_pairs,
                      fraction_vectors_up_to, greedy_extend_with_standard,
                      lie_type_relation_holds, normal_form_of, rand_algebra,
@@ -310,17 +310,15 @@ def test_lie_type_constants_reads_the_pair_blocks_that_homlie_space_built(monkey
     # a dim-3 analyze runs homlie_space before lie_type_constants; the exact HL pair blocks
     # it built hold the three cyclic terms, so the Lie-type relation forms no double
     # product. On an equal algebra with no tables it forms one per pair p < q
-    calls, original = [], alg_module._double_product
-    for mod in (alg_module, classify_module):  # each module that could bind it
-        monkeypatch.setattr(mod, "_double_product",
-                            lambda c, rows: calls.append(1) or original(c, rows), raising=False)
+    calls = count_calls(monkeypatch, ["_double_product"], [alg_module, classify_module])
     rng = random.Random(5)
     for a in [heisenberg(), ns1_family(1, "2/3", -1, 0, 5), rand_algebra(rng, dim=3)]:
         expected = fraction_lie_type_constants(a)
         homlie_space(a)
-        calls.clear()
-        assert lie_type_constants(a) == expected and calls == []
-        assert lie_type_constants(SkewAlgebra(3, a.products)) == expected and len(calls) == 3
+        calls["_double_product"] = 0
+        assert lie_type_constants(a) == expected and calls == {"_double_product": 0}
+        assert (lie_type_constants(SkewAlgebra(3, a.products)) == expected
+                and calls == {"_double_product": 3})
 
 
 @pytest.mark.parametrize("tag", [SOLVABLE_LIE_PLANE, SOLVABLE_NON_LIE])

@@ -13,16 +13,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from skewlie import (ExactMatrix, SkewAlgebra, abelian, aut_dimension, build_HL,
-                     build_M, determinant, filiform5, format_rational,
+from skewlie import (ExactMatrix, SampleConfig, SkewAlgebra, abelian, aut_dimension,
+                     build_HL, build_M, determinant, filiform5, format_rational,
                      heisenberg, is_homlie, is_nilpotent, is_solvable,
-                     orbit_dimension, rank, transport)
+                     orbit_dimension, random_algebra, rank, transport)
 from skewlie import algebra as alg, qlinalg as ql, structmats as sm
 from skewlie import cli
 from skewlie.cli import main, parse_algebra, serialize_algebra
 from skewlie.errors import InvariantError, ParseError
 
-from helpers import counterexample4, fraction_rref, rand_algebra, reference_parse
+from helpers import count_calls, counterexample4, fraction_rref, rand_algebra, reference_parse
 
 HEIS_DOC = '{"dim": 3, "products": [{"i": 1, "j": 2, "c": ["0", "0", "1"]}]}'
 
@@ -134,6 +134,21 @@ def test_sample_command(capsys):
     assert sum(report["result"]["rank_histogram"].values()) == 25
 
 
+
+@pytest.mark.parametrize("seed,height", [(42, 2), (0, 1), (7, 1), (5, 3)])
+def test_sample_at_dim_2(seed, height, capsys):
+    # dim 2 has no basis triple, so every draw is Lie and Hom-Lie; its one product
+    # e1 e2 = c gives M rank 2 unless c = 0, and rank 0 then
+    assert main(["sample", "--dim", "2", "--trials", "20", "--seed", str(seed),
+                 "--height", str(height), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    cfg = SampleConfig(dim=2, trials=20, seed=seed, height=height)
+    zero = sum(not any(random_algebra(cfg, i).product(1, 2)) for i in range(20))
+    assert result["lie_count"] == result["homlie_count"] == 20
+    assert result["rank_histogram"] == {k: v for k, v in (("0", zero), ("2", 20 - zero)) if v}
+    if (seed, height) == (42, 2):
+        assert result["rank_histogram"] == {"0": 1, "2": 19}
+
 def _sparse_dim6():
     return SkewAlgebra(6, {(1, 2): (0, 0, 1, 0, 0, 0), (1, 3): (0, 0, 0, 1, 0, 0),
                            (2, 5): (0, 0, 0, 0, 0, 1), (4, 6): (1, 0, 0, 0, 2, 0)})
@@ -191,20 +206,9 @@ def test_payload_fields_match_library(name, tmp_path, capsys):
     assert full["solvable"] == is_solvable(a)
 
 
-def count_builds(monkeypatch):
-    """Count the calls of the operator builders, which every route to M and HL goes
-    through: the exact integer rows (the public ``build_M``/``build_HL`` included) and
-    the packed residue rows of the mod-p certificate."""
-    builds = {"_M_rows": 0, "_HL_rows": 0, "_M_packed": 0, "_HL_packed": 0}
-    for fn in builds:
-        original = getattr(sm, fn)
-
-        def counted(a, fn=fn, original=original):
-            builds[fn] += 1
-            return original(a)
-
-        monkeypatch.setattr(sm, fn, counted)
-    return builds
+# the operator builders, which every route to M and HL goes through: the exact integer rows
+# (the public build_M/build_HL included) and the packed residue rows of the mod-p certificate
+BUILDERS = ["_M_rows", "_HL_rows", "_M_packed", "_HL_packed"]
 
 
 # the per-algebra tables, by the module that defines each builder
@@ -277,7 +281,7 @@ def test_analyze_builds_each_operator_once(name, tmp_path, capsys, monkeypatch):
     # exact M. Its square HL is nonsingular: the determinant must come off the same
     # elimination as the kernel, not off a second build. The rank-deficient operators fall
     # back to one exact build each
-    builds = count_builds(monkeypatch)
+    builds = count_calls(monkeypatch, BUILDERS, [sm])
     a = PAYLOAD_ALGEBRAS[name]()
     path = write_doc(tmp_path, "a.json", json.dumps(serialize_algebra(a)))
     assert main(["analyze", path, "--json"]) == 0
@@ -293,15 +297,13 @@ def test_wide_rational_document_needs_no_exact_elimination(command, capsys, monk
     # fractions (random.Random(6): numerator and denominator each uniform in
     # [10^9, 10^10), the numerator's sign a coin flip). Exact elimination of its M and
     # HL took seconds; the mod-p certificate proves their full rank alone, so none runs
-    calls = []
-    monkeypatch.setattr(sm, "_eliminate",
-                        lambda rows, cols: calls.append(cols) or ql._eliminate(rows, cols))
+    calls = count_calls(monkeypatch, ["_eliminate"], [sm])
     assert main([command, str(Path(__file__).parent / "data" / "wide6.json"), "--json"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     for payload in ((result["homlie"], result["derivations"]) if command == "analyze"
                     else (result,)):
         assert (payload["rank"], payload["basis"]) == (36, [])
-    assert calls == []
+    assert calls == {"_eliminate": 0}
 
 
 @pytest.mark.parametrize("name", ["random3-0", "sol-nonlie", "random4-0", "random5-0",
@@ -309,16 +311,8 @@ def test_wide_rational_document_needs_no_exact_elimination(command, capsys, monk
 def test_analyze_forms_the_derived_algebra_and_the_lie_flag_once(name, capsys, monkeypatch):
     # both series and, at dim 3, classify read one A·A from the algebra's table, and
     # classify's Lie flag (is_lie on NS1 and SolvableNonLie documents) is the report's
-    counts = {"_derived_algebra": 0, "is_lie": 0}
-    for fn in counts:
-        original = getattr(alg, fn)
-
-        def counted(a, fn=fn, original=original):
-            counts[fn] += 1
-            return original(a)
-
-        for mod in (alg, importlib.import_module("skewlie.classify")):
-            monkeypatch.setattr(mod, fn, counted)
+    counts = count_calls(monkeypatch, ["_derived_algebra", "is_lie"],
+                         [alg, importlib.import_module("skewlie.classify")])
     assert main(["analyze", str(GOLDEN / name / "input.json"), "--json"]) == 0
     capsys.readouterr()
     assert counts == {"_derived_algebra": 1, "is_lie": 1}
@@ -329,7 +323,7 @@ def test_sample_builds_each_operator_once_per_trial(dim, capsys, monkeypatch):
     # at dim 4 the certificate proves every trial's M and HL of full rank from the packed
     # rows, so no exact row is built; at dim 3 it does not run
     exact, packed = (6, 0) if dim == 3 else (0, 6)
-    builds = count_builds(monkeypatch)
+    builds = count_calls(monkeypatch, BUILDERS, [sm])
     assert main(["sample", "--dim", str(dim), "--trials", "6", "--seed", "5",
                  "--json"]) == 0
     capsys.readouterr()
@@ -501,6 +495,13 @@ def test_exit_2_on_sample_height_beyond_64_bit_draw(capsys):
 
 def test_exit_2_on_missing_file(capsys):
     assert main(["analyze", "/nonexistent/path.json"]) == 2
+
+
+def test_exit_2_naming_the_file_that_is_not_utf_8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: not UTF-8 text\n"
 
 
 def test_exit_1_on_analysis_error(tmp_path, capsys):

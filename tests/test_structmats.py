@@ -22,7 +22,7 @@ from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import (_HL_packed, _HL_rows, _M_packed, _M_rows, derivation_defect,
                                 endo_of_vec, hom_check, hom_jacobi_defect)
 
-from helpers import (COUNTEREXAMPLE4_HL_DET, cofactor_determinant,
+from helpers import (COUNTEREXAMPLE4_HL_DET, cofactor_determinant, count_calls,
                      counterexample4, fraction_build_HL, fraction_build_M,
                      fraction_matmul, fraction_rref, gamma2_family, rand_algebra,
                      rand_endo, rand_fraction, rand_invertible, rand_nonzero_fraction,
@@ -670,30 +670,18 @@ def test_operators_build_only_the_rows_the_elimination_reads(dim, trials, monkey
                 assert yielded[exact] == len(rows)
 
 
-def count_eliminations(monkeypatch) -> list[int]:
-    """Count the exact eliminations the operator functions run (one list entry)."""
-    calls = [0]
-
-    def counted(rows, cols):
-        calls[0] += 1
-        return _eliminate(rows, cols)
-
-    monkeypatch.setattr(sm, "_eliminate", counted)
-    return calls
-
-
 @pytest.mark.parametrize("dim,trials", [(4, 20), (5, 6), (6, 3)])
 def test_full_rank_operators_need_no_exact_elimination(dim, trials, monkeypatch):
     # a generic algebra has trivial derivations and is not Hom-Lie: the mod-p
     # certificate settles M and HL. The square n = 4 HL still eliminates, for its det
-    calls = count_eliminations(monkeypatch)
+    calls = count_calls(monkeypatch, ["_eliminate"], [sm])
     cfg = SampleConfig(dim=dim, trials=trials, seed=42)
     for index in range(trials):
         a = random_algebra(cfg, index)
         assert orbit_dimension(a) == dim * dim and not is_homlie(a)
         assert derivation_space(a).dim == 0
         space = homlie_space(a)
-        assert (space.dim, calls[0]) == (0, index + 1 if dim == 4 else 0)
+        assert (space.dim, calls["_eliminate"]) == (0, index + 1 if dim == 4 else 0)
         assert space.determinant != 0 and (space.determinant is None) == (dim > 4)
 
 
@@ -705,11 +693,11 @@ def test_operators_singular_mod_p_fall_back_to_exact_elimination(dim, monkeypatc
     a = random_algebra(SampleConfig(dim=dim, trials=1, seed=42), 0)
     scaled = SkewAlgebra(dim, {ij: [_P * x for x in a.product(*ij)]
                                for ij in combinations(range(1, dim + 1), 2)})
-    calls = count_eliminations(monkeypatch)
+    calls = count_calls(monkeypatch, ["_eliminate"], [sm])
     answers = (orbit_dimension(a), is_homlie(a), derivation_space(a).dim)
-    assert answers == (dim * dim, False, 0) and calls == [0]
+    assert answers == (dim * dim, False, 0) and calls == {"_eliminate": 0}
     assert (orbit_dimension(scaled), is_homlie(scaled), derivation_space(scaled).dim) == answers
-    assert homlie_space(scaled).dim == 0 and calls == [4]
+    assert homlie_space(scaled).dim == 0 and calls == {"_eliminate": 4}
 
 
 @settings(max_examples=60)
