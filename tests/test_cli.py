@@ -134,7 +134,6 @@ def test_sample_command(capsys):
     assert sum(report["result"]["rank_histogram"].values()) == 25
 
 
-
 @pytest.mark.parametrize("seed,height", [(42, 2), (0, 1), (7, 1), (5, 3)])
 def test_sample_at_dim_2(seed, height, capsys):
     # dim 2 has no basis triple, so every draw is Lie and Hom-Lie; its one product
@@ -148,6 +147,7 @@ def test_sample_at_dim_2(seed, height, capsys):
     assert result["rank_histogram"] == {k: v for k, v in (("0", zero), ("2", 20 - zero)) if v}
     if (seed, height) == (42, 2):
         assert result["rank_histogram"] == {"0": 1, "2": 19}
+
 
 def _sparse_dim6():
     return SkewAlgebra(6, {(1, 2): (0, 0, 1, 0, 0, 0), (1, 3): (0, 0, 0, 1, 0, 0),
