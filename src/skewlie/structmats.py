@@ -11,16 +11,16 @@ of the Hom-Jacobi matrix HL do the same over basis triples i < j < k.
 common denominator; M is linear in them, HL quadratic) one at a time, slices of exact tables
 between zero blocks, and ``_M_packed`` and ``_HL_packed`` the same rows mod p, from the packed
 table (HL's pair blocks made as read). A table is built once per algebra (``algebra._table``).
-From n = 4 (no dim-3 orbit is open; for HL from n = 5, as n = 4 reads its det) ``_reduce`` lets
-``_full_rank_mod_p`` prove full rank on the packed rows, else ``_eliminate`` reads the exact rows
-up to full column rank (rank and kernel ignore row scaling). ``build_M`` and ``build_HL`` wrap
+From n = 4 (no dim-3 orbit is open; ``homlie_space`` at n = 4 reads HL's det instead) ``_reduce``
+lets ``_full_rank_mod_p`` prove full rank on the packed rows, else ``_eliminate`` reads the exact
+rows up to full column rank (rank and kernel ignore row scaling). ``build_M`` and ``build_HL`` wrap
 all the rows as ``ExactMatrix``; the ``*_defect`` functions evaluate them via ``multiply``.
 
 By rank-nullity on the n^2 columns, one kernel settles every derived number:
 orbit dimension rank M = n^2 - (derivation dimension), automorphism dimension
 = derivation dimension, Hom-Lie iff ker HL is nonzero, rank HL = n^2 - dim ker
-HL. The square 16 x 16 HL of n = 4, the one determinant read, comes off the same
-elimination as its kernel, over den^32.
+HL. The square 16 x 16 HL of n = 4 has its determinant read by ``qlinalg._det``, over
+den^32. A nonzero det proves full rank, so only a singular HL is eliminated, for its kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .algebra import (Endo, SkewAlgebra, Vec, _check_endo, _check_vec, _exact_bl
                       _table, basis_vec, multiply, vadd)
 from .errors import DimensionMismatchError, UnsupportedDimError
 from .qlinalg import (_FOLD, _P, _SLOT, ExactMatrix, _Basis, _check_index, _check_matrix,
-                      _eliminate, _full_rank_mod_p, _pack)
+                      _det, _eliminate, _full_rank_mod_p, _pack)
 
 
 def vec_of_endo(f: Endo) -> Vec:
@@ -188,11 +188,11 @@ class HomLieSpace:
     basis = functools.cached_property(_kernel_endos)
 
 
-def _reduce(a: SkewAlgebra, rows: Callable, packed: Callable, least=4) -> _Basis | None:
-    """None if n >= least and ``_full_rank_mod_p`` proves full rank on ``packed(a)``, else
+def _reduce(a: SkewAlgebra, rows: Callable, packed: Callable) -> _Basis | None:
+    """None if n >= 4 and ``_full_rank_mod_p`` proves full rank on ``packed(a)``, else
     ``_eliminate`` of ``rows(a)``: one operator, its rows read until full rank or their end."""
     n = a.dim
-    if n >= least and _full_rank_mod_p(packed(a), n * n):
+    if n >= 4 and _full_rank_mod_p(packed(a), n * n):
         return None
     return _eliminate(rows(a), n * n)
 
@@ -223,10 +223,12 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
     flattening order.
     """
     n = a.dim
-    b = _reduce(a, _HL_rows, _HL_packed, least=5)  # n = 4 reads the determinant
+    if n == 4:  # square HL: det(den^2 HL), and a nonzero one proves full rank
+        det = _det(rows := list(_HL_rows(a)), 16)
+        b, det = None if det else _eliminate(rows, 16), Fraction(det, a._ints[1] ** 32)
+    else:
+        b, det = _reduce(a, _HL_rows, _HL_packed), None
     vecs, q = ([], 1) if b is None else b.kernel_ints()
-    # square HL: b.det is det(den^2 HL)
-    det = Fraction(b.det, a._ints[1] ** 32) if n == 4 else None
     return HomLieSpace(len(vecs), det, (n, vecs, q))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,14 +8,16 @@ from hypothesis import example, given, strategies as st
 
 from skewlie.algebra import MAX_DIM, killing_matrix
 from skewlie.errors import NonSquareError, SingularMapError
-from skewlie.qlinalg import (_FOLD, _P, _SLOT, ExactMatrix, _eliminate, _full_rank_mod_p, _pack,
+from skewlie import qlinalg
+from skewlie.qlinalg import (_FOLD, _P, _SLOT, _WIDE, ExactMatrix, _det, _eliminate,
+                             _full_rank_mod_p, _pack,
                              determinant, echelonize, format_rational, inverse, kernel_basis,
                              parse_rational, rank)
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import build_HL, build_M
 
-from helpers import (HL16_TABLE, HL16_TABLE_DET, cofactor_determinant, fraction_matmul,
-                     fraction_rref, rand_algebra, rank_mod_p, rows_of)
+from helpers import (HL16_TABLE, HL16_TABLE_DET, cofactor_determinant, count_calls,
+                     fraction_matmul, fraction_rref, rand_algebra, rank_mod_p, rows_of)
 
 fractions = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
 
@@ -183,6 +186,94 @@ def test_eliminate_divides_each_row_by_its_content(case):
     assert (signed.rank, signed.pivots, signed.free) == (b.rank, b.pivots, b.free)
     if len(rows) == cols:
         assert signed.det == math.prod(factors) * b.det
+
+
+@st.composite
+def square_rows_of_mixed_widths(draw):
+    """n x n integer rows, n = 1..6, each of its own entry width, from 1 bit to well past
+    _WIDE, so the slot width falls on both sides of it; some rows are then zero, a multiple
+    of a row (a repeat, or a wide content) or the sum of two rows (singular when they differ)."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n):
+        bits = draw(st.one_of(st.integers(1, 12), st.integers(13, 2 * _WIDE)))
+        entries = st.integers(-(1 << bits), 1 << bits)
+        rows.append(draw(st.lists(entries, min_size=n, max_size=n).filter(any)))
+    for i in range(n):
+        kind = draw(st.sampled_from(["drawn"] * 12 + ["zero", "multiple", "sum"]))
+        j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if kind == "zero":
+            rows[i] = [0] * n
+        elif kind == "multiple":
+            wide = st.integers(-(1 << _WIDE), 1 << _WIDE)
+            f = draw(st.one_of(st.integers(-3, 3), wide).filter(bool))
+            rows[i] = [f * x for x in rows[j]]
+        elif kind == "sum":
+            rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@given(square_rows_of_mixed_widths())
+@example([])  # the 0x0 determinant is 1
+@example([[0]])
+@example([[0, 1], [1, 0]])  # the pivot row pops from position 1
+@example([[3, 5], [3, 5]])  # a repeated row
+@example([[6, 0, 0], [0, 0, 0], [0, 0, 1]])  # a zero row
+@example([[1 << 300, 1], [1, 0]])  # past _WIDE
+def test_packed_det_is_the_determinant_of_square_rows(rows):
+    assert _det(rows, len(rows)) == cofactor_determinant(rows)
+
+
+def permutation_sign(perm) -> int:
+    return (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+
+
+@pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
+def test_packed_det_pops_pivots_from_odd_and_even_positions(perm):
+    # row i of a permutation matrix has its entry i + 2 in column perm[i], so the pivot of each
+    # column pops from wherever that row stands among the rest: every position, every step
+    rows = [[(c == p) * (i + 2) for c in range(4)] for i, p in enumerate(perm)]
+    assert _det(rows, 4) == permutation_sign(perm) * 2 * 3 * 4 * 5 == cofactor_determinant(rows)
+
+
+def sylvester_hadamard(k: int) -> list[list[int]]:
+    """The Sylvester-Hadamard +-1 matrix of order 2^k: H -> [[H, H], [H, -H]]."""
+    h = [[1]]
+    for _ in range(k):
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    return h
+
+
+def test_packed_det_on_the_order_16_sylvester_hadamard_matrix():
+    # its rows are orthogonal, so |det| = 16^8 = 2^32 is the product of the row norms: it meets
+    # Hadamard's bound, the tightest case for the slot width. Negated and permuted rows too
+    h = sylvester_hadamard(4)
+    det = fraction_rref(ExactMatrix(h)).determinant
+    assert abs(det) == 2 ** 32 and _det(h, 16) == det
+    rng = random.Random(16)
+    for _ in range(30):
+        perm, signs = rng.sample(range(16), 16), [rng.choice((-1, 1)) for _ in range(16)]
+        rows = [[s * x for x in h[p]] for s, p in zip(signs, perm)]
+        assert _det(rows, 16) == permutation_sign(perm) * math.prod(signs) * det
+    assert _det([[-x for x in r] for r in h], 16) == det
+
+
+def random_rows(n: int, bits: int) -> list[list[int]]:
+    rng = random.Random(bits)
+    return [[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("rows,eliminations", [
+    ([[1 << _WIDE - 4, 1], [1, 0]], 0),  # slot width (2 (_WIDE - 4) + 2) // 2 + 3 = _WIDE
+    ([[1 << _WIDE - 3, 1], [1, 0]], 1),  # one bit wider
+    (random_rows(16, 9), 0),  # 16 x 16 rows of 10-bit entries: slots of about 170 bits
+    (random_rows(16, 40), 1),  # of 41-bit entries: about 660
+    ([[x << 300 for x in r] for r in random_rows(16, 9)], 1),  # rows are packed as given
+])
+def test_packed_det_hands_rows_wider_than_WIDE_to_eliminate(rows, eliminations, monkeypatch):
+    expected = _eliminate(rows, len(rows)).det
+    calls = count_calls(monkeypatch, ["_eliminate"], [qlinalg])
+    assert _det(rows, len(rows)) == expected and calls == {"_eliminate": eliminations}
 
 
 @pytest.mark.parametrize("dim,seed", [(3, 1), (3, 2), (4, 3), (4, 4), (5, 5), (6, 6)])

@@ -673,15 +673,16 @@ def test_operators_build_only_the_rows_the_elimination_reads(dim, trials, monkey
 @pytest.mark.parametrize("dim,trials", [(4, 20), (5, 6), (6, 3)])
 def test_full_rank_operators_need_no_exact_elimination(dim, trials, monkeypatch):
     # a generic algebra has trivial derivations and is not Hom-Lie: the mod-p
-    # certificate settles M and HL. The square n = 4 HL still eliminates, for its det
-    calls = count_calls(monkeypatch, ["_eliminate"], [sm])
+    # certificate settles M and HL. The square n = 4 HL reads its det instead, and a
+    # nonzero det proves full rank, so nothing is eliminated there either
+    calls = count_calls(monkeypatch, ["_det", "_eliminate"], [sm])
     cfg = SampleConfig(dim=dim, trials=trials, seed=42)
     for index in range(trials):
         a = random_algebra(cfg, index)
         assert orbit_dimension(a) == dim * dim and not is_homlie(a)
         assert derivation_space(a).dim == 0
         space = homlie_space(a)
-        assert (space.dim, calls["_eliminate"]) == (0, index + 1 if dim == 4 else 0)
+        assert (space.dim, calls) == (0, {"_det": index + 1 if dim == 4 else 0, "_eliminate": 0})
         assert space.determinant != 0 and (space.determinant is None) == (dim > 4)
 
 
@@ -693,11 +694,13 @@ def test_operators_singular_mod_p_fall_back_to_exact_elimination(dim, monkeypatc
     a = random_algebra(SampleConfig(dim=dim, trials=1, seed=42), 0)
     scaled = SkewAlgebra(dim, {ij: [_P * x for x in a.product(*ij)]
                                for ij in combinations(range(1, dim + 1), 2)})
-    calls = count_calls(monkeypatch, ["_eliminate"], [sm])
+    calls = count_calls(monkeypatch, ["_det", "_eliminate"], [sm])
     answers = (orbit_dimension(a), is_homlie(a), derivation_space(a).dim)
-    assert answers == (dim * dim, False, 0) and calls == {"_eliminate": 0}
+    assert answers == (dim * dim, False, 0) and calls == {"_det": 0, "_eliminate": 0}
     assert (orbit_dimension(scaled), is_homlie(scaled), derivation_space(scaled).dim) == answers
-    assert homlie_space(scaled).dim == 0 and calls == {"_eliminate": 4}
+    # the square n = 4 HL is not reduced mod p: its nonzero det settles it
+    assert homlie_space(scaled).dim == 0 and calls == ({"_det": 1, "_eliminate": 3} if dim == 4
+                                                       else {"_det": 0, "_eliminate": 4})
 
 
 @settings(max_examples=60)
