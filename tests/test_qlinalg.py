@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from skewlie import qlinalg
 from skewlie.algebra import MAX_DIM, killing_matrix
 from skewlie.errors import NonSquareError, SingularMapError
-from skewlie import qlinalg
 from skewlie.qlinalg import (_FOLD, _P, _SLOT, _WIDE, ExactMatrix, _det, _eliminate,
-                             _full_rank_mod_p, _pack,
-                             determinant, echelonize, format_rational, inverse, kernel_basis,
-                             parse_rational, rank)
+                             _full_rank_mod_p, _pack, determinant, echelonize, format_rational,
+                             inverse, kernel_basis, parse_rational, rank)
 from skewlie.sampler import SampleConfig, random_algebra
 from skewlie.structmats import build_HL, build_M
 
@@ -220,6 +219,7 @@ def square_rows_of_mixed_widths(draw):
 @example([[3, 5], [3, 5]])  # a repeated row
 @example([[6, 0, 0], [0, 0, 0], [0, 0, 1]])  # a zero row
 @example([[1 << 300, 1], [1, 0]])  # past _WIDE
+@example([[1, 2, 3], [4, 5, 6], [7, 8, 10]])  # dense, det -3
 def test_packed_det_is_the_determinant_of_square_rows(rows):
     assert _det(rows, len(rows)) == cofactor_determinant(rows)
 
@@ -228,12 +228,14 @@ def permutation_sign(perm) -> int:
     return (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
 
 
-@pytest.mark.parametrize("perm", list(itertools.permutations(range(4))))
+@pytest.mark.parametrize("perm", [p for n in (3, 4) for p in itertools.permutations(range(n))])
 def test_packed_det_pops_pivots_from_odd_and_even_positions(perm):
     # row i of a permutation matrix has its entry i + 2 in column perm[i], so the pivot of each
     # column pops from wherever that row stands among the rest: every position, every step
-    rows = [[(c == p) * (i + 2) for c in range(4)] for i, p in enumerate(perm)]
-    assert _det(rows, 4) == permutation_sign(perm) * 2 * 3 * 4 * 5 == cofactor_determinant(rows)
+    n = len(perm)
+    rows = [[(c == p) * (i + 2) for c in range(n)] for i, p in enumerate(perm)]
+    expected = permutation_sign(perm) * math.factorial(n + 1)
+    assert _det(rows, n) == expected == cofactor_determinant(rows)
 
 
 def sylvester_hadamard(k: int) -> list[list[int]]:
