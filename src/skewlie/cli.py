@@ -108,8 +108,8 @@ def _matrix_rows(m: ExactMatrix) -> list[list[str]]:
 def _endo_rows(kernel: tuple) -> list[list[list[str]]]:
     """Rows of each endomorphism v / q (v column-major) of an integer kernel (n, vs, q)."""
     n, vecs, q = kernel
-    return [[[_format_ratio(v[c * n + r], q) for c in range(n)] for r in range(n)]
-            for v in vecs]
+    flat = [["0" if not x else "1" if x == q else _format_ratio(x, q) for x in v] for v in vecs]
+    return [[s[r::n] for r in range(n)] for s in flat]
 
 
 def _derivations_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
@@ -330,10 +330,12 @@ def _dumps(value, indent: str = "\n") -> str:
         return leaf(value)
     inner = indent + "  "
     if type(value) is list:
-        try:  # a list of strings takes one join
-            body = ("," + inner).join(map(_encode_str, value))
-        except TypeError:
-            body = ("," + inner).join([_dumps(v, inner) for v in value])
+        if value and type(value[0]) is str:
+            try:  # a list of strings takes one join
+                return "[" + inner + ("," + inner).join(map(_encode_str, value)) + indent + "]"
+            except TypeError:  # a str, then something else
+                pass
+        body = ("," + inner).join([_dumps(v, inner) for v in value])
         start, end = "[]"
     elif type(value) is dict:  # a key that is no str fails in sorted or _encode_str
         body = ("," + inner).join([_encode_str(k) + ": " + _dumps(v, inner)

@@ -227,15 +227,23 @@ class _Basis(NamedTuple):
     def kernel_ints(self) -> tuple[list[list[int]], int]:
         """(d times ``EchelonResult.kernel``'s basis, d), d may be negative: per free
         column f, d at f and minus the rows' entries in column f at their pivots."""
-        d, cols, piv = self.d, len(self.free) + self.rank, dict(zip(self.pivots, self.rows))
-        return [[-piv[c][f] if c in piv else d * (c == fc) for c in range(cols)]
-                for f, fc in enumerate(self.free)], d
+        vecs = []
+        for f, fc in enumerate(self.free):
+            vecs.append(v := [0] * (len(self.free) + self.rank))
+            v[fc] = self.d
+            for p, row in zip(self.pivots, self.rows):
+                v[p] = -row[f]
+        return vecs, self.d
 
     def span_rows(self) -> list[list[int]]:
         """d times the nonzero RREF rows, as full integer rows: d at the pivot."""
-        d, at = self.d, {c: f for f, c in enumerate(self.free)}
-        return [[row[at[c]] if c in at else d * (c == pc) for c in range(len(at) + self.rank)]
-                for pc, row in zip(self.pivots, self.rows)]
+        spans = []
+        for pc, row in zip(self.pivots, self.rows):
+            spans.append(v := [0] * (len(self.free) + self.rank))
+            v[pc] = self.d
+            for fc, x in zip(self.free, row):
+                v[fc] = x
+        return spans
 
 
 def _rescale(v: Sequence[Fraction]) -> tuple[list[int], int]:
