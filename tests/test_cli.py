@@ -278,8 +278,9 @@ ANALYZE_BUILDS = {"heisenberg": ((1, 1), (0, 0)), "counterexample4": ((0, 1), (1
 def test_analyze_builds_each_operator_once(name, tmp_path, capsys, monkeypatch):
     # each representation is built at most once. The certificate reads packed rows from
     # n = 4 (HL from n = 5) and proves counterexample4's M of full rank, so it builds no
-    # exact M. Its square HL is nonsingular: the determinant must come off the same
-    # elimination as the kernel, not off a second build. The rank-deficient operators fall
+    # exact M. Its square HL is built once: the packed determinant reads those rows, and
+    # as it is nonzero no elimination runs; a singular HL would hand the same rows to the
+    # elimination for its kernel, not build them again. The rank-deficient operators fall
     # back to one exact build each
     builds = count_calls(monkeypatch, BUILDERS, [sm])
     a = PAYLOAD_ALGEBRAS[name]()

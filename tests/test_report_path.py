@@ -9,18 +9,19 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from skewlie import SkewAlgebra, heisenberg, transport
 from skewlie import structmats as sm
-from skewlie.cli import _dumps, main, parse_algebra, serialize_algebra
+from skewlie.cli import _dumps, _endo_rows, main, parse_algebra, serialize_algebra
 from skewlie.qlinalg import (ExactMatrix, _eliminate, _format_ratio, _parse_ratio,
                              echelonize, format_rational, parse_rational)
 
 from helpers import (fraction_build_HL, fraction_build_M, fraction_rref,
-                     rand_rational_invertible)
+                     rand_rational_invertible, rows_of)
 
 
 # --- the writer: byte for byte what json.dumps(indent=2, sort_keys=True) writes ---
@@ -43,8 +44,45 @@ json_values = st.recursive(
 @example([["a"], "b"])
 @example([["a", 1], ["b"]])
 @example([[["a"]]])
+# a str first, then something else: the one join raises and the list is written item by item
+@example(["a", ["b"]])
+@example(["a", 1])
+@example(["a", None])
+@example(["a", True])
+# a first item that is no str, then strings: the one join is not tried
+@example([1, "a"])
+@example([True, "x"])
+@example([None, "x"])
 def test_writer_matches_json_dumps(value):
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_writer_raises_nothing_on_a_golden_report():
+    """A list takes the one join only when its first item is a str, so writing a
+    report catches no TypeError: no frame of ``_dumps`` sees an exception."""
+    code, raised = _dumps.__code__, []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "exception":
+            raised.append(arg[0].__name__)
+        return trace
+
+    paths = sorted(GOLDEN.glob("*/analyze.json"))
+    texts = [p.read_text(encoding="utf-8") for p in paths]
+    reports = [json.loads(text) for text in texts]
+    saved = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        written = [_dumps(report) + "\n" for report in reports]
+    finally:
+        sys.settrace(saved)
+    assert len(paths) >= 20 and written == texts
+    assert raised == []
 
 
 @pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": 1, 2: "b"},
@@ -72,6 +110,27 @@ def test_format_ratio_matches_format_rational(p, q):
 def test_format_ratio_returns_0_for_p_0_before_the_gcd(p, q):
     assert (_format_ratio(p, q) == "0") == (p == 0)
     assert _format_ratio(p, q) == format_rational(Fraction(p, q))
+
+
+@st.composite
+def integer_kernels(draw):
+    """(n, vecs, q) as a solution space holds it: column-major n x n integer vectors over
+    a q of either sign, with entries 0, q, -q and multiples of q among arbitrary ones."""
+    n = draw(st.integers(1, 6))
+    q = draw(st.one_of(st.integers(-12, 12), st.integers(-10 ** 12, 10 ** 12)).filter(bool))
+    entry = st.one_of(st.sampled_from([0, q, -q]), st.integers(-5, 5).map(lambda k: k * q),
+                      st.integers(-10 ** 15, 10 ** 15))
+    return n, draw(st.lists(st.lists(entry, min_size=n * n, max_size=n * n), max_size=4)), q
+
+
+@given(integer_kernels())
+@example((2, [[0, -3, 3, -6]], -3))  # q < 0: the entry q reads "1" and -q reads "-1"
+@example((1, [[5], [0]], 5))
+@example((3, [], 1))
+def test_endo_rows_match_per_entry_format_ratio(kernel):
+    n, vecs, q = kernel
+    assert _endo_rows(kernel) == [[[_format_ratio(v[c * n + r], q) for c in range(n)]
+                                   for r in range(n)] for v in vecs]
 
 
 # --- the parser ---
@@ -177,6 +236,18 @@ def test_eliminate_kernel_ints_match_fraction_rref(rows):
     assert _over(vecs, d) == expected == echelonize(ExactMatrix(rows)).kernel()
     if rows == [[-2, 1], [0, 0]]:
         assert d < 0
+
+
+@given(st.integers(1, 5).flatmap(lambda cols: st.lists(
+    st.lists(small_ints, min_size=cols, max_size=cols), min_size=1, max_size=6)))
+@example([[-2, 1], [0, 0]])  # the first pivot is negative, so d < 0
+def test_eliminate_span_rows_match_fraction_rref(rows):
+    b = _eliminate(rows, len(rows[0]))
+    expected = fraction_rref(ExactMatrix(rows))
+    assert [[Fraction(x, b.d) for x in r] for r in b.span_rows()] == rows_of(
+        expected.reduced)[:expected.rank]
+    if rows == [[-2, 1], [0, 0]]:
+        assert b.d < 0
 
 
 def test_derivation_basis_is_built_on_first_read_and_kept():
