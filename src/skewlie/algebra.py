@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, SingularMapError, UnsupportedDimError
 from .qlinalg import (ExactMatrix, _as_fraction, _Basis, _check_index, _check_matrix, _eliminate,
@@ -288,23 +288,25 @@ def transport(a: SkewAlgebra, p: Endo) -> SkewAlgebra:
                            den * dx * b.d * s)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace in canonical form: basis rows are the RREF of any spanning set."""
+class Subspace(namedtuple("Subspace", "basis dim")):
+    """A subspace in canonical form: the ``basis`` rows (an ``ExactMatrix``) are the RREF
+    of any spanning set. ``_make``, and so ``_replace``, checks as the constructor does."""
 
-    basis: ExactMatrix
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_index(self.dim)
-        if self.dim != self.basis.rows:
-            raise ValueError(f"dim {self.dim} against a basis of {self.basis.rows} rows")
+    def __new__(cls, basis: ExactMatrix, dim: int) -> Subspace:
+        _check_index(dim)
+        if dim != basis.rows:
+            raise ValueError(f"dim {dim} against a basis of {basis.rows} rows")
         # RREF: each row leads with a 1, right of the row above's, alone in its column
-        rows, den = self.basis._ints
+        rows, den = basis._ints
         pivots = [next((c for c, x in enumerate(r) if x), None) for r in rows]
         if None in pivots or pivots != sorted(set(pivots)) or any(
                 r[p] != den * (i == k) for i, p in enumerate(pivots) for k, r in enumerate(rows)):
             raise ValueError("basis is not the RREF of its own rows")
+        return super().__new__(cls, basis, dim)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def span(vectors: Iterable[Sequence], *, dim: int | None = None) -> Subspace:
@@ -346,12 +348,11 @@ def _derived_algebra(a: SkewAlgebra) -> _Basis:
     return _eliminate([t[i][j] for i, j in itertools.combinations(range(a.dim), 2)], a.dim)
 
 
-@dataclass(frozen=True)
-class SeriesReport:
-    """Dimensions along a descending series; ends at 0 or at first repeat."""
+class SeriesReport(namedtuple("SeriesReport", "kind dims")):
+    """The ``dims`` along a descending series of ``kind`` "central" or "derived";
+    they end at 0 or at the first repeat."""
 
-    kind: str  # "central" or "derived"
-    dims: tuple[int, ...]
+    __slots__ = ()
 
 
 def _series(a: SkewAlgebra) -> tuple[SeriesReport, SeriesReport]:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import (Endo, SkewAlgebra, Vec, _derived_algebra, _exact_blocks, _flat, _mul,
-                      _table, is_lie, transport)
+from .algebra import (SkewAlgebra, Vec, _derived_algebra, _exact_blocks, _flat, _mul, _table,
+                      is_lie, transport)
 from .errors import InvariantError, RegularPairNotFoundError, UnsupportedDimError
 from .qlinalg import ExactMatrix, _Basis, _check_index, _eliminate
 
@@ -35,14 +35,11 @@ TAGS = (ABELIAN, HEISENBERG, SOLVABLE_LIE_LINE, SOLVABLE_LIE_PLANE,
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the standard basis, as integer vectors
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    """Family tag, exact normal-form parameters, and the basis-change witness."""
+class ClassificationResult(namedtuple("ClassificationResult", "tag params witness lie")):
+    """Family tag, exact normal-form parameters (a dict of ``Fraction``s by name), the
+    basis-change witness (an ``ExactMatrix``), and whether the algebra is Lie."""
 
-    tag: str
-    params: dict[str, Fraction]
-    witness: Endo
-    lie: bool
+    __slots__ = ()
 
 
 def sol_family(b1, g1, b2, g2) -> SkewAlgebra:
@@ -232,18 +229,15 @@ def classify(a: SkewAlgebra) -> ClassificationResult:
     return _classify_nonsolvable(a)
 
 
-@dataclass(frozen=True)
-class LieTypeSolution:
+class LieTypeSolution(namedtuple("LieTypeSolution", "particular homogeneous admissible")):
     """Affine set of coefficient pairs (a, b) satisfying
     (e1 e2) e3 + a (e2 e3) e1 + b (e3 e1) e2 = 0.
 
-    ``particular`` is None when no pair works at all; ``admissible`` is true
-    iff some solution has a != 0.
+    ``particular`` is one pair, None when no pair works at all; ``homogeneous`` is a
+    tuple of pairs; ``admissible`` is true iff some solution has a != 0.
     """
 
-    particular: tuple[Fraction, Fraction] | None
-    homogeneous: tuple[tuple[Fraction, Fraction], ...]
-    admissible: bool
+    __slots__ = ()
 
 
 def _cyclic_ints(a: SkewAlgebra) -> list[list[int]]:

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from collections.abc import Sequence
 
 from . import algebra as alg
 from . import structmats as sm
@@ -88,7 +88,7 @@ def parse_algebra(text: str) -> alg.SkewAlgebra:
         raise ParseError(str(e)) from None
 
 
-def serialize_algebra(a: alg.SkewAlgebra) -> dict[str, Any]:
+def serialize_algebra(a: alg.SkewAlgebra) -> dict[str, object]:
     """Canonical document for an algebra (nonzero pairs, sorted, exact literals)."""
     t, den = a._ints
     return {
@@ -112,7 +112,7 @@ def _endo_rows(kernel: tuple) -> list[list[list[str]]]:
     return [[s[r::n] for r in range(n)] for s in flat]
 
 
-def _derivations_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
+def _derivations_payload(a: alg.SkewAlgebra) -> dict[str, object]:
     n = a.dim
     ders = sm.derivation_space(a)
     orbit_dim = n * n - ders.dim
@@ -122,18 +122,18 @@ def _derivations_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
         "derivation_dim": ders.dim,
         "aut_dim": ders.dim,
         "orbit_dim": orbit_dim,
-        "basis": _endo_rows(ders._kernel),
+        "basis": _endo_rows(ders.kernel),
     }
 
 
-def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
+def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, object]:
     n = a.dim
     space = sm.homlie_space(a)
     rows = n * (n * (n - 1) * (n - 2) // 6)
-    payload: dict[str, Any] = {
+    payload: dict[str, object] = {
         "is_homlie": space.dim >= 1,
         "kernel_dim": space.dim,
-        "basis": _endo_rows(space._kernel),
+        "basis": _endo_rows(space.kernel),
         "matrix_shape": [rows, n * n] if n >= 3 else None,
         "rank": n * n - space.dim,
     }
@@ -142,12 +142,12 @@ def _homlie_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
     return payload
 
 
-def _killing_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
+def _killing_payload(a: alg.SkewAlgebra) -> dict[str, object]:
     k = alg.killing_matrix(a)
     return {"matrix": _matrix_rows(k), "determinant": format_rational(determinant(k))}
 
 
-def _classify_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
+def _classify_payload(a: alg.SkewAlgebra) -> dict[str, object]:
     result = classify_algebra(a)
     return {
         "tag": result.tag,
@@ -157,7 +157,7 @@ def _classify_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
     }
 
 
-def _lietype_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
+def _lietype_payload(a: alg.SkewAlgebra) -> dict[str, object]:
     sol = lie_type_constants(a)
     return {
         "particular": None if sol.particular is None
@@ -167,7 +167,7 @@ def _lietype_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
     }
 
 
-def _analyze_payload(a: alg.SkewAlgebra) -> dict[str, Any]:
+def _analyze_payload(a: alg.SkewAlgebra) -> dict[str, object]:
     central, derived = (s.dims for s in alg._series(a))
     payload = {
         "nilpotent": central[-1] == 0,
@@ -191,7 +191,7 @@ def _print_matrix(m: list[list[str]]) -> None:
         print("  [ " + "  ".join(x.rjust(width) for x in row) + " ]")
 
 
-def _render_text(command: str, payload: dict[str, Any]) -> None:
+def _render_text(command: str, payload: dict[str, object]) -> None:
     if command == "derivations":
         print(f"derivation matrix rank: {payload['rank']}")
         print(f"derivation space dimension: {payload['derivation_dim']}")
@@ -286,7 +286,7 @@ _ABOUT[None] = "\n".join(["Exact analysis of skew-symmetric algebras given by ra
                           *(f"  {name:<12} {text}" for name, text in _ABOUT.items())])
 
 
-def _parse(argv: Sequence[str]) -> tuple[str | None, dict[str, Any] | None]:
+def _parse(argv: Sequence[str]) -> tuple[str | None, dict[str, object] | None]:
     """The subcommand that argv names and its values: FILE or sample's options, and json.
     The values are None after -h or --help, and so is the subcommand when the help
     comes before it. A usage error raises ``getopt.GetoptError``."""
@@ -360,7 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if command == "sample":
                 cfg = {name: args[name] for name in _SAMPLE}
                 report = run_experiment(SampleConfig(**cfg))
-                payload: dict[str, Any] = {
+                payload: dict[str, object] = {
                     **cfg,
                     "rank_histogram": {str(k): v for k, v in
                                        sorted(report.rank_histogram_M.items())},

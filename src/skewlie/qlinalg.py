@@ -24,9 +24,9 @@ import math
 import re
 import struct
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NonSquareError, SingularMapError
 
@@ -190,41 +190,30 @@ def _check_matrix(m) -> None:
         raise TypeError(f"expected an ExactMatrix, not {type(m).__name__}")
 
 
-@dataclass(frozen=True)
-class EchelonResult:
-    """Unique reduced row-echelon form, rank and pivot columns, plus the
-    determinant of a square input (None for a non-square one)."""
+class EchelonResult(namedtuple("EchelonResult", "reduced rank pivot_columns determinant")):
+    """Unique reduced row-echelon form (an ``ExactMatrix``), rank and pivot columns,
+    plus the determinant of a square input (None for a non-square one)."""
 
-    reduced: ExactMatrix
-    rank: int
-    pivot_columns: tuple[int, ...]
-    determinant: Fraction | None
+    __slots__ = ()
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
-        """Canonical kernel basis read off the RREF.
+        """Canonical kernel basis read off the RREF by ``_Basis.kernel_ints``.
 
         One basis vector per free column, in increasing column order, with the
         free variable set to 1 and pivot variables solved from the reduced rows.
         """
-        (rows, den), cols = self.reduced._ints, self.reduced.cols
-        piv = dict(zip(self.pivot_columns, rows))
-        return [tuple(Fraction(-piv[c][fc], den) if c in piv else Fraction(int(c == fc))
-                      for c in range(cols)) for fc in range(cols) if fc not in piv]
+        vecs, d = _eliminate(self.reduced._ints[0], self.reduced.cols).kernel_ints()
+        return [tuple(Fraction(x, d) for x in v) for v in vecs]
 
 
-class _Basis(NamedTuple):
+class _Basis(namedtuple("_Basis", "rank pivots free rows d det")):
     """What ``_eliminate`` returns, integers only: rank, sorted pivots, free
     columns, d times the RREF rows over the free columns (in pivot order), d,
     and det (a square input's determinant, 0 below full column rank)."""
 
-    rank: int
-    pivots: list[int]
-    free: list[int]
-    rows: list[list[int]]
-    d: int
-    det: int
+    __slots__ = ()
 
-    def kernel_ints(self) -> tuple[list[list[int]], int]:
+    def kernel_ints(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(d times ``EchelonResult.kernel``'s basis, d), d may be negative: per free
         column f, d at f and minus the rows' entries in column f at their pivots."""
         vecs = []
@@ -233,7 +222,7 @@ class _Basis(NamedTuple):
             v[fc] = self.d
             for p, row in zip(self.pivots, self.rows):
                 v[p] = -row[f]
-        return vecs, self.d
+        return tuple(map(tuple, vecs)), self.d
 
     def span_rows(self) -> list[list[int]]:
         """d times the nonzero RREF rows, as full integer rows: d at the pivot."""

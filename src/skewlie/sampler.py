@@ -9,8 +9,8 @@ parallel) and the aggregate report never changes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .algebra import MAX_DIM, MIN_DIM, SkewAlgebra, is_lie
 from .qlinalg import _check_index
@@ -32,29 +32,29 @@ def _randints(state: int, lo: int, hi: int) -> Iterator[int]:
             yield lo + u % size
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(namedtuple("SampleConfig", "dim trials seed height")):
     """One experiment: ``trials`` algebras of dimension ``dim`` whose structure
-    constants are integers drawn uniformly from [-height, height]."""
+    constants are integers drawn uniformly from [-height, height]. ``_make``, and
+    so ``_replace``, checks as the constructor does."""
 
-    dim: int
-    trials: int
-    seed: int
-    height: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def __new__(cls, dim: int, trials: int, seed: int, height: int = 2) -> SampleConfig:
+        for name, value in zip(cls._fields, (dim, trials, seed, height)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an int, not {type(value).__name__}")
-        if not MIN_DIM <= self.dim <= MAX_DIM:
-            raise ValueError(f"dim {self.dim} outside {MIN_DIM}..{MAX_DIM}")
-        if self.trials < 1:
+        if not MIN_DIM <= dim <= MAX_DIM:
+            raise ValueError(f"dim {dim} outside {MIN_DIM}..{MAX_DIM}")
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 1 <= self.height < (1 << 63):
+        if not 1 <= height < (1 << 63):
             raise ValueError("height must be in 1..2**63 - 1: one 64-bit draw must "
                              "cover [-height, height]")
-        if not 0 <= self.seed < (1 << 64):
+        if not 0 <= seed < (1 << 64):
             raise ValueError("seed must fit in 64 bits")
+        return super().__new__(cls, dim, trials, seed, height)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def random_algebra(cfg: SampleConfig, index: int) -> SkewAlgebra:
@@ -67,14 +67,12 @@ def random_algebra(cfg: SampleConfig, index: int) -> SkewAlgebra:
     return SkewAlgebra._of(n, table, 1)
 
 
-@dataclass(frozen=True)
-class GenericityReport:
-    """Aggregates over all trials of one configuration."""
+class GenericityReport(namedtuple("GenericityReport",
+                                   "rank_histogram_M homlie_count lie_count trials")):
+    """Aggregates over all trials of one configuration: the count of each rank of M
+    (a dict), of the Hom-Lie algebras and of the Lie ones, and the number of trials."""
 
-    rank_histogram_M: dict[int, int]
-    homlie_count: int
-    lie_count: int
-    trials: int
+    __slots__ = ()
 
 
 def run_experiment(cfg: SampleConfig) -> GenericityReport:

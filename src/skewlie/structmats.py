@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
 
 from .algebra import (Endo, SkewAlgebra, Vec, _check_endo, _check_vec, _exact_blocks, _flat,
                       _table, basis_vec, multiply, vadd)
@@ -161,31 +161,29 @@ def build_HL(a: SkewAlgebra) -> ExactMatrix:
 
 
 def _kernel_endos(space) -> tuple[Endo, ...]:
-    """The integer kernel ``space._kernel = (n, vectors, q)`` as endomorphisms v / q:
+    """The integer kernel ``space.kernel = (n, vectors, q)`` as endomorphisms v / q:
     row r of v (column-major) is v[r::n]."""
-    n, vecs, q = space._kernel
+    n, vecs, q = space.kernel
     return tuple(ExactMatrix._of([v[r::n] for r in range(n)], n, q) for v in vecs)
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(namedtuple("DerivationSpace", "dim kernel")):
     """Basis of the derivation algebra, one endomorphism per kernel vector: ``basis``
-    views the integer kernel (n, vectors, q) of the elimination, built on first read."""
+    views the integer ``kernel`` (n, vectors, q) of the elimination, built on first
+    read and kept in the ``__dict__``, which takes no other attribute."""
 
-    dim: int
-    _kernel: tuple = field(repr=False, hash=False)
     basis = functools.cached_property(_kernel_endos)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-@dataclass(frozen=True)
-class HomLieSpace:
+
+class HomLieSpace(namedtuple("HomLieSpace", "dim determinant kernel")):
     """Basis of the Hom-Lie twists, and the determinant of HL when square (n = 4);
     ``basis`` is built on first read, as in ``DerivationSpace``."""
 
-    dim: int
-    determinant: Fraction | None
-    _kernel: tuple = field(repr=False, hash=False)
     basis = functools.cached_property(_kernel_endos)
+    __setattr__ = DerivationSpace.__setattr__
 
 
 def _reduce(a: SkewAlgebra, rows: Callable, packed: Callable) -> _Basis | None:
@@ -200,7 +198,7 @@ def _reduce(a: SkewAlgebra, rows: Callable, packed: Callable) -> _Basis | None:
 def derivation_space(a: SkewAlgebra) -> DerivationSpace:
     """Kernel of the derivation matrix, reshaped to endomorphisms."""
     b = _reduce(a, _M_rows, _M_packed)
-    vecs, q = ([], 1) if b is None else b.kernel_ints()
+    vecs, q = ((), 1) if b is None else b.kernel_ints()
     return DerivationSpace(len(vecs), (a.dim, vecs, q))
 
 
@@ -228,7 +226,7 @@ def homlie_space(a: SkewAlgebra) -> HomLieSpace:
         b, det = None if det else _eliminate(rows, 16), Fraction(det, a._ints[1] ** 32)
     else:
         b, det = _reduce(a, _HL_rows, _HL_packed), None
-    vecs, q = ([], 1) if b is None else b.kernel_ints()
+    vecs, q = ((), 1) if b is None else b.kernel_ints()
     return HomLieSpace(len(vecs), det, (n, vecs, q))
 
 

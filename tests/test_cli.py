@@ -396,12 +396,14 @@ def test_repeated_calls_in_one_process_give_the_same_results(tmp_path):
     assert all(err for code, _, err in first if code == 2)
 
 
-def test_importing_the_cli_loads_no_argparse():
+def test_importing_the_cli_loads_no_argparse_dataclasses_inspect_or_typing():
+    # -S: a .pth file in site-packages may import typing itself, before the package
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, skewlie.cli; print('argparse' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    code = ("import sys, skewlie.cli; "
+            "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("kind", ["analyze", "sample"])

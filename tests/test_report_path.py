@@ -212,12 +212,12 @@ def test_integer_kernels_match_fraction_rref(dim, rational):
         if rational:
             a = transport(a, rand_rational_invertible(rng, dim))
         ders = sm.derivation_space(a)
-        n, vecs, q = ders._kernel
+        n, vecs, q = ders.kernel
         expected = fraction_rref(fraction_build_M(a)).kernel()
         assert n == dim and _over(vecs, q) == expected and ders.dim == len(expected)
         assert ders.basis == tuple(sm.endo_of_vec(dim, v) for v in expected)
         space = sm.homlie_space(a)
-        n, vecs, q = space._kernel
+        n, vecs, q = space.kernel
         expected = (fraction_rref(fraction_build_HL(a)).kernel() if dim > 2 else
                     [tuple(Fraction(int(k == c)) for k in range(4)) for c in range(4)])
         assert _over(vecs, q) == expected
