@@ -197,13 +197,15 @@ class EchelonResult(namedtuple("EchelonResult", "reduced rank pivot_columns dete
     __slots__ = ()
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
-        """Canonical kernel basis read off the RREF by ``_Basis.kernel_ints``.
+        """Canonical kernel basis read off the RREF.
 
         One basis vector per free column, in increasing column order, with the
         free variable set to 1 and pivot variables solved from the reduced rows.
         """
-        vecs, d = _eliminate(self.reduced._ints[0], self.reduced.cols).kernel_ints()
-        return [tuple(Fraction(x, d) for x in v) for v in vecs]
+        (rows, den), cols = self.reduced._ints, self.reduced.cols
+        piv = dict(zip(self.pivot_columns, rows))
+        return [tuple(Fraction(-piv[c][fc], den) if c in piv else Fraction(int(c == fc))
+                      for c in range(cols)) for fc in range(cols) if fc not in piv]
 
 
 class _Basis(namedtuple("_Basis", "rank pivots free rows d det")):

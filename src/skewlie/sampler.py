@@ -33,9 +33,8 @@ def _randints(state: int, lo: int, hi: int) -> Iterator[int]:
 
 
 class SampleConfig(namedtuple("SampleConfig", "dim trials seed height")):
-    """One experiment: ``trials`` algebras of dimension ``dim`` whose structure
-    constants are integers drawn uniformly from [-height, height]. ``_make``, and
-    so ``_replace``, checks as the constructor does."""
+    """One experiment: ``trials`` algebras of dimension ``dim`` whose structure constants are
+    integers drawn uniformly from [-height, height]. ``_make`` and ``_replace`` check too."""
 
     __slots__ = ()
 

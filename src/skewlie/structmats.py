@@ -168,9 +168,8 @@ def _kernel_endos(space) -> tuple[Endo, ...]:
 
 
 class DerivationSpace(namedtuple("DerivationSpace", "dim kernel")):
-    """Basis of the derivation algebra, one endomorphism per kernel vector: ``basis``
-    views the integer ``kernel`` (n, vectors, q) of the elimination, built on first
-    read and kept in the ``__dict__``, which takes no other attribute."""
+    """Basis of the derivation algebra: ``basis`` views the integer ``kernel`` (n, vectors,
+    q), built on first read and kept in the ``__dict__``, which takes no other attribute."""
 
     basis = functools.cached_property(_kernel_endos)
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import argparse
 import contextlib
+import copy
 import io
 import itertools
+import pickle
 
 from skewlie import (EchelonResult, ExactMatrix, SkewAlgebra, Subspace, algebra3,
                      basis_vec, determinant, echelonize, inverse, left_mult,
@@ -72,6 +74,15 @@ def fraction_rref(m: ExactMatrix) -> EchelonResult:
     elif len(pivots) < rows:
         det = Fraction(0)
     return EchelonResult(ExactMatrix(a, cols=cols), len(pivots), tuple(pivots), det)
+
+
+def fraction_kernel(ech: EchelonResult) -> list[tuple[Fraction, ...]]:
+    """The kernel basis read off an RREF entry by entry, one vector per free column
+    in increasing order: 1 at that column, minus the pivot rows' entries there."""
+    piv = dict(zip(ech.pivot_columns, rows_of(ech.reduced)))
+    cols = ech.reduced.cols
+    return [tuple(-piv[c][fc] if c in piv else Fraction(int(c == fc)) for c in range(cols))
+            for fc in range(cols) if fc not in piv]
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -572,3 +583,11 @@ def count_calls(monkeypatch, names, modules) -> dict[str, int]:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted)
     return counts
+
+
+# ---------------------------------------------------------------------------
+# the ways a value is pickled or copied, each of which must give it back equal
+# ---------------------------------------------------------------------------
+
+ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
+               "deepcopy": copy.deepcopy}

@@ -1,6 +1,4 @@
-import copy
 import itertools
-import pickle
 import random
 from fractions import Fraction
 
@@ -21,9 +19,10 @@ from skewlie.qlinalg import _eliminate
 from skewlie.structmats import derivation_space, homlie_space
 from skewlie.sampler import SampleConfig, random_algebra
 
-from helpers import (counterexample4, fraction_matmul, fraction_product, fraction_transport,
-                     full_space, killing_by_trace, rand_algebra, rand_fraction,
-                     rand_invertible, rand_rational_invertible, rand_vec, rigid_dim4, rows_of)
+from helpers import (ROUND_TRIPS, counterexample4, fraction_matmul, fraction_product,
+                     fraction_transport, full_space, killing_by_trace, rand_algebra,
+                     rand_fraction, rand_invertible, rand_rational_invertible, rand_vec,
+                     rigid_dim4, rows_of)
 
 algebras3 = st.builds(lambda cs: algebra3(*cs),
                       st.tuples(*([st.integers(-3, 3)] * 9)))
@@ -113,10 +112,6 @@ def test_zero_products_are_dropped():
     assert a == b
     assert hash(a) == hash(b)
     assert a.products == b.products == {(1, 3): (0, 1, 0)}
-
-
-ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
-               "deepcopy": copy.deepcopy}
 
 
 @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))

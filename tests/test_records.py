@@ -2,14 +2,13 @@
 pickled and copied to an equal value, hashable unless they hold a dict, and checked
 alike whether built by the constructor, ``_make`` or ``_replace``."""
 
-import copy
-import pickle
-
 import pytest
 
 from skewlie import (ExactMatrix, SampleConfig, Subspace, central_series, classify,
                      derivation_space, echelonize, heisenberg, homlie_space, lie_type_constants,
                      ns1_family, random_algebra, run_experiment, span)
+
+from helpers import ROUND_TRIPS
 
 
 def _derivations_read():
@@ -34,8 +33,6 @@ RECORDS = {
     "GenericityReport": lambda: run_experiment(SampleConfig(3, 4, 0)),
 }
 UNHASHABLE = {"ClassificationResult", "GenericityReport"}  # they hold a dict
-ROUND_TRIPS = {"pickle": lambda x: pickle.loads(pickle.dumps(x)), "copy": copy.copy,
-               "deepcopy": copy.deepcopy}
 
 
 def test_every_public_result_type_is_covered():

@@ -20,7 +20,7 @@ from skewlie.cli import _dumps, _endo_rows, main, parse_algebra, serialize_algeb
 from skewlie.qlinalg import (ExactMatrix, _eliminate, _format_ratio, _parse_ratio,
                              echelonize, format_rational, parse_rational)
 
-from helpers import (fraction_build_HL, fraction_build_M, fraction_rref,
+from helpers import (fraction_build_HL, fraction_build_M, fraction_kernel, fraction_rref,
                      rand_rational_invertible, rows_of)
 
 
@@ -213,12 +213,12 @@ def test_integer_kernels_match_fraction_rref(dim, rational):
             a = transport(a, rand_rational_invertible(rng, dim))
         ders = sm.derivation_space(a)
         n, vecs, q = ders.kernel
-        expected = fraction_rref(fraction_build_M(a)).kernel()
+        expected = fraction_kernel(fraction_rref(fraction_build_M(a)))
         assert n == dim and _over(vecs, q) == expected and ders.dim == len(expected)
         assert ders.basis == tuple(sm.endo_of_vec(dim, v) for v in expected)
         space = sm.homlie_space(a)
         n, vecs, q = space.kernel
-        expected = (fraction_rref(fraction_build_HL(a)).kernel() if dim > 2 else
+        expected = (fraction_kernel(fraction_rref(fraction_build_HL(a))) if dim > 2 else
                     [tuple(Fraction(int(k == c)) for k in range(4)) for c in range(4)])
         assert _over(vecs, q) == expected
         assert space.basis == tuple(sm.endo_of_vec(dim, v) for v in expected)
@@ -232,7 +232,7 @@ small_ints = st.integers(-4, 4)
 @example([[-2, 1], [0, 0]])  # the first pivot is negative, so d < 0
 def test_eliminate_kernel_ints_match_fraction_rref(rows):
     vecs, d = _eliminate(rows, len(rows[0])).kernel_ints()
-    expected = fraction_rref(ExactMatrix(rows)).kernel()
+    expected = fraction_kernel(fraction_rref(ExactMatrix(rows)))
     assert _over(vecs, d) == expected == echelonize(ExactMatrix(rows)).kernel()
     if rows == [[-2, 1], [0, 0]]:
         assert d < 0
